@@ -34,7 +34,6 @@
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
-#include "sparse/bsr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ilu0.hpp"
 #include "sparse/sell.hpp"
@@ -64,20 +63,6 @@ void BM_Spmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_Spmv);
-
-
-void BM_SpmvBsr2(benchmark::State& state) {
-  const sparse::CsrMatrix& a = cantilever().stiffness;
-  const sparse::Bsr2 b(a);
-  Vector x(static_cast<std::size_t>(a.cols()), 1.0);
-  Vector y(static_cast<std::size_t>(a.rows()));
-  for (auto _ : state) {
-    b.spmv(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
-}
-BENCHMARK(BM_SpmvBsr2);
 
 void BM_GlsApply(benchmark::State& state) {
   const sparse::CsrMatrix& a = cantilever().stiffness;
@@ -205,9 +190,10 @@ BENCHMARK(BM_GlsApplyFusedSell)->Arg(3)->Arg(7)->Arg(10);
 // Per Table 2 mesh: raw SpMV and the GLS-7 polynomial apply, each
 // through (a) the eagerly scaled scalar-CSR kernel the solvers used
 // before the kernel layer, (b) SELL-C-σ on the same scaled entries, and
-// (c) the fused SELL kernel (unscaled entries, D K D folded in).  All
-// three are bit-identical (tests/test_kernels.cpp), so this measures
-// speed alone.  The acceptance bar is fused GLS-7 >= 1.5x scalar CSR.
+// (c) RankKernel's SELL apply ("fused": built from the unscaled entries
+// with D K D folded in).  All three are bit-identical
+// (tests/test_kernels.cpp), so this measures speed alone.  The
+// acceptance bar is fused GLS-7 >= 1.5x scalar CSR.
 
 /// One contender in an interleaved timing comparison.  Rounds of the
 /// competing kernels alternate (A B C A B C ...) so frequency drift or
@@ -372,7 +358,9 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
 // timings the sweep reports a bytes-per-dof column — the resident
 // operator footprint each format streams per SpMV:
 //   csr   nnz*(8 value + 4 col) + (n+1)*4 row-pointer bytes
-//   sell  padded_nnz*(8 + 4) + (nchunks+1)*4 chunk-offset bytes
+//   sell  SellMatrix::apply_bytes(): padded values*8 + stored column
+//         indices*4 (one per 2x2 block in node-block chunks) + chunk
+//         offsets and the slot->row map
 //   ebe   stored dense entries*8 + element dof ids*4
 // EBE trades duplicated interface entries (dense element blocks) for a
 // perfectly regular layout and zero assembly; the column quantifies
@@ -416,11 +404,7 @@ EbeSweepRow sweep_mesh_ebe(int mesh_number, int degree) {
   row.bpd_csr = (static_cast<double>(k.nnz()) * (8.0 + 4.0) +
                  static_cast<double>(k.rows() + 1) * 4.0) /
                 n;
-  const index_t nchunks =
-      (sell.stored_rows() + sell.chunk() - 1) / sell.chunk();
-  row.bpd_sell = (static_cast<double>(sell.padded_nnz()) * (8.0 + 4.0) +
-                  static_cast<double>(nchunks + 1) * 4.0) /
-                 n;
+  row.bpd_sell = static_cast<double>(sell.apply_bytes()) / n;
   row.bpd_ebe = (static_cast<double>(elems.stored_values()) * 8.0 +
                  static_cast<double>(elems.dof_ids().size()) * 4.0) /
                 n;

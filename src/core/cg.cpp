@@ -81,6 +81,7 @@ namespace {
 
 using detail::DistPoly;
 using detail::EddRank;
+using detail::invert_sqrt_row_norms;
 using detail::sqrt_nonneg;
 using partition::EddPartition;
 using partition::EddSubdomain;
@@ -114,10 +115,7 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
   Vector d = k_in.row_norms1();
   r.counters().flops += static_cast<std::uint64_t>(k_in.nnz());
   r.exchange(d);
-  for (std::size_t l = 0; l < nl; ++l) {
-    PFEM_CHECK_MSG(d[l] > 0.0, "norm-1 scaling: zero row");
-    d[l] = 1.0 / std::sqrt(d[l]);
-  }
+  invert_sqrt_row_norms(sub, d);
   const RankKernel a(k_in, Vector(d), sub.interface_local_dofs, opts.kernels,
                      elems);
   r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());

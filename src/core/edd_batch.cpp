@@ -20,6 +20,7 @@ using partition::EddSubdomain;
 using sparse::CsrMatrix;
 using detail::DistPoly;
 using detail::EddRank;
+using detail::invert_sqrt_row_norms;
 using detail::sqrt_nonneg;
 
 /// Fused analog of detail::spmv_exchange: ŷ_i = Â x̂_i for every RHS,
@@ -820,20 +821,10 @@ EddOperatorState build_edd_operator(
         Vector d = a.row_norms1();  // partial row norms d_i^(s) (Eq. 43)
         r.counters().flops += static_cast<std::uint64_t>(a.nnz());
         r.exchange(d);              // d_i = Σ_s d_i^(s) (Eq. 42)
-        for (std::size_t l = 0; l < nl; ++l) {
-          // Globally-summed zero row => degenerate operator; typed so
-          // the service maps it to Failed{BadOperator} (request-scoped,
-          // the build is never cached) instead of a generic failure.
-          if (!(d[l] > 0.0))
-            throw BadOperatorError(
-                "norm-1 scaling: zero/degenerate row at global dof " +
-                std::to_string(sub.local_to_global[l]));
-          d[l] = 1.0 / std::sqrt(d[l]);
-        }
-        // Kernels are built from the UNSCALED matrix: the Sell format
-        // keeps the raw entries and fuses D into every apply, the Csr
-        // format scales its private copy eagerly.  op.a keeps the
-        // scaled CSR alongside for callers that inspect it.
+        invert_sqrt_row_norms(sub, d);
+        // Kernels are built from the UNSCALED matrix and fold D into
+        // their own stored entries.  op.a keeps the scaled CSR
+        // alongside for callers that inspect it.
         op.kern[s] = RankKernel(a, Vector(d), sub.interface_local_dofs,
                                 kernels,
                                 local_matrices ? nullptr

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/chebyshev.hpp"
@@ -27,9 +28,21 @@ using partition::EddPartition;
 using partition::EddSubdomain;
 using sparse::CsrMatrix;
 
-
-
 inline constexpr int kExchangeTag = 0;
+
+/// d_i <- 1/√d_i over the globally summed row norms (Eq. 44).  The
+/// exchange made d consistent, so a zero sum is a degenerate ROW OF THE
+/// ASSEMBLED OPERATOR, not a partition artifact — typed so the service
+/// answers Failed{BadOperator} (request-scoped, never cached).
+inline void invert_sqrt_row_norms(const EddSubdomain& sub, Vector& d) {
+  for (std::size_t l = 0; l < d.size(); ++l) {
+    if (!(d[l] > 0.0))
+      throw BadOperatorError(
+          "norm-1 scaling: zero/degenerate row at global dof " +
+          std::to_string(sub.local_to_global[l]));
+    d[l] = 1.0 / std::sqrt(d[l]);
+  }
+}
 
 /// sqrt clamped at zero: distributed ⟨x_loc, x_glob⟩ equals ‖x‖² only in
 /// exact arithmetic — near convergence the cross-format partial sums can

@@ -58,6 +58,7 @@ using sparse::CsrMatrix;
 using detail::DistPoly;
 using detail::EddRank;
 using detail::exchange_spmv;
+using detail::invert_sqrt_row_norms;
 using detail::sqrt_nonneg;
 
 /// Shared output written by the ranks (join() publishes it).
@@ -104,20 +105,10 @@ void edd_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
     d = k_in.row_norms1();  // partial row norms d_i^(s) (Eq. 43)
     r.counters().flops += static_cast<std::uint64_t>(k_in.nnz());
     r.exchange(d);              // d_i = Σ_s d_i^(s) (Eq. 42)
-    for (std::size_t l = 0; l < nl; ++l) {
-      // The exchange made d globally consistent, so a zero sum is a
-      // degenerate ROW OF THE ASSEMBLED OPERATOR, not a partition
-      // artifact — typed so the caller can answer Failed{BadOperator}.
-      if (!(d[l] > 0.0))
-        throw BadOperatorError(
-            "norm-1 scaling: zero/degenerate row at global dof " +
-            std::to_string(sub.local_to_global[l]));
-      d[l] = 1.0 / std::sqrt(d[l]);
-    }
-    // Â = D̂ K̂ D̂ (Eq. 44): the Csr kernel scales a private copy
-    // eagerly, the Sell kernel fuses D into every apply — the 2*nnz
-    // scaling work is charged here either way so setup/iteration flop
-    // accounting stays comparable across formats.
+    invert_sqrt_row_norms(sub, d);
+    // Â = D̂ K̂ D̂ (Eq. 44): every kernel format folds D into its stored
+    // entries once at build — the 2*nnz scaling work is charged here so
+    // setup/iteration flop accounting stays comparable across formats.
     kern.emplace(k_in, Vector(d), sub.interface_local_dofs, opts.kernels,
                  elems);
     r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());

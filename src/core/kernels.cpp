@@ -113,11 +113,8 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
   if (split_) detail::classify_rows(k, interface_dofs, interior, coupled);
 
   if (opts.format == KernelOptions::Format::Sell) {
-    // Fold D K D once at build: SpMV is gather-bound, and the apply-time
-    // spmv_scaled fusion gathers d[col] next to every x[col], doubling
-    // gather traffic on the hot path.  scale_symmetric uses the exact
-    // rounding sequence spmv_scaled replays, so both routes stay
-    // bit-identical; the build-time route just pays it once.
+    // Fold D K D once at build, exactly as format Csr does, so every
+    // apply streams only the matrix and x.
     sparse::CsrMatrix scaled = k;
     scaled.scale_symmetric(d);
     if (split_) {

@@ -1,19 +1,18 @@
 // Per-subdomain operator kernels: format selection (scalar CSR vs
-// vectorized SELL-C-σ), fused norm-1 scaling, and the interior/interface
-// row split that lets the polynomial apply overlap the nearest-neighbor
-// exchange with interior compute.
+// vectorized SELL-C-σ vs matrix-free EBE), the norm-1 scaling folded in
+// at build, and the interior/interface row split that lets the
+// polynomial apply overlap the nearest-neighbor exchange with interior
+// compute.
 //
 // RankKernel wraps one subdomain's scaled operator Â = D K D behind a
 // uniform apply() so the distributed solvers never touch storage details:
 //
 //   - format Csr:  a prescaled CSR copy, scalar row loop — the exact
 //     kernel the solvers ran before this layer existed (the fallback).
-//   - format Sell: SELL-C-σ with D K D folded into the stored values at
-//     build time, using scale_symmetric's exact rounding sequence — the
-//     same sequence the apply-time spmv_scaled fusion replays (see
-//     sparse/sell.hpp), so both routes are bit-identical.  Folding at
-//     build wins because SpMV is gather-bound and apply-time fusion
-//     gathers d[col] next to every x[col].
+//   - format Sell: SELL-C-σ (sparse/sell.hpp) converted from the same
+//     prescaled CSR entries, so it is bit-identical to format Csr.
+//     2-dof elasticity rows land in node-block chunks (one column index
+//     per 2×2 block); other operators use the generic chunks.
 //   - format Ebe:  matrix-free element-by-element apply on the
 //     subdomain's dense element matrices (sparse/ebe_store.hpp), the
 //     scaling folded into every element entry at build time with the
@@ -55,12 +54,12 @@
 namespace pfem::core {
 
 /// Kernel knob carried by SolveOptions / ServiceConfig.  Defaults pick
-/// the vectorized fused path with exchange overlap; {Format::Csr,
+/// the vectorized SELL path with exchange overlap; {Format::Csr,
 /// overlap=false} reproduces the pre-kernel-layer scalar behavior.
 struct KernelOptions {
   enum class Format : std::uint8_t {
     Csr,   ///< scalar CSR, eagerly scaled (the legacy fallback)
-    Sell,  ///< SELL-C-σ with the D K D scaling fused into the kernel
+    Sell,  ///< SELL-C-σ, D K D folded into the stored values at build
     Ebe,   ///< matrix-free element-by-element, scaling folded per entry
   };
   Format format = Format::Sell;
@@ -99,7 +98,7 @@ class RankKernel {
              const sparse::EbeStore* elems = nullptr);
 
   /// Wrap an ALREADY-SCALED matrix by reference (not owned; must outlive
-  /// the kernel).  No fused scaling; Sell format converts the scaled
+  /// the kernel).  No scaling fold; Sell format converts the scaled
   /// entries.  Used where a prebuilt scaled operator is the input.
   [[nodiscard]] static RankKernel from_scaled(
       const sparse::CsrMatrix* a, std::span<const index_t> interface_dofs,

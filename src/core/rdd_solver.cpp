@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -225,7 +226,12 @@ void rdd_rank_solve(const RddPartition& part,
     real_t rownorm = 0.0;
     for (real_t v : a_loc.row_vals(i)) rownorm += std::abs(v);
     for (real_t v : a_ext.row_vals(i)) rownorm += std::abs(v);
-    PFEM_CHECK_MSG(rownorm > 0.0, "norm-1 scaling: zero row");
+    // A zero row norm is a degenerate row of the assembled operator:
+    // typed, as in the EDD solvers.
+    if (!(rownorm > 0.0))
+      throw BadOperatorError(
+          "norm-1 scaling: zero/degenerate row at global dof " +
+          std::to_string(sub.rows[static_cast<std::size_t>(i)]));
     dscale[static_cast<std::size_t>(i)] = 1.0 / std::sqrt(rownorm);
   }
   r.counters().flops +=

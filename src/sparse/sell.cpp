@@ -9,8 +9,8 @@
 // at runtime so the binary still runs on machines without AVX2/AVX-512F.
 // Only mul/add intrinsics are used — never FMA — and each SIMD lane
 // performs the scalar kernel's exact per-entry rounding sequence, so
-// these paths are bit-identical to the portable loops below (and to the
-// eagerly scaled CSR kernel; see tests/test_kernels.cpp).
+// these paths are bit-identical to the portable loops below (see
+// tests/test_kernels.cpp, which runs every body this host supports).
 #if defined(__x86_64__) && defined(__GNUC__)
 #define PFEM_SELL_X86 1
 #include <immintrin.h>
@@ -20,140 +20,134 @@ namespace pfem::sparse {
 
 namespace {
 
+// The stored arrays one kernel body walks.  `col` advances chunk by
+// chunk: w*C indices for a generic chunk, w*C/4 for a node-block one.
+struct ChunkView {
+  index_t nchunks;
+  const index_t* chunk_ptr;
+  const index_t* slot_row;
+  const index_t* col;
+  const real_t* val;
+  const char* blocked;
+};
+
+index_t chunk_cols(index_t w, int c, bool blocked) {
+  return blocked ? w * (c / 4) : w * c;
+}
+
+// Scatter a chunk's C accumulators to their original rows.
+inline void store_rows(int c, const real_t* acc, const index_t* rows,
+                       real_t* y, bool add) {
+  for (int l = 0; l < c; ++l) {
+    if (rows[l] < 0) continue;
+    if (add) {
+      y[rows[l]] += acc[l];
+    } else {
+      y[rows[l]] = acc[l];
+    }
+  }
+}
+
+// A C = 8 chunk is node-blocked when every lane pair (2s, 2s+1) is two
+// padding slots or two rows with identical columns, and those columns
+// arrive in (c, c+1) pairs at even steps: both dofs of a plane-elasticity
+// node coupled to each neighbour node's two dofs.
+bool node_blocked(const index_t* lanes, std::span<const index_t> rp,
+                  std::span<const index_t> ci) {
+  for (int s = 0; s < 8; s += 2) {
+    const index_t r0 = lanes[s];
+    const index_t r1 = lanes[s + 1];
+    if (r0 < 0 && r1 < 0) continue;
+    if (r0 < 0 || r1 < 0) return false;
+    const index_t len = rp[r0 + 1] - rp[r0];
+    if (len % 2 != 0 || rp[r1 + 1] - rp[r1] != len ||
+        !std::equal(ci.begin() + rp[r0], ci.begin() + rp[r0 + 1],
+                    ci.begin() + rp[r1]))
+      return false;
+    for (index_t j = rp[r0]; j < rp[r0 + 1]; j += 2) {
+      if (ci[j + 1] != ci[j] + 1) return false;
+    }
+  }
+  return true;
+}
+
+// One node-block chunk, portable form: lane l reads the x pair of its
+// lane pair's block c = b[t*4 + l/2] — x[c] at step 2t, then x[c+1] at
+// step 2t+1, the CSR order.
+inline void block_chunk8(index_t w, const real_t* v, const index_t* b,
+                         const real_t* x, real_t* acc) {
+  for (index_t t = 0; t < w / 2; ++t) {
+    const real_t* vt = v + static_cast<std::size_t>(t) * 16;
+    const index_t* bt = b + static_cast<std::size_t>(t) * 4;
+    for (int l = 0; l < 8; ++l) acc[l] += vt[l] * x[bt[l / 2]];
+    for (int l = 0; l < 8; ++l) acc[l] += vt[8 + l] * x[bt[l / 2] + 1];
+  }
+}
+
 // One chunk-width-templated body per kernel so the compiler sees C as a
 // constant and keeps the C accumulators in registers.  The j-loop walks
 // each lane's entries in original CSR column order; padded entries carry
-// (val=0, col=0) and fold in as +0.0*x[0].
+// val=0 and fold in as +0.0 times an in-range x entry.
 template <int C>
-void spmv_chunks(index_t nchunks, const index_t* chunk_ptr,
-                 const index_t* slot_row, const index_t* col,
-                 const real_t* val, const real_t* x, real_t* y, bool add) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / C;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
+void spmv_chunks(const ChunkView& m, const real_t* x, real_t* y, bool add) {
+  const index_t* c = m.col;
+  for (index_t k = 0; k < m.nchunks; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / C;
+    const real_t* v = m.val + base;
+    const bool blocked = m.blocked[k] != 0;
     real_t acc[C];
     for (int l = 0; l < C; ++l) acc[l] = 0.0;
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = v + static_cast<std::size_t>(j) * C;
-      const index_t* cj = c + static_cast<std::size_t>(j) * C;
-      for (int l = 0; l < C; ++l) acc[l] += vj[l] * x[cj[l]];
+    if constexpr (C == 8) {
+      if (blocked) block_chunk8(w, v, c, x, acc);
     }
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * C;
-    for (int l = 0; l < C; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += acc[l];
-      } else {
-        y[rows[l]] = acc[l];
+    if (!blocked) {
+      for (index_t j = 0; j < w; ++j) {
+        const real_t* vj = v + static_cast<std::size_t>(j) * C;
+        const index_t* cj = c + static_cast<std::size_t>(j) * C;
+        for (int l = 0; l < C; ++l) acc[l] += vj[l] * x[cj[l]];
       }
     }
+    c += chunk_cols(w, C, blocked);
+    store_rows(C, acc, m.slot_row + static_cast<std::size_t>(k) * C, y, add);
   }
 }
 
-// Fused D A D x: t = d_row*d_col, v' = a*t, acc += v'*x — the exact
-// rounding sequence of scale_symmetric() + spmv(), so results match the
-// eagerly scaled matrix bit for bit.  Pad lanes use d_row = 0.
-template <int C>
-void spmv_scaled_chunks(index_t nchunks, const index_t* chunk_ptr,
-                        const index_t* slot_row, const index_t* col,
-                        const real_t* val, const real_t* d, const real_t* x,
-                        real_t* y) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / C;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * C;
-    real_t acc[C];
-    real_t dr[C];
-    for (int l = 0; l < C; ++l) {
-      acc[l] = 0.0;
-      dr[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = v + static_cast<std::size_t>(j) * C;
-      const index_t* cj = c + static_cast<std::size_t>(j) * C;
-      for (int l = 0; l < C; ++l) {
-        const real_t t = dr[l] * d[cj[l]];
-        const real_t vv = vj[l] * t;
-        acc[l] += vv * x[cj[l]];
-      }
-    }
-    for (int l = 0; l < C; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = acc[l];
-    }
-  }
-}
-
-// Generic-width fallback for chunk values outside {4, 8, 16}.
-void spmv_chunks_any(int c, index_t nchunks, const index_t* chunk_ptr,
-                     const index_t* slot_row, const index_t* col,
-                     const real_t* val, const real_t* x, real_t* y,
+// Generic-width fallback for chunk values outside {4, 8, 16} (never
+// node-blocked).
+void spmv_chunks_any(int c, const ChunkView& m, const real_t* x, real_t* y,
                      bool add) {
   Vector acc(static_cast<std::size_t>(c));
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / c;
+  for (index_t k = 0; k < m.nchunks; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / c;
     std::fill(acc.begin(), acc.end(), 0.0);
     for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = val + base + static_cast<std::size_t>(j) * c;
-      const index_t* cj = col + base + static_cast<std::size_t>(j) * c;
+      const real_t* vj = m.val + base + static_cast<std::size_t>(j) * c;
+      const index_t* cj = m.col + base + static_cast<std::size_t>(j) * c;
       for (int l = 0; l < c; ++l) acc[l] += vj[l] * x[cj[l]];
     }
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * c;
-    for (int l = 0; l < c; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += acc[l];
-      } else {
-        y[rows[l]] = acc[l];
-      }
-    }
-  }
-}
-
-void spmv_scaled_chunks_any(int c, index_t nchunks, const index_t* chunk_ptr,
-                            const index_t* slot_row, const index_t* col,
-                            const real_t* val, const real_t* d,
-                            const real_t* x, real_t* y) {
-  Vector acc(static_cast<std::size_t>(c));
-  Vector dr(static_cast<std::size_t>(c));
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / c;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * c;
-    for (int l = 0; l < c; ++l) {
-      acc[l] = 0.0;
-      dr[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = val + base + static_cast<std::size_t>(j) * c;
-      const index_t* cj = col + base + static_cast<std::size_t>(j) * c;
-      for (int l = 0; l < c; ++l) {
-        const real_t t = dr[l] * d[cj[l]];
-        const real_t vv = vj[l] * t;
-        acc[l] += vv * x[cj[l]];
-      }
-    }
-    for (int l = 0; l < c; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = acc[l];
-    }
+    store_rows(c, acc.data(), m.slot_row + static_cast<std::size_t>(k) * c,
+               y, add);
   }
 }
 
 #ifdef PFEM_SELL_X86
 
-// GCC's own AVX-512 headers route several intrinsics (zext/insert/
-// permute) through _mm512_undefined_pd(), which -Wmaybe-uninitialized
-// flags inside every caller.  Known header false positive (GCC PR
-// 105593); silence it for the SIMD bodies only.
+// GCC's own AVX/AVX-512 headers route several intrinsics (cast/zext/
+// insert/permute) through _mm*_undefined_pd(), which -Wmaybe-
+// uninitialized flags inside every caller.  Known header false positive
+// (GCC bug 105593); silence it for the SIMD bodies only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 bool cpu_has_avx2() {
   static const bool b = __builtin_cpu_supports("avx2");
+  return b;
+}
+
+bool cpu_has_avx512f() {
+  static const bool b = __builtin_cpu_supports("avx512f");
   return b;
 }
 
@@ -168,206 +162,106 @@ __attribute__((target("avx2"))) inline __m256d gather4(const real_t* base,
       _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
 }
 
-__attribute__((target("avx512f"))) inline __m256d gather4_avx512(
-    const real_t* base, __m128i idx) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
 __attribute__((target("avx512f"))) inline __m512d gather8(const real_t* base,
                                                           __m256i idx) {
   return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx, base, 8);
 }
 
-bool cpu_has_avx512f() {
-  static const bool b = __builtin_cpu_supports("avx512f");
-  return b;
-}
-
-__attribute__((target("avx2"))) void spmv_chunks8_avx2(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const real_t* x, real_t* y,
-    bool add) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
+__attribute__((target("avx2"))) void spmv_chunks8_avx2(const ChunkView& m,
+                                                       const real_t* x,
+                                                       real_t* y, bool add) {
+  const index_t* c = m.col;
+  for (index_t k = 0; k < m.nchunks; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / 8;
+    const real_t* v = m.val + base;
+    const bool blocked = m.blocked[k] != 0;
     __m256d acc0 = _mm256_setzero_pd();
     __m256d acc1 = _mm256_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const index_t* cj = c + static_cast<std::size_t>(j) * 8;
-      const real_t* vj = v + static_cast<std::size_t>(j) * 8;
-      const __m128i i0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
-      const __m128i i1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
-      const __m256d x0 = gather4(x, i0);
-      const __m256d x1 = gather4(x, i1);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(vj), x0));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(vj + 4), x1));
-    }
-    alignas(32) real_t a[8];
-    _mm256_store_pd(a, acc0);
-    _mm256_store_pd(a + 4, acc1);
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += a[l];
-      } else {
-        y[rows[l]] = a[l];
+    if (blocked) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        const real_t* vt = v + static_cast<std::size_t>(t) * 16;
+        const index_t* bt = c + static_cast<std::size_t>(t) * 4;
+        // [x[c0] x[c0+1] x[c1] x[c1+1]] and the same for blocks 2, 3;
+        // movedup feeds step 2t its x[c], permute feeds step 2t+1 x[c+1].
+        const __m256d p01 = _mm256_loadu2_m128d(x + bt[1], x + bt[0]);
+        const __m256d p23 = _mm256_loadu2_m128d(x + bt[3], x + bt[2]);
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(vt),
+                                                 _mm256_movedup_pd(p01)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(vt + 4),
+                                                 _mm256_movedup_pd(p23)));
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(vt + 8),
+                                                 _mm256_permute_pd(p01, 0xF)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(vt + 12),
+                                                 _mm256_permute_pd(p23, 0xF)));
+      }
+    } else {
+      for (index_t j = 0; j < w; ++j) {
+        const index_t* cj = c + static_cast<std::size_t>(j) * 8;
+        const real_t* vj = v + static_cast<std::size_t>(j) * 8;
+        const __m128i i0 =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
+        const __m128i i1 =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
+        acc0 = _mm256_add_pd(
+            acc0, _mm256_mul_pd(_mm256_loadu_pd(vj), gather4(x, i0)));
+        acc1 = _mm256_add_pd(
+            acc1, _mm256_mul_pd(_mm256_loadu_pd(vj + 4), gather4(x, i1)));
       }
     }
-  }
-}
-
-__attribute__((target("avx2"))) void spmv_scaled_chunks8_avx2(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const real_t* d, const real_t* x,
-    real_t* y) {
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    alignas(32) real_t drbuf[8];
-    for (int l = 0; l < 8; ++l) {
-      drbuf[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    const __m256d dr0 = _mm256_load_pd(drbuf);
-    const __m256d dr1 = _mm256_load_pd(drbuf + 4);
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const index_t* cj = c + static_cast<std::size_t>(j) * 8;
-      const real_t* vj = v + static_cast<std::size_t>(j) * 8;
-      const __m128i i0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj));
-      const __m128i i1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cj + 4));
-      // t = d_row*d_col; v' = a*t; acc += v'*x — the scalar sequence.
-      const __m256d t0 = _mm256_mul_pd(dr0, gather4(d, i0));
-      const __m256d t1 = _mm256_mul_pd(dr1, gather4(d, i1));
-      const __m256d vv0 = _mm256_mul_pd(_mm256_loadu_pd(vj), t0);
-      const __m256d vv1 = _mm256_mul_pd(_mm256_loadu_pd(vj + 4), t1);
-      acc0 = _mm256_add_pd(
-          acc0, _mm256_mul_pd(vv0, gather4(x, i0)));
-      acc1 = _mm256_add_pd(
-          acc1, _mm256_mul_pd(vv1, gather4(x, i1)));
-    }
+    c += chunk_cols(w, 8, blocked);
     alignas(32) real_t a[8];
     _mm256_store_pd(a, acc0);
     _mm256_store_pd(a + 4, acc1);
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = a[l];
-    }
+    store_rows(8, a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
   }
 }
 
 __attribute__((target("avx512f"))) void spmv_chunks8_avx512(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const char* paired,
-    const real_t* x, real_t* y, bool add) {
-  // Lane-paired chunks gather each x value once (even lanes only) and
-  // broadcast it to both lanes of the pair — half the gather traffic,
-  // the dominant cost of this kernel.  Same x values into the same
-  // mul/add sequence, so both branches are bit-identical.
-  const __m256i kEvens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m512i kDup = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
+    const ChunkView& m, const real_t* x, real_t* y, bool add) {
+  const index_t* c = m.col;
+  for (index_t k = 0; k < m.nchunks; ++k) {
+    const index_t base = m.chunk_ptr[k];
+    const index_t w = (m.chunk_ptr[k + 1] - base) / 8;
+    const real_t* v = m.val + base;
+    const bool blocked = m.blocked[k] != 0;
     __m512d acc = _mm512_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      // Keep the val/col streams ~8 steps ahead of the gathers; the
-      // hardware prefetcher alone leaves DRAM bandwidth on the table
-      // once the matrix falls out of L2.
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       v + static_cast<std::size_t>(j + 8) * 8),
-                   _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(
-                       c + static_cast<std::size_t>(j + 16) * 8),
-                   _MM_HINT_T0);
-      const __m256i cj = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          c + static_cast<std::size_t>(j) * 8));
-      __m512d xg;
-      if (paired[k] != 0) {
-        const __m128i ce = _mm256_castsi256_si128(
-            _mm256_permutevar8x32_epi32(cj, kEvens));
-        const __m256d g = gather4_avx512(x, ce);
-        xg = _mm512_maskz_permutexvar_pd(0xFF, kDup,
-                                         _mm512_zextpd256_pd512(g));
-      } else {
-        xg = gather8(x, cj);
+    // Keep the value stream ~512 B ahead of the loads; the hardware
+    // prefetcher alone leaves bandwidth on the table once the matrix
+    // falls out of L2.
+    if (blocked) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        const real_t* vt = v + static_cast<std::size_t>(t) * 16;
+        const index_t* bt = c + static_cast<std::size_t>(t) * 4;
+        _mm_prefetch(reinterpret_cast<const char*>(vt + 64), _MM_HINT_T0);
+        _mm_prefetch(reinterpret_cast<const char*>(vt + 72), _MM_HINT_T0);
+        // xp = [x[c0] x[c0+1] | x[c1] x[c1+1] | x[c2] x[c2+1] | x[c3]
+        // x[c3+1]]: four 128-bit pair loads, no gather.  movedup feeds
+        // step 2t each pair's x[c], permute feeds step 2t+1 its x[c+1].
+        const __m512d xp = _mm512_insertf64x4(
+            _mm512_castpd256_pd512(_mm256_loadu2_m128d(x + bt[1], x + bt[0])),
+            _mm256_loadu2_m128d(x + bt[3], x + bt[2]), 1);
+        acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_loadu_pd(vt),
+                                               _mm512_movedup_pd(xp)));
+        acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_loadu_pd(vt + 8),
+                                               _mm512_permute_pd(xp, 0xFF)));
       }
-      const __m512d vj =
-          _mm512_loadu_pd(v + static_cast<std::size_t>(j) * 8);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(vj, xg));
+    } else {
+      for (index_t j = 0; j < w; ++j) {
+        const real_t* vj = v + static_cast<std::size_t>(j) * 8;
+        const index_t* cj = c + static_cast<std::size_t>(j) * 8;
+        _mm_prefetch(reinterpret_cast<const char*>(vj + 64), _MM_HINT_T0);
+        _mm_prefetch(reinterpret_cast<const char*>(cj + 128), _MM_HINT_T0);
+        const __m256i idx =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cj));
+        acc = _mm512_add_pd(
+            acc, _mm512_mul_pd(_mm512_loadu_pd(vj), gather8(x, idx)));
+      }
     }
+    c += chunk_cols(w, 8, blocked);
     alignas(64) real_t a[8];
     _mm512_store_pd(a, acc);
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] < 0) continue;
-      if (add) {
-        y[rows[l]] += a[l];
-      } else {
-        y[rows[l]] = a[l];
-      }
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void spmv_scaled_chunks8_avx512(
-    index_t nchunks, const index_t* chunk_ptr, const index_t* slot_row,
-    const index_t* col, const real_t* val, const char* paired,
-    const real_t* d, const real_t* x, real_t* y) {
-  const __m256i kEvens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m512i kDup = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
-  for (index_t k = 0; k < nchunks; ++k) {
-    const index_t base = chunk_ptr[k];
-    const index_t w = (chunk_ptr[k + 1] - base) / 8;
-    const real_t* v = val + base;
-    const index_t* c = col + base;
-    const index_t* rows = slot_row + static_cast<std::size_t>(k) * 8;
-    alignas(64) real_t drbuf[8];
-    for (int l = 0; l < 8; ++l) {
-      drbuf[l] = rows[l] >= 0 ? d[rows[l]] : 0.0;
-    }
-    const __m512d dr = _mm512_load_pd(drbuf);
-    __m512d acc = _mm512_setzero_pd();
-    for (index_t j = 0; j < w; ++j) {
-      const __m256i cj = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          c + static_cast<std::size_t>(j) * 8));
-      const __m512d vj =
-          _mm512_loadu_pd(v + static_cast<std::size_t>(j) * 8);
-      __m512d dg, xg;
-      if (paired[k] != 0) {
-        const __m128i ce = _mm256_castsi256_si128(
-            _mm256_permutevar8x32_epi32(cj, kEvens));
-        dg = _mm512_maskz_permutexvar_pd(
-            0xFF, kDup, _mm512_zextpd256_pd512(gather4_avx512(d, ce)));
-        xg = _mm512_maskz_permutexvar_pd(
-            0xFF, kDup, _mm512_zextpd256_pd512(gather4_avx512(x, ce)));
-      } else {
-        dg = gather8(d, cj);
-        xg = gather8(x, cj);
-      }
-      // t = d_row*d_col; v' = a*t; acc += v'*x — the scalar sequence.
-      const __m512d t = _mm512_mul_pd(dr, dg);
-      const __m512d vv = _mm512_mul_pd(vj, t);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(vv, xg));
-    }
-    alignas(64) real_t a[8];
-    _mm512_store_pd(a, acc);
-    for (int l = 0; l < 8; ++l) {
-      if (rows[l] >= 0) y[rows[l]] = a[l];
-    }
+    store_rows(8, a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
   }
 }
 
@@ -376,6 +270,70 @@ __attribute__((target("avx512f"))) void spmv_scaled_chunks8_avx512(
 #endif  // PFEM_SELL_X86
 
 }  // namespace
+
+namespace detail {
+
+bool sell_body_available(SellBody body) {
+  switch (body) {
+    case SellBody::Auto:
+    case SellBody::Portable:
+      return true;
+#ifdef PFEM_SELL_X86
+    case SellBody::Avx512:
+      return cpu_has_avx512f();
+    case SellBody::Avx2:
+      return cpu_has_avx2();
+#else
+    case SellBody::Avx512:
+    case SellBody::Avx2:
+      return false;
+#endif
+  }
+  return false;
+}
+
+void sell_apply(const SellMatrix& a, SellBody body, std::span<const real_t> x,
+                std::span<real_t> y, bool add) {
+  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(a.cols_));
+  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(a.rows_));
+  if (body == SellBody::Auto) {
+    body = sell_body_available(SellBody::Avx512) ? SellBody::Avx512
+           : sell_body_available(SellBody::Avx2) ? SellBody::Avx2
+                                                 : SellBody::Portable;
+  } else {
+    PFEM_CHECK_MSG(sell_body_available(body),
+                   "SELL kernel body " << static_cast<int>(body)
+                                       << " is not available on this CPU");
+  }
+  const ChunkView m{a.nchunks_,         a.chunk_ptr_.data(),
+                    a.slot_row_.data(), a.col_.data(),
+                    a.val_.data(),      a.chunk_blocked_.data()};
+  switch (a.c_) {
+    case 4:
+      spmv_chunks<4>(m, x.data(), y.data(), add);
+      return;
+    case 8:
+#ifdef PFEM_SELL_X86
+      if (body == SellBody::Avx512) {
+        spmv_chunks8_avx512(m, x.data(), y.data(), add);
+        return;
+      }
+      if (body == SellBody::Avx2) {
+        spmv_chunks8_avx2(m, x.data(), y.data(), add);
+        return;
+      }
+#endif
+      spmv_chunks<8>(m, x.data(), y.data(), add);
+      return;
+    case 16:
+      spmv_chunks<16>(m, x.data(), y.data(), add);
+      return;
+    default:
+      spmv_chunks_any(a.c_, m, x.data(), y.data(), add);
+  }
+}
+
+}  // namespace detail
 
 SellMatrix SellMatrix::from_csr(const CsrMatrix& a, int chunk, int sigma) {
   IndexVector all(static_cast<std::size_t>(a.rows()));
@@ -414,10 +372,15 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
                      [&](index_t i, index_t j) { return len(i) > len(j); });
   }
 
+  // Per chunk: slots, width, class (from the CSR structure) and the
+  // size of its column-index run.
+  const auto ci = a.col_idx();
   const auto nslots = static_cast<std::size_t>(m.nchunks_) * c;
   m.slot_row_.assign(nslots, index_t{-1});
   m.slot_len_.assign(nslots, index_t{0});
   m.chunk_ptr_.assign(static_cast<std::size_t>(m.nchunks_) + 1, index_t{0});
+  m.chunk_blocked_.assign(static_cast<std::size_t>(m.nchunks_), 0);
+  std::size_t ncols = 0;
   for (index_t k = 0; k < m.nchunks_; ++k) {
     index_t w = 0;
     for (int l = 0; l < c; ++l) {
@@ -430,168 +393,54 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
       w = std::max(w, rl);
     }
     m.chunk_ptr_[k + 1] = m.chunk_ptr_[k] + w * c;
+    const bool blocked =
+        c == 8 &&
+        node_blocked(m.slot_row_.data() + static_cast<std::size_t>(k) * c,
+                     rp, ci);
+    m.chunk_blocked_[static_cast<std::size_t>(k)] = blocked ? 1 : 0;
+    ncols += static_cast<std::size_t>(chunk_cols(w, c, blocked));
   }
 
-  m.col_.assign(static_cast<std::size_t>(m.chunk_ptr_.back()), index_t{0});
+  // Fill.  Padding keeps (val 0, col 0); a node-block chunk's padded
+  // blocks read the x pair (0, 1), in range since the chunk holds a
+  // real block (c, c+1) with c+1 < cols.
+  m.col_.assign(ncols, index_t{0});
   m.val_.assign(static_cast<std::size_t>(m.chunk_ptr_.back()), real_t{0.0});
-  const auto ci = a.col_idx();
   const auto av = a.values();
   index_t nnz = 0;
+  std::size_t cb = 0;
   for (index_t k = 0; k < m.nchunks_; ++k) {
     const index_t base = m.chunk_ptr_[k];
+    const index_t w = (m.chunk_ptr_[k + 1] - base) / c;
+    const bool blocked = m.chunk_blocked_[static_cast<std::size_t>(k)] != 0;
     for (int l = 0; l < c; ++l) {
       const index_t row = m.slot_row_[static_cast<std::size_t>(k) * c + l];
       if (row < 0) continue;
       const index_t rl = rp[row + 1] - rp[row];
       for (index_t j = 0; j < rl; ++j) {
-        const auto slot = static_cast<std::size_t>(base + j * c + l);
-        m.col_[slot] = ci[rp[row] + j];
-        m.val_[slot] = av[rp[row] + j];
+        m.val_[static_cast<std::size_t>(base + j * c + l)] = av[rp[row] + j];
+        if (!blocked) {
+          m.col_[cb + static_cast<std::size_t>(j * c + l)] = ci[rp[row] + j];
+        } else if (j % 2 == 0) {
+          m.col_[cb + static_cast<std::size_t>(j / 2 * (c / 2) + l / 2)] =
+              ci[rp[row] + j];
+        }
       }
       nnz += rl;
     }
+    cb += static_cast<std::size_t>(chunk_cols(w, c, blocked));
   }
   m.nnz_ = nnz;
-
-  // Detect lane-paired chunks (see chunk_paired_ in the header): both
-  // lanes of a pair must carry elementwise equal columns across the full
-  // padded width, which also makes an all-padding pair (cols all 0)
-  // trivially paired and a real/padding mismatch fall back to generic.
-  m.chunk_paired_.assign(static_cast<std::size_t>(m.nchunks_), 0);
-  if (c % 2 == 0) {
-    for (index_t k = 0; k < m.nchunks_; ++k) {
-      const index_t base = m.chunk_ptr_[k];
-      const index_t w = (m.chunk_ptr_[k + 1] - base) / c;
-      bool paired = true;
-      for (index_t j = 0; paired && j < w; ++j) {
-        const index_t* cj = m.col_.data() + base + j * c;
-        for (int s = 0; s + 1 < c; s += 2) {
-          if (cj[s] != cj[s + 1]) {
-            paired = false;
-            break;
-          }
-        }
-      }
-      m.chunk_paired_[static_cast<std::size_t>(k)] = paired ? 1 : 0;
-    }
-  }
   return m;
 }
 
 void SellMatrix::spmv(std::span<const real_t> x, std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    case 8:
-#ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_chunks8_avx512(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), chunk_paired_.data(),
-                            x.data(), y.data(), false);
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_chunks8_avx2(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                          col_.data(), val_.data(), x.data(), y.data(),
-                          false);
-        break;
-      }
-#endif
-      spmv_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    case 16:
-      spmv_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), false);
-      break;
-    default:
-      spmv_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), false);
-  }
+  detail::sell_apply(*this, detail::SellBody::Auto, x, y, false);
 }
 
 void SellMatrix::spmv_add(std::span<const real_t> x,
                           std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    case 8:
-#ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_chunks8_avx512(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), chunk_paired_.data(),
-                            x.data(), y.data(), true);
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_chunks8_avx2(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                          col_.data(), val_.data(), x.data(), y.data(), true);
-        break;
-      }
-#endif
-      spmv_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                     col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    case 16:
-      spmv_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), true);
-      break;
-    default:
-      spmv_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                      col_.data(), val_.data(), x.data(), y.data(), true);
-  }
-}
-
-void SellMatrix::spmv_scaled(std::span<const real_t> d,
-                             std::span<const real_t> x,
-                             std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(d.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(x.size() == static_cast<std::size_t>(cols_));
-  PFEM_DEBUG_CHECK(y.size() == static_cast<std::size_t>(rows_));
-  switch (c_) {
-    case 4:
-      spmv_scaled_chunks<4>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), d.data(), x.data(),
-                            y.data());
-      break;
-    case 8:
-#ifdef PFEM_SELL_X86
-      if (cpu_has_avx512f()) {
-        spmv_scaled_chunks8_avx512(nchunks_, chunk_ptr_.data(),
-                                   slot_row_.data(), col_.data(), val_.data(),
-                                   chunk_paired_.data(), d.data(), x.data(),
-                                   y.data());
-        break;
-      }
-      if (cpu_has_avx2()) {
-        spmv_scaled_chunks8_avx2(nchunks_, chunk_ptr_.data(),
-                                 slot_row_.data(), col_.data(), val_.data(),
-                                 d.data(), x.data(), y.data());
-        break;
-      }
-#endif
-      spmv_scaled_chunks<8>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                            col_.data(), val_.data(), d.data(), x.data(),
-                            y.data());
-      break;
-    case 16:
-      spmv_scaled_chunks<16>(nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                             col_.data(), val_.data(), d.data(), x.data(),
-                             y.data());
-      break;
-    default:
-      spmv_scaled_chunks_any(c_, nchunks_, chunk_ptr_.data(), slot_row_.data(),
-                             col_.data(), val_.data(), d.data(), x.data(),
-                             y.data());
-  }
+  detail::sell_apply(*this, detail::SellBody::Auto, x, y, true);
 }
 
 CsrMatrix SellMatrix::to_csr() const {
@@ -604,17 +453,22 @@ CsrMatrix SellMatrix::to_csr() const {
 
   IndexVector col(static_cast<std::size_t>(row_ptr.back()));
   Vector val(static_cast<std::size_t>(row_ptr.back()));
+  const index_t* cb = col_.data();
   for (index_t k = 0; k < nchunks_; ++k) {
     const index_t base = chunk_ptr_[k];
+    const index_t w = (chunk_ptr_[k + 1] - base) / c_;
+    const bool blocked = chunk_blocked_[static_cast<std::size_t>(k)] != 0;
     for (int l = 0; l < c_; ++l) {
       const auto slot = static_cast<std::size_t>(k) * c_ + l;
       const index_t row = slot_row_[slot];
       if (row < 0) continue;
       for (index_t j = 0; j < slot_len_[slot]; ++j) {
-        col[row_ptr[row] + j] = col_[base + j * c_ + l];
+        col[row_ptr[row] + j] =
+            blocked ? cb[j / 2 * (c_ / 2) + l / 2] + j % 2 : cb[j * c_ + l];
         val[row_ptr[row] + j] = val_[base + j * c_ + l];
       }
     }
+    cb += chunk_cols(w, c_, blocked);
   }
   return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col),
                    std::move(val));

@@ -10,25 +10,52 @@
 // bound zero padding; the slot→row permutation is stored and results are
 // scattered back, so callers never see the reordering.
 //
+// Node-block chunks (C = 8 only).  Plane-elasticity rows come in node
+// pairs: both dofs of a node see the same columns, and each neighbour
+// node contributes two adjacent columns (c, c+1).  A chunk whose lane
+// pairs (2s, 2s+1) carry identical columns arriving in (c, c+1) pairs at
+// even steps stores one column index per 2×2 block — 4 ints per two
+// steps instead of 16 — and its kernels load each x pair with a single
+// 128-bit load instead of a gather.  Every other chunk keeps one index
+// per entry (the generic class).  The class is picked per chunk during
+// conversion; values keep the column-major layout in both classes.
+//
 // Bit-identity contract (what the solvers rely on): every row's partial
-// sums are accumulated in the ORIGINAL CSR column order, one add per
-// stored entry, exactly like the scalar CSR loop — the σ permutation
+// sums are accumulated in the ORIGINAL CSR column order, one mul and one
+// add per stored entry, exactly like the scalar CSR loop — a 2×2 block
+// adds a[r][c]*x[c] and then a[r][c+1]*x[c+1], and the σ permutation
 // moves whole rows between slots and never reassociates a row's sum, so
 // spmv() is bit-identical to CsrMatrix::spmv for finite inputs.  Padded
-// slots contribute `+ 0.0 * x[0]`, which is exact for finite x.
-//
-// spmv_scaled() fuses the paper's norm-1 symmetric scaling (Eq. 11) into
-// the kernel: per entry it forms t = d_row*d_col, v' = a*t, acc += v'*x —
-// the same three roundings scale_symmetric() followed by spmv() performs,
-// so the fused apply is bit-identical to scaling eagerly.
+// slots contribute `+ 0.0 * x[j]` for an in-range j, which is exact for
+// finite x.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/types.hpp"
 #include "sparse/csr.hpp"
 
 namespace pfem::sparse {
+
+class SellMatrix;
+
+namespace detail {
+/// The C = 8 kernel bodies sell.cpp compiles.  Auto is the runtime CPU
+/// dispatch spmv()/spmv_add() use; the others name one body each.
+enum class SellBody : std::uint8_t { Auto, Avx512, Avx2, Portable };
+
+/// Whether this build and this CPU can run `body`.
+[[nodiscard]] bool sell_body_available(SellBody body);
+
+/// Test seam: y <- A x (add = false) or y += A x (add = true) through the
+/// named C = 8 body, so every compiled body can be checked on any host
+/// that supports it.  Other chunk widths have one body and ignore `body`.
+/// Throws pfem::Error when the body is not available.
+void sell_apply(const SellMatrix& a, SellBody body, std::span<const real_t> x,
+                std::span<real_t> y, bool add);
+}  // namespace detail
 
 class SellMatrix {
  public:
@@ -55,18 +82,26 @@ class SellMatrix {
   [[nodiscard]] index_t stored_rows() const noexcept { return stored_rows_; }
   [[nodiscard]] int chunk() const noexcept { return c_; }
   [[nodiscard]] int sigma() const noexcept { return sigma_; }
+  [[nodiscard]] index_t num_chunks() const noexcept { return nchunks_; }
   /// Stored entries including zero padding (padding ratio diagnostics).
   [[nodiscard]] index_t padded_nnz() const noexcept {
     return chunk_ptr_.empty() ? 0 : chunk_ptr_.back();
   }
   /// Slot -> original row id permutation; -1 marks a padding slot.
   [[nodiscard]] std::span<const index_t> slot_row() const { return slot_row_; }
-  /// Chunks whose lane pairs (2s, 2s+1) carry identical column patterns
-  /// — vector-dof FE rows — and qualify for the half-gather kernel.
-  [[nodiscard]] index_t paired_chunks() const noexcept {
+  /// Chunks stored in the node-block class (one column index per 2×2
+  /// block); the rest use the generic one-index-per-entry class.
+  [[nodiscard]] index_t blocked_chunks() const noexcept {
     index_t n = 0;
-    for (const char p : chunk_paired_) n += p;
+    for (const char b : chunk_blocked_) n += b;
     return n;
+  }
+  /// Bytes one apply streams from the stored arrays: values, column
+  /// indices, chunk offsets and the slot -> row map.
+  [[nodiscard]] std::size_t apply_bytes() const noexcept {
+    return val_.size() * sizeof(real_t) +
+           (col_.size() + chunk_ptr_.size() + slot_row_.size()) *
+               sizeof(index_t);
   }
 
   /// y[r] <- (A x)_r for every stored row r; other entries of y are
@@ -75,12 +110,6 @@ class SellMatrix {
 
   /// y[r] <- y[r] + (A x)_r for every stored row r.
   void spmv_add(std::span<const real_t> x, std::span<real_t> y) const;
-
-  /// y[r] <- (D A D x)_r — the norm-1 scaling fused into the kernel; `a`
-  /// must be the UNSCALED matrix and d the scaling diagonal (length
-  /// cols()).  Bit-identical to scale_symmetric(d) followed by spmv().
-  void spmv_scaled(std::span<const real_t> d, std::span<const real_t> x,
-                   std::span<real_t> y) const;
 
   /// Round-trip back to CSR in original row order (identity on from_csr
   /// input; subset rows of from_csr_rows input, others empty).
@@ -95,6 +124,10 @@ class SellMatrix {
   static constexpr int kDefaultChunk = 8;
 
  private:
+  friend void detail::sell_apply(const SellMatrix& a, detail::SellBody body,
+                                 std::span<const real_t> x,
+                                 std::span<real_t> y, bool add);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t nnz_ = 0;
@@ -102,18 +135,17 @@ class SellMatrix {
   int c_ = 0;
   int sigma_ = 0;
   index_t nchunks_ = 0;
-  IndexVector chunk_ptr_;  ///< nchunks_+1 entry offsets (chunk k spans w*C)
+  IndexVector chunk_ptr_;  ///< nchunks_+1 value offsets (chunk k spans w*C)
   IndexVector slot_row_;   ///< nchunks_*C original row per lane, -1 = pad
   IndexVector slot_len_;   ///< nchunks_*C true row length per lane
-  IndexVector col_;        ///< padded, column-major per chunk
-  Vector val_;             ///< padded, column-major per chunk
-  /// Per-chunk flag: every lane pair (2s, 2s+1) has elementwise equal
-  /// column indices across the chunk width.  True for the interleaved
-  /// dof pairs of vector-valued FE problems (both dofs of a node see
-  /// the same neighbors); lets the SIMD kernels gather each x value
-  /// once and broadcast it to both lanes — same values, same mul/add
-  /// sequence, so still bit-identical.
-  std::vector<char> chunk_paired_;
+  /// Column indices, chunk after chunk.  A generic chunk of width w holds
+  /// w*C, column-major like val_.  A node-block chunk holds w*C/4: for
+  /// step pair t and lane pair s, index t*4 + s is the block's first
+  /// column c, so lanes 2s and 2s+1 read x[c] at step 2t and x[c+1] at
+  /// step 2t+1.
+  IndexVector col_;
+  Vector val_;  ///< padded, column-major per chunk
+  std::vector<char> chunk_blocked_;  ///< per chunk: node-block class
 };
 
 }  // namespace pfem::sparse

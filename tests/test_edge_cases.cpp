@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "common/error.hpp"
 #include "core/bicgstab.hpp"
 #include "core/cg.hpp"
 #include "core/fgmres.hpp"
 #include "core/orthopoly.hpp"
 #include "core/precond.hpp"
+#include "core/rdd_solver.hpp"
+#include "exp/experiments.hpp"
 #include "exp/table.hpp"
+#include "fem/problems.hpp"
 #include "la/dense.hpp"
 #include "par/comm.hpp"
 #include "par/cost_model.hpp"
@@ -146,6 +152,68 @@ TEST(SolverEdge, ZeroRhsConvergesInZeroIterations) {
   check(core::pcg(a, b, x, none, opts), x);
   x.assign(64, 1.5);
   check(core::bicgstab(a, b, x, none, opts), x);
+}
+
+// ---- Typed failure on a degenerate operator: a zero row of the
+// assembled matrix must surface as BadOperatorError from every
+// distributed solver, never as an untyped check.
+
+fem::CantileverProblem small_cantilever() {
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  return fem::make_cantilever(spec);
+}
+
+/// Zero every stored entry in the row and column of `dead` (pattern
+/// kept); `to_global` maps the matrix's row/column ids to global dofs.
+void zero_dof(sparse::CsrMatrix& k, std::span<const index_t> to_global,
+              index_t dead) {
+  const auto rp = k.row_ptr();
+  const auto ci = k.col_idx();
+  const auto vals = k.values();
+  for (index_t i = 0; i < k.rows(); ++i)
+    for (index_t p = rp[i]; p < rp[i + 1]; ++p)
+      if (to_global[i] == dead || to_global[ci[p]] == dead) vals[p] = 0.0;
+}
+
+/// Per-rank EDD matrices of `part` with global dof `dead` zeroed — the
+/// local_matrices override the EDD solvers accept.
+std::vector<sparse::CsrMatrix> zeroed_dof_override(
+    const partition::EddPartition& part, index_t dead) {
+  std::vector<sparse::CsrMatrix> mats;
+  for (const auto& sub : part.subs) {
+    mats.push_back(sub.k_loc);
+    zero_dof(mats.back(), sub.local_to_global, dead);
+  }
+  return mats;
+}
+
+TEST(ZeroRowEdge, EddCgThrowsBadOperator) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto mats = zeroed_dof_override(part, /*dead=*/5);
+  EXPECT_THROW((void)core::solve_edd_cg(part, prob.load, {}, {}, &mats),
+               BadOperatorError);
+}
+
+TEST(ZeroRowEdge, EddBicgstabThrowsBadOperator) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto mats = zeroed_dof_override(part, /*dead=*/5);
+  EXPECT_THROW(
+      (void)core::solve_edd_bicgstab(part, prob.load, {}, {}, &mats),
+      BadOperatorError);
+}
+
+TEST(ZeroRowEdge, RddThrowsBadOperator) {
+  fem::CantileverProblem prob = small_cantilever();
+  IndexVector identity(static_cast<std::size_t>(prob.stiffness.rows()));
+  for (std::size_t i = 0; i < identity.size(); ++i)
+    identity[i] = static_cast<index_t>(i);
+  zero_dof(prob.stiffness, identity, /*dead=*/5);
+  const partition::RddPartition part = exp::make_rdd(prob, 4);
+  EXPECT_THROW((void)core::solve_rdd(part, prob.load), BadOperatorError);
 }
 
 TEST(FgmresEdge, InvalidOptionsRejected) {

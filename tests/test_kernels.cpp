@@ -1,14 +1,18 @@
 // SELL-C-σ kernel-layer property tests.
 //
-// The contract under test is *bit*-identity: the SELL layout, the fused
-// D K D scaling, the interior/interface row split and the overlapped
-// distributed apply must all reproduce the scalar-CSR reference to the
-// last ulp, across the synthetic generator family, every vector-friendly
-// chunk width, and the empty-row / tiny-matrix edge cases.  Every
-// comparison below is exact double equality on purpose.
+// The contract under test is *bit*-identity: the SELL layout in both
+// chunk classes (generic and node-block), every compiled C = 8 kernel
+// body, the build-time D K D scaling fold, the interior/interface row
+// split and the overlapped distributed apply must all reproduce the
+// scalar-CSR reference to the last ulp, across the synthetic generator
+// family, FE stiffness matrices, every vector-friendly chunk width, and
+// the empty-row / tiny-matrix edge cases.  Every comparison below is
+// exact double equality on purpose.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,6 +24,7 @@
 #include "core/edd_solver.hpp"
 #include "core/kernels.hpp"
 #include "exp/experiments.hpp"
+#include "fem/families.hpp"
 #include "fem/problems.hpp"
 #include "sparse/ebe_store.hpp"
 #include "sparse/generators.hpp"
@@ -75,6 +80,52 @@ CsrMatrix ragged_matrix() {
   return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vals));
 }
 
+/// Two rows, one node: a single node-block (0, 1) plus three padding
+/// pairs.  Padded blocks must read an in-range x pair — with x sized
+/// exactly 2, an over-read shows under ASan.
+CsrMatrix node_pair_matrix() {
+  return CsrMatrix(2, 2, IndexVector{0, 2, 4}, IndexVector{0, 1, 0, 1},
+                   Vector{4.0, -1.5, -0.75, 3.0});
+}
+
+/// Table-2 Mesh3 stiffness: interleaved 2-dof rows, so every C = 8 chunk
+/// is node-blocked.
+CsrMatrix mesh3_stiffness() {
+  return fem::make_table2_cantilever(3).stiffness;
+}
+
+/// A 2-dof stiffness with the last entry of one row dropped.  That row
+/// has odd length, so the chunks around it fall back to the generic
+/// class while the rest stay node-blocked.
+CsrMatrix odd_row_stiffness() {
+  fem::CantileverSpec spec;
+  spec.nx = 8;
+  spec.ny = 4;
+  const CsrMatrix a = fem::make_cantilever(spec).stiffness;
+  const index_t cut = a.rows() / 2;
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto av = a.values();
+  IndexVector row_ptr(1, 0);
+  IndexVector col;
+  Vector val;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const index_t end = rp[i + 1] - (i == cut ? 1 : 0);
+    for (index_t k = rp[i]; k < end; ++k) {
+      col.push_back(ci[k]);
+      val.push_back(av[k]);
+    }
+    row_ptr.push_back(as_index(col.size()));
+  }
+  return CsrMatrix(a.rows(), a.cols(), std::move(row_ptr), std::move(col),
+                   std::move(val));
+}
+
+/// brick3d stiffness: 3 dofs per node, so no chunk is node-blocked.
+CsrMatrix brick3d_stiffness() {
+  return fem::make_problem(fem::default_spec("brick3d")).prob.stiffness;
+}
+
 std::vector<CsrMatrix> matrix_family() {
   std::vector<CsrMatrix> fam;
   fam.push_back(sparse::laplace2d(7, 5));
@@ -90,6 +141,10 @@ std::vector<CsrMatrix> matrix_family() {
   fam.push_back(sparse::tridiag(1, 3.0, 0.0));  // single row
   fam.push_back(sparse::tridiag(3, 3.0, -1.0));  // n < every chunk width
   fam.push_back(sparse::tridiag(8, 3.0, -1.0));  // n == default chunk
+  fam.push_back(node_pair_matrix());
+  fam.push_back(mesh3_stiffness());
+  fam.push_back(odd_row_stiffness());
+  fam.push_back(brick3d_stiffness());
   return fam;
 }
 
@@ -122,32 +177,6 @@ TEST(SellSpmv, SpmvAddBitIdenticalToCsr) {
     const SellMatrix s = SellMatrix::from_csr(a, 8);
     s.spmv_add(x, y);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
-  }
-}
-
-TEST(SellSpmv, FusedScalingBitIdenticalToEagerScaling) {
-  for (const CsrMatrix& a : matrix_family()) {
-    if (a.rows() != a.cols()) continue;
-    const std::size_t n = static_cast<std::size_t>(a.rows());
-    // Any positive diagonal exercises the rounding contract; use the
-    // paper's 1/sqrt(row norm) where rows are nonempty.
-    Vector d = a.row_norms1();
-    for (std::size_t i = 0; i < n; ++i)
-      d[i] = d[i] > 0.0 ? 1.0 / std::sqrt(d[i]) : 1.0;
-    const Vector x = test_vector(n, 31);
-
-    CsrMatrix scaled = a;
-    scaled.scale_symmetric(d);
-    Vector y_ref(n, 0.0), y(n, 0.0);
-    scaled.spmv(x, y_ref);
-
-    for (const int c : kChunks) {
-      const SellMatrix s = SellMatrix::from_csr(a, c);
-      la::fill(y, 0.0);
-      s.spmv_scaled(d, x, y);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(y[i], y_ref[i]) << "row " << i << " chunk " << c;
-    }
   }
 }
 
@@ -187,7 +216,144 @@ TEST(SellSpmv, RowSubsetBlocksComposeToFullApply) {
     so.spmv(x, y);
     s0.spmv(x, y);  // no-op on empty subset
     for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]);
+
+    // Alternating row pairs keep 2-dof nodes whole, so node-block chunks
+    // appear in the subsets too.
+    IndexVector pairs_a, pairs_b;
+    for (index_t i = 0; i < n; ++i)
+      ((i / 2 % 2 == 0) ? pairs_a : pairs_b).push_back(i);
+    const SellMatrix pa = SellMatrix::from_csr_rows(a, pairs_a, 8);
+    const SellMatrix pb = SellMatrix::from_csr_rows(a, pairs_b, 8);
+    Vector y2(static_cast<std::size_t>(n), 0.0);
+    pa.spmv(x, y2);
+    pb.spmv(x, y2);
+    for (std::size_t i = 0; i < y2.size(); ++i) ASSERT_EQ(y2[i], y_ref[i]);
   }
+}
+
+// ---- Node-block chunks: the class follows the matrix structure, and
+// every compiled kernel body agrees with CSR on both classes.
+
+TEST(SellSpmv, NodeBlockClassFollowsMatrixStructure) {
+  const SellMatrix pair = SellMatrix::from_csr(node_pair_matrix());
+  EXPECT_EQ(pair.num_chunks(), 1);
+  EXPECT_EQ(pair.blocked_chunks(), 1);
+
+  const CsrMatrix mesh3 = mesh3_stiffness();
+  const SellMatrix full = SellMatrix::from_csr(mesh3);
+  EXPECT_GT(full.num_chunks(), 0);
+  EXPECT_EQ(full.blocked_chunks(), full.num_chunks());
+  // One index per 2×2 block: the stored index array shrinks 4x.
+  EXPECT_LT(full.apply_bytes(),
+            static_cast<std::size_t>(full.padded_nnz()) * (8 + 4));
+  // Only C = 8 has the node-block class.
+  for (const int c : {4, 16})
+    EXPECT_EQ(SellMatrix::from_csr(mesh3, c).blocked_chunks(), 0) << c;
+
+  const SellMatrix odd = SellMatrix::from_csr(odd_row_stiffness());
+  EXPECT_GT(odd.blocked_chunks(), 0);
+  EXPECT_LT(odd.blocked_chunks(), odd.num_chunks());
+
+  EXPECT_EQ(SellMatrix::from_csr(brick3d_stiffness()).blocked_chunks(), 0);
+  EXPECT_EQ(SellMatrix::from_csr(sparse::laplace2d(16, 16)).blocked_chunks(),
+            0);
+}
+
+/// Node-blocked and total chunks over the per-rank SELL halves
+/// RankKernel builds: interior = not an interface dof and coupled to no
+/// interface column, coupled = the rest.
+std::pair<index_t, index_t> rank_half_blocking(
+    const partition::EddPartition& part) {
+  index_t blocked = 0, chunks = 0;
+  for (const auto& sub : part.subs) {
+    const CsrMatrix& k = sub.k_loc;
+    std::vector<char> iface(static_cast<std::size_t>(k.rows()), 0);
+    for (const index_t i : sub.interface_local_dofs) iface[i] = 1;
+    IndexVector interior, coupled;
+    const auto rp = k.row_ptr();
+    const auto ci = k.col_idx();
+    for (index_t i = 0; i < k.rows(); ++i) {
+      bool inner = iface[i] == 0;
+      for (index_t p = rp[i]; inner && p < rp[i + 1]; ++p)
+        inner = iface[ci[p]] == 0;
+      (inner ? interior : coupled).push_back(i);
+    }
+    for (const IndexVector* rows : {&coupled, &interior}) {
+      const SellMatrix s = SellMatrix::from_csr_rows(k, *rows);
+      blocked += s.blocked_chunks();
+      chunks += s.num_chunks();
+    }
+  }
+  return {blocked, chunks};
+}
+
+TEST(SellSpmv, NodeBlockCoverageOnRankHalves) {
+  // Plane elasticity: every chunk of both halves on every rank.
+  for (const auto& [mesh, p] : {std::pair{3, 2}, std::pair{10, 4}}) {
+    const auto [blocked, chunks] = rank_half_blocking(
+        exp::make_edd(fem::make_table2_cantilever(mesh), p));
+    EXPECT_GT(chunks, 0);
+    EXPECT_EQ(blocked, chunks) << "Mesh" << mesh << " P=" << p;
+  }
+  fem::ProblemSpec cant = fem::default_spec("cantilever2d");
+  cant.nx = 50;
+  cant.ny = 50;
+  const auto [cant_blocked, cant_chunks] =
+      rank_half_blocking(exp::make_edd(fem::make_problem(cant), 4));
+  EXPECT_EQ(cant_blocked, cant_chunks);
+  // Scalar hetero2d and 3-dof brick3d at the benchmark's svc_churn
+  // sizes: none — the generic gather path.  (The class follows the
+  // structure, not the family: a subdomain only a few brick elements
+  // thick can give neighbouring 3-D nodes identical column sets, and
+  // such chunks are node-blocked and still exact.)
+  fem::ProblemSpec hetero = fem::default_spec("hetero2d");
+  hetero.nx = 60;
+  hetero.ny = 60;
+  fem::ProblemSpec brick = fem::default_spec("brick3d");
+  brick.nx = 24;
+  brick.ny = 6;
+  brick.nz = 6;
+  for (const fem::ProblemSpec& spec : {hetero, brick}) {
+    const auto [blocked, chunks] =
+        rank_half_blocking(exp::make_edd(fem::make_problem(spec), 4));
+    EXPECT_GT(chunks, 0);
+    EXPECT_EQ(blocked, 0) << spec.family;
+  }
+}
+
+TEST(SellSpmv, EveryCompiledBodyBitIdenticalToCsr) {
+  using sparse::detail::SellBody;
+  int bodies = 0;
+  for (const SellBody body :
+       {SellBody::Avx512, SellBody::Avx2, SellBody::Portable}) {
+    if (!sparse::detail::sell_body_available(body)) {
+      std::printf("SELL body %d not available on this CPU: skipped\n",
+                  static_cast<int>(body));
+      continue;
+    }
+    ++bodies;
+    for (const CsrMatrix& a : matrix_family()) {
+      const std::size_t n = static_cast<std::size_t>(a.rows());
+      const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 97);
+      const SellMatrix s = SellMatrix::from_csr(a, 8);
+
+      Vector y_ref(n, 0.0), y(n, 0.0);
+      a.spmv(x, y_ref);
+      sparse::detail::sell_apply(s, body, x, y, /*add=*/false);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(y[i], y_ref[i]) << "body " << static_cast<int>(body)
+                                  << " row " << i;
+
+      Vector z_ref = test_vector(n, 101);
+      Vector z = z_ref;
+      a.spmv_add(x, z_ref);
+      sparse::detail::sell_apply(s, body, x, z, /*add=*/true);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(z[i], z_ref[i]) << "body " << static_cast<int>(body)
+                                  << " row " << i;
+    }
+  }
+  EXPECT_GE(bodies, 1);  // the portable body is always compiled
 }
 
 // ---- RankKernel: every (format, overlap) combination must agree with

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "la/vector_ops.hpp"
-#include "sparse/bsr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
@@ -188,32 +187,6 @@ TEST(Generators, DiagonalMatrix) {
   const CsrMatrix a = diagonal_matrix({0.5, -2.0, 7.0});
   EXPECT_EQ(a.nnz(), 3);
   EXPECT_DOUBLE_EQ(a.at(1, 1), -2.0);
-}
-
-TEST(Bsr2, SpmvMatchesCsrOnElasticityMatrix) {
-  // An even-dimension FE-style matrix through the blocked kernel.
-  const CsrMatrix a = random_spd(64, 5, 0.2, 21);
-  const Bsr2 b(a);
-  EXPECT_EQ(b.rows(), 64);
-  Vector x(64), y_csr(64), y_bsr(64);
-  for (std::size_t i = 0; i < 64; ++i) x[i] = std::sin(0.41 * double(i));
-  a.spmv(x, y_csr);
-  b.spmv(x, y_bsr);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_NEAR(y_bsr[i], y_csr[i], 1e-13);
-}
-
-TEST(Bsr2, PaddingOverheadBounded) {
-  // Block storage holds at most 4x the scalar nnz (every scalar alone in
-  // its block) and at least nnz (perfect tiling).
-  const CsrMatrix a = laplace2d(10, 10);  // 100x100, even
-  const Bsr2 b(a);
-  EXPECT_GE(b.stored_values(), static_cast<std::uint64_t>(a.nnz()));
-  EXPECT_LE(b.stored_values(), 4ull * static_cast<std::uint64_t>(a.nnz()));
-}
-
-TEST(Bsr2, RejectsOddDimension) {
-  const CsrMatrix a = tridiag(5, 2.0, -1.0);
-  EXPECT_THROW(Bsr2 b(a), Error);
 }
 
 TEST(Io, RoundTripGeneral) {
