@@ -8,7 +8,7 @@
 // Options:
 //   --dd edd|rdd            domain decomposition (default edd; rdd for
 //                           --matrix input, which has no mesh)
-//   --solver fgmres|cg|bicgstab   Krylov method (default fgmres)
+//   --solver fgmres|cg      Krylov method (default fgmres)
 //   --precond gls|neumann|cheb|none|ilu|schwarz   (default gls)
 //   --degree N              polynomial degree (default 7)
 //   --parts P               subdomains/ranks (default 4)
@@ -22,7 +22,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/bicgstab.hpp"
 #include "core/cg.hpp"
 #include "core/diag_scaling.hpp"
 #include "core/edd_solver.hpp"
@@ -85,6 +84,10 @@ Args parse(int argc, char** argv) {
       std::cerr << "unknown flag " << flag << " (see the header comment)\n";
       std::exit(2);
     }
+  }
+  if (a.solver != "fgmres" && a.solver != "cg") {
+    std::cerr << "unknown --solver " << a.solver << " (fgmres or cg)\n";
+    std::exit(2);
   }
   if (a.matrix.empty() && a.mesh.empty() && !a.demo) {
     std::cerr << "need --matrix, --mesh or --demo\n";
@@ -181,9 +184,6 @@ int main(int argc, char** argv) {
     if (args.solver == "cg") {
       res = core::solve_edd_cg(part, f, poly, opts);
       solver_name = "EDD-PCG-" + poly.name();
-    } else if (args.solver == "bicgstab") {
-      res = core::solve_edd_bicgstab(part, f, poly, opts);
-      solver_name = "EDD-BiCGSTAB-" + poly.name();
     } else {
       res = core::solve_edd(part, f, poly, opts);
       solver_name = "EDD-FGMRES-" + poly.name();

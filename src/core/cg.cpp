@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/vector_ops.hpp"
 
@@ -79,54 +78,37 @@ SolveReport pcg(const sparse::CsrMatrix& a, std::span<const real_t> b,
 
 namespace {
 
-using detail::DistPoly;
 using detail::EddRank;
-using detail::invert_sqrt_row_norms;
 using detail::sqrt_nonneg;
 using partition::EddPartition;
 using partition::EddSubdomain;
-using sparse::CsrMatrix;
 
-struct SharedOut {
-  std::vector<Vector> solutions;
-  bool converged = false;
-  index_t iterations = 0;
-  real_t final_relres = 0.0;
-  std::vector<real_t> history;
-  std::vector<par::PerfCounters> setup_counters;
-};
-
-void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
-                       const sparse::EbeStore* elems,
-                       std::span<const real_t> f_global, const PolySpec& spec,
-                       const SolveOptions& opts, par::Comm& comm,
-                       SharedOut& out) {
+/// EDD-PCG on one rank.  x, p, z in global format; the residual is kept
+/// in both formats.  Per iteration: m exchanges inside P(A), one to
+/// globalize the updated residual, and 3 global reductions.
+void pcg_rank(par::Comm& comm, const EddPartition& part,
+              const detail::RankSetup& op, const PolySpec& spec,
+              std::span<const real_t> f_global, const SolveOptions& opts,
+              detail::SolveOut& out) {
   const int s = comm.rank();
+  const bool leader = s == comm.local_leader();
   const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   EddRank r(sub, comm);
+  obs::Tracer* const tr = comm.tracer();
   const std::size_t nl = r.nl();
+  const Vector& d = op.d;
+  const RankKernel& a = op.kern;
+  SolveReport& item = out.items.front();
 
-  // ---- Setup: identical to the FGMRES path (Algorithms 3/4).
-  Vector f_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    f_loc[l] =
-        f_global[static_cast<std::size_t>(sub.local_to_global[l])] /
-        static_cast<real_t>(sub.multiplicity[l]);
-  Vector d = k_in.row_norms1();
-  r.counters().flops += static_cast<std::uint64_t>(k_in.nnz());
-  r.exchange(d);
-  invert_sqrt_row_norms(sub, d);
-  const RankKernel a(k_in, Vector(d), sub.interface_local_dofs, opts.kernels,
-                     elems);
-  r.counters().flops += 2ull * static_cast<std::uint64_t>(k_in.nnz());
   Vector b_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l) b_loc[l] = d[l] * f_loc[l];
-
-  DistPoly poly(spec, nl, &r.counters());
-  out.setup_counters[static_cast<std::size_t>(s)] = comm.counters();
-
-  // ---- PCG.  x, p, z in global format; residual kept in both formats.
+  for (std::size_t l = 0; l < nl; ++l)
+    b_loc[l] = d[l] * (f_global[static_cast<std::size_t>(
+                           sub.local_to_global[l])] /
+                       static_cast<real_t>(sub.multiplicity[l]));
+  detail::PolyApplier poly(spec, op.gls.get(), op.cheb.get(), nl, 1);
   Vector x(nl, 0.0), r_loc(nl), r_glob(nl), z(nl), p(nl), ap_loc(nl);
+  const Vector* const rg[] = {&r_glob};
+  Vector* const zs[] = {&z};
   la::copy(b_loc, r_loc);  // r = b - A*0
   la::copy(r_loc, r_glob);
   r.exchange(r_glob);
@@ -135,17 +117,19 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
   bool converged = false;
   index_t iterations = 0;
   real_t relres = 1.0;
-  std::vector<real_t> history;
 
   if (beta0 == 0.0) {
     converged = true;
     relres = 0.0;
+    if (leader) item.trivial_rhs = true;
   } else {
-    poly.apply_global(r, a, r_glob, z);  // z = P(A) r  (m exchanges)
+    poly.apply(r, a, rg, zs, /*local=*/false);  // z = P(A) r (m exchanges)
     la::copy(z, p);
     real_t rho = r.dot_lg(r_loc, z);
 
     while (iterations < opts.max_iters) {
+      OBS_SPAN(tr, "pcg", obs::Cat::Solve,
+               static_cast<std::uint32_t>(iterations));
       r.spmv(a, p, ap_loc);  // Ap in local format; p is global
       const real_t pap = r.dot_lg(ap_loc, p);
       PFEM_CHECK_MSG(pap > 0.0, "EDD-PCG: p^T A p <= 0");
@@ -161,13 +145,21 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
       ++iterations;
 
       relres = sqrt_nonneg(r.dot_lg(r_loc, r_glob)) / beta0;
-      history.push_back(relres);
+      if (leader) {
+        // Written incrementally: a comm failure leaves a truthful
+        // partial report.
+        item.history.push_back(relres);
+        item.iterations = iterations;
+        item.final_relres = relres;
+        if (tr != nullptr) tr->counter("relres", obs::Cat::Solve, relres);
+        if (opts.observe.progress) opts.observe.progress(iterations, relres, 0);
+      }
       if (relres <= opts.tol) {
         converged = true;
         break;
       }
 
-      poly.apply_global(r, a, r_glob, z);  // m exchanges
+      poly.apply(r, a, rg, zs, /*local=*/false);  // m exchanges
       const real_t rho_new = r.dot_lg(r_loc, z);
       if (rho == 0.0) break;  // underflowed inner product: stagnated
       const real_t beta = rho_new / rho;
@@ -189,62 +181,38 @@ void edd_cg_rank_solve(const EddPartition& part, const CsrMatrix& k_in,
 
   Vector u(nl);
   for (std::size_t l = 0; l < nl; ++l) u[l] = d[l] * x[l];
-  out.solutions[static_cast<std::size_t>(s)] = std::move(u);
+  out.sol.front()[static_cast<std::size_t>(s)] = std::move(u);
 
-  if (s == 0) {
-    out.converged = converged || final_relres <= opts.tol;
-    out.iterations = iterations;
-    out.final_relres = final_relres;
-    out.history = std::move(history);
+  if (leader) {
+    item.converged = converged || final_relres <= opts.tol;
+    item.iterations = iterations;
+    item.final_relres = final_relres;
   }
 }
 
 }  // namespace
 
 DistSolve solve_edd_cg(const EddPartition& part,
-                             std::span<const real_t> f_global,
-                             const PolySpec& spec, const SolveOptions& opts,
-                             const std::vector<sparse::CsrMatrix>* local_matrices) {
+                       std::span<const real_t> f_global, const PolySpec& spec,
+                       const SolveOptions& opts,
+                       const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
                  "solve_edd_cg: max_iters must be >= 1 and tol > 0");
-  validate_poly_spec(spec);
-  if (local_matrices != nullptr)
-    PFEM_CHECK(local_matrices->size() == part.subs.size());
-  // Matrix override + matrix-free kernel: the element store would be
-  // stale — same guard as solve_edd.
-  PFEM_CHECK_MSG(!(opts.kernels.format == KernelOptions::Format::Ebe &&
-                   local_matrices != nullptr),
-                 "Format::Ebe cannot be combined with a local-matrix "
-                 "override: the partition's element store holds the "
-                 "originally assembled operator, not the override");
-  const int p = part.nparts();
-
-  SharedOut out;
-  out.solutions.resize(static_cast<std::size_t>(p));
-  out.setup_counters.resize(static_cast<std::size_t>(p));
-
-  WallTimer timer;
-  std::vector<par::PerfCounters> counters =
-      par::run_spmd(p, [&](par::Comm& comm) {
-        const auto s = static_cast<std::size_t>(comm.rank());
-        const sparse::CsrMatrix& k =
-            local_matrices ? (*local_matrices)[s] : part.subs[s].k_loc;
-        const sparse::EbeStore* const elems =
-            local_matrices ? nullptr : part.subs[s].elem_store.get();
-        edd_cg_rank_solve(part, k, elems, f_global, spec, opts, comm, out);
+  // A-DEF1 is not symmetric, so PCG cannot use it; sessions recycle
+  // FGMRES directions.
+  PFEM_CHECK_MSG(!opts.deflation.enabled,
+                 "solve_edd_cg: deflation (A-DEF1) is not symmetric and "
+                 "cannot precondition CG; use solve_edd");
+  PFEM_CHECK_MSG(!opts.recycle.enabled,
+                 "solve_edd_cg: recycling (opts.recycle) is an FGMRES "
+                 "session feature; use solve_edd");
+  return detail::run_one_shot(
+      part, spec, local_matrices, opts, "solve_edd_cg",
+      [&](par::Comm& comm, const detail::RankSetup& op,
+          detail::SolveOut& out) {
+        pcg_rank(comm, part, op, spec, f_global, opts, out);
       });
-
-  DistSolve result;
-  result.wall_seconds = timer.seconds();
-  result.x = partition::edd_gather_global(part, out.solutions);
-  result.converged = out.converged;
-  result.iterations = out.iterations;
-  result.final_relres = out.final_relres;
-  result.history = std::move(out.history);
-  result.rank_counters = std::move(counters);
-  result.setup_counters = std::move(out.setup_counters);
-  return result;
 }
 
 }  // namespace pfem::core

@@ -32,8 +32,13 @@ namespace pfem::core {
                               Preconditioner& precond,
                               const SolveOptions& opts = {});
 
-/// EDD-distributed PCG with polynomial preconditioning, on the same
-/// partition structures and with the same norm-1 scaling as solve_edd().
+/// EDD-distributed PCG with polynomial preconditioning: the same per-rank
+/// setup as solve_edd() (norm-1 scaling, kernel, polynomial), then PCG,
+/// as one job on a transient team.  Honors opts.kernels and
+/// opts.observe (trace, progress, fault injector, comm timeout — a comm
+/// failure returns a typed partial report).  opts.deflation and
+/// opts.recycle are rejected with pfem::Error: A-DEF1 is not symmetric,
+/// and sessions recycle FGMRES directions.
 [[nodiscard]] DistSolve solve_edd_cg(
     const partition::EddPartition& part, std::span<const real_t> f_global,
     const PolySpec& poly, const SolveOptions& opts = {},

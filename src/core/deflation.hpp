@@ -122,11 +122,10 @@ struct DeflationOptions {
 /// building a wrong coarse space.  No-op when !opts.enabled.
 void validate_deflation(const DeflationOptions& opts, index_t n_global);
 
-/// The replicated coarse operator: E = ZᵀÂZ, LU-factorized once.
-/// solve() is const and allocation-free, so one instance may be shared
-/// read-only by every rank (the batch path) or built redundantly per
-/// rank from allreduced — hence bit-identical — E entries (the one-shot
-/// path).
+/// The replicated coarse operator: E = ZᵀÂZ, LU-factorized once per
+/// rank from allreduced — hence bit-identical — E entries.  solve() is
+/// const and allocation-free, so a built operator shares one instance
+/// read-only among all its ranks.
 class CoarseOperator {
  public:
   /// Takes the fully assembled (allreduced) E.  Structurally empty rows
@@ -181,10 +180,6 @@ class DeflationRank {
   /// by the local-format sum identity Â = Σ_s B_sᵀ Â_loc B_s.
   void accumulate_e(const sparse::CsrMatrix& k, std::span<const real_t> d,
                     la::DenseMatrix& e) const;
-
-  /// Same, for a pre-scaled local matrix Â_loc (the batch path's op.a).
-  void accumulate_e_scaled(const sparse::CsrMatrix& a_scaled,
-                           la::DenseMatrix& e) const;
 
   /// c += partial of Zᵀv, v in LOCAL distributed format (partial sums;
   /// allreduce completes the restriction).

@@ -13,244 +13,23 @@
 
 namespace pfem::core {
 
+namespace detail {
+
 namespace {
 
-using partition::EddPartition;
-using partition::EddSubdomain;
-using sparse::CsrMatrix;
-using detail::DistPoly;
-using detail::EddRank;
-using detail::invert_sqrt_row_norms;
-using detail::sqrt_nonneg;
-
-/// Fused analog of detail::spmv_exchange: ŷ_i = Â x̂_i for every RHS,
-/// then ONE fused exchange globalizing the outputs.  With a split kernel
-/// the coupled rows of every RHS are computed first, the fused sends go
-/// out, the interior rows of every RHS fill in while messages fly, and
-/// the folds land last — still exactly one logical exchange and one
-/// matvec per RHS.
-void batch_spmv_exchange(EddRank& r, const RankKernel& a,
-                         std::span<Vector* const> xs,
-                         std::span<Vector* const> ys) {
-  const std::size_t nb = xs.size();
-  const std::span<const Vector* const> cxs(
-      const_cast<const Vector* const*>(xs.data()), xs.size());
-  if (a.additive()) {
-    // Matrix-free kernel: run the element sweep lane-fused (each dense
-    // element matrix is loaded once per batch), halves scatter-ADD so
-    // the outputs start zeroed.  One "spmv" span covering the batch;
-    // matvec/flop counters are still charged per RHS.  (pfem_trace
-    // cross-checks only "exchange" spans against the counters, so the
-    // fused span shape is observable but not contract-bearing.)
-    if (a.split()) {
-      for (std::size_t i = 0; i < nb; ++i) la::fill(*ys[i], 0.0);
-      a.apply_coupled_many(cxs, ys);
-      r.exchange_many_start(ys);
-      {
-        OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
-                 static_cast<std::uint32_t>(nb));
-        a.apply_interior_many(cxs, ys);
-        r.counters().matvecs += nb;
-        r.counters().flops += nb * a.apply_flops();
-      }
-      r.exchange_many_finish(ys);
-    } else {
-      {
-        OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
-                 static_cast<std::uint32_t>(nb));
-        a.apply_many(cxs, ys);  // zero-fills its outputs itself
-        r.counters().matvecs += nb;
-        r.counters().flops += nb * a.apply_flops();
-      }
-      r.exchange_many(ys);
-    }
-    return;
-  }
-  if (a.split()) {
-    for (std::size_t i = 0; i < nb; ++i) a.apply_coupled(*xs[i], *ys[i]);
-    r.exchange_many_start(ys);
-    for (std::size_t i = 0; i < nb; ++i) {
-      OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec);
-      a.apply_interior(*xs[i], *ys[i]);
-      r.counters().matvecs += 1;
-      r.counters().flops += a.apply_flops();
-    }
-    r.exchange_many_finish(ys);
-  } else {
-    for (std::size_t i = 0; i < nb; ++i) r.spmv(a, *xs[i], *ys[i]);
-    r.exchange_many(ys);
+/// d_i <- 1/√d_i over the globally summed row norms (Eq. 44).  The
+/// exchange made d consistent, so a zero sum is a degenerate ROW OF THE
+/// ASSEMBLED OPERATOR, not a partition artifact — typed so the service
+/// answers Failed{BadOperator} (request-scoped, never cached).
+void invert_sqrt_row_norms(const EddSubdomain& sub, Vector& d) {
+  for (std::size_t l = 0; l < d.size(); ++l) {
+    if (!(d[l] > 0.0))
+      throw BadOperatorError(
+          "norm-1 scaling: zero/degenerate row at global dof " +
+          std::to_string(sub.local_to_global[l]));
+    d[l] = 1.0 / std::sqrt(d[l]);
   }
 }
-
-/// Loop-fused polynomial application z_b = P_m(A) v_b for a set of RHS:
-/// the recursions advance in lockstep so each of the m steps does one
-/// SpMV per RHS but only ONE fused neighbor exchange (global-format
-/// discipline, as in Algorithm 6 line 10 via Algorithm 7).
-class BatchPoly {
- public:
-  BatchPoly(const EddOperatorState& op, std::size_t nl, std::size_t nb)
-      : spec_(op.poly), gls_(op.gls.get()), cheb_(op.cheb.get()) {
-    wa_.assign(nb, Vector(nl));
-    wb_.assign(nb, Vector(nl));
-    wc_.assign(nb, Vector(nl));
-    ex_.reserve(nb);
-    exin_.reserve(nb);
-  }
-
-  /// vin[i] -> zout[i] for i in [0, count); scratch row i serves input i.
-  void apply(EddRank& r, const RankKernel& a,
-             std::span<const Vector* const> vin, std::span<Vector* const> zout) {
-    const std::size_t nb = vin.size();
-    const std::size_t n = r.nl();
-    switch (spec_.kind) {
-      case PolyKind::None:
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], *zout[i]);
-        return;
-      case PolyKind::Neumann: {
-        // w_k = v + (I - omega*A) w_{k-1}, all in global format.
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], wa_[i]);
-        for (int k = 0; k < spec_.degree; ++k) {
-          ex_.clear();
-          exin_.clear();
-          for (std::size_t i = 0; i < nb; ++i) {
-            exin_.push_back(&wa_[i]);
-            ex_.push_back(&wb_[i]);
-          }
-          batch_spmv_exchange(r, a, exin_, ex_);
-          for (std::size_t i = 0; i < nb; ++i) {
-            const Vector& v = *vin[i];
-            Vector& w = wa_[i];
-            const Vector& aw = wb_[i];
-            for (std::size_t l = 0; l < n; ++l)
-              w[l] = v[l] + w[l] - spec_.omega * aw[l];
-            r.counters().flops += 3 * n;
-            r.counters().vector_updates += 1;
-          }
-        }
-        for (std::size_t i = 0; i < nb; ++i) {
-          Vector& z = *zout[i];
-          for (std::size_t l = 0; l < n; ++l) z[l] = spec_.omega * wa_[i][l];
-          r.counters().flops += n;
-        }
-        return;
-      }
-      case PolyKind::Gls: {
-        const OrthoBasis& basis = gls_->basis();
-        const auto mu = gls_->mu();
-        const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < nb; ++i) {
-          la::fill(wa_[i], 0.0);  // u_prev
-          Vector& u = wb_[i];
-          Vector& z = *zout[i];
-          const Vector& v = *vin[i];
-          for (std::size_t l = 0; l < n; ++l) {
-            u[l] = inv0 * v[l];
-            z[l] = mu[0] * u[l];
-          }
-          r.counters().flops += 2 * n;
-        }
-        for (int s = 0; s < spec_.degree; ++s) {
-          ex_.clear();
-          exin_.clear();
-          for (std::size_t i = 0; i < nb; ++i) {
-            exin_.push_back(&wb_[i]);
-            ex_.push_back(&wc_[i]);
-          }
-          batch_spmv_exchange(r, a, exin_, ex_);
-          const real_t as = basis.alpha(s);
-          const real_t sb_s = basis.sqrt_beta(s);
-          const real_t sb_n = basis.sqrt_beta(s + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(s) + 1];
-          for (std::size_t i = 0; i < nb; ++i) {
-            Vector& u_prev = wa_[i];
-            Vector& u = wb_[i];
-            const Vector& au = wc_[i];
-            Vector& z = *zout[i];
-            for (std::size_t l = 0; l < n; ++l) {
-              const real_t t =
-                  (au[l] - as * u[l] - (s > 0 ? sb_s * u_prev[l] : 0.0)) /
-                  sb_n;
-              u_prev[l] = u[l];
-              u[l] = t;
-              z[l] += mu_next * t;
-            }
-            r.counters().flops += 7 * n;
-            r.counters().vector_updates += 1;
-          }
-        }
-        return;
-      }
-      case PolyKind::Chebyshev: {
-        const real_t theta =
-            0.5 * (cheb_->interval().lo + cheb_->interval().hi);
-        const real_t delta =
-            0.5 * (cheb_->interval().hi - cheb_->interval().lo);
-        const real_t sigma1 = theta / delta;
-        real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < nb; ++i) {
-          Vector& res = wa_[i];
-          Vector& d = wb_[i];
-          Vector& z = *zout[i];
-          la::copy(*vin[i], res);
-          for (std::size_t l = 0; l < n; ++l) {
-            d[l] = res[l] / theta;
-            z[l] = d[l];
-          }
-          r.counters().flops += 2 * n;
-        }
-        for (int k = 1; k <= spec_.degree; ++k) {
-          ex_.clear();
-          exin_.clear();
-          for (std::size_t i = 0; i < nb; ++i) {
-            exin_.push_back(&wb_[i]);
-            ex_.push_back(&wc_[i]);
-          }
-          batch_spmv_exchange(r, a, exin_, ex_);
-          const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
-          const real_t c1 = rho_next * rho;
-          const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < nb; ++i) {
-            Vector& res = wa_[i];
-            Vector& d = wb_[i];
-            const Vector& ad = wc_[i];
-            Vector& z = *zout[i];
-            for (std::size_t l = 0; l < n; ++l) {
-              res[l] -= ad[l];
-              d[l] = c1 * d[l] + c2 * res[l];
-              z[l] += d[l];
-            }
-            r.counters().flops += 6 * n;
-            r.counters().vector_updates += 1;
-          }
-          rho = rho_next;
-        }
-        return;
-      }
-    }
-  }
-
- private:
-  PolySpec spec_;
-  const GlsPolynomial* gls_;
-  const ChebyshevPolynomial* cheb_;
-  std::vector<Vector> wa_, wb_, wc_;  // per-RHS recursion scratch
-  std::vector<Vector*> ex_;           // fused-exchange view (outputs)
-  std::vector<Vector*> exin_;         // fused-exchange view (inputs)
-};
-
-/// Shared output of a batch solve, written per rank / by the local leader.
-struct BatchShared {
-  std::vector<std::vector<Vector>> sol;  ///< [rhs][rank] u in global format
-  std::vector<BatchItemResult> items;    ///< written by the local leader
-  /// Harvested recycle directions, [rhs][ring slot][rank] pieces of the
-  /// physical (scaling undone) cycle updates Δu.  Ring-bounded to
-  /// max_directions slots; dir_count says how many cycles actually
-  /// deposited (so the gather can order oldest → newest).  The slot
-  /// index is a pure function of allreduced state, so every rank writes
-  /// its own [rank] piece of the same slot.
-  std::vector<std::vector<std::vector<Vector>>> dirs;
-  std::vector<std::size_t> dir_count;  ///< written by the local leader
-};
 
 /// How many vectors the warm-setup phase of `opts.recycle` contributes
 /// to its ONE fused exchange for RHS b: the globalized b̂ (for ‖b̂‖),
@@ -272,18 +51,140 @@ std::size_t recycle_width(const SolveOptions& opts, std::size_t b,
   return 1 + k + (k > 0 && has_x0 ? 1 : 0);
 }
 
-void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
-                      std::span<const Vector> rhs, const SolveOptions& opts,
-                      par::Comm& comm, BatchShared& out) {
+/// Zero-fill the pieces of `pieces` that no local rank deposited, then
+/// assemble the global vector.
+Vector gather(const EddPartition& part, std::vector<Vector>& pieces) {
+  for (std::size_t q = 0; q < pieces.size(); ++q) {
+    const std::size_t want = part.subs[q].local_to_global.size();
+    if (pieces[q].size() != want) pieces[q].assign(want, 0.0);
+  }
+  return partition::edd_gather_global(part, pieces);
+}
+
+/// Argument checks every EDD setup entry point makes on the calling
+/// thread, before any rank runs: a bad spec or coarse space fails typed
+/// here, not as a per-rank surprise halfway through a team job.
+void validate_setup(const EddPartition& part, const PolySpec& spec,
+                    const std::vector<CsrMatrix>* local_matrices,
+                    const KernelOptions& kernels,
+                    const DeflationOptions& deflation) {
+  validate_poly_spec(spec);
+  // A mismatched coarse-space configuration fails as a typed
+  // BadOperatorError.
+  validate_deflation(deflation, part.n_global);
+  if (local_matrices != nullptr)
+    PFEM_CHECK(local_matrices->size() == part.subs.size());
+  // A matrix override (e.g. dynamics' K + a0 M) leaves the partition's
+  // element matrices stale — the matrix-free kernel would silently apply
+  // the wrong operator, so reject the combination up front.
+  PFEM_CHECK_MSG(!(kernels.format == KernelOptions::Format::Ebe &&
+                   local_matrices != nullptr),
+                 "Format::Ebe cannot be combined with a local-matrix "
+                 "override: the partition's element store holds the "
+                 "originally assembled operator, not the override");
+}
+
+/// The EDD setup, run by every rank of a team job: distributed norm-1
+/// scaling (Algorithms 3/4: one exchange), the rank kernel, the rank's
+/// own polynomial build (no communication, the paper's point) and, with
+/// deflation, E assembled from the unscaled sub-matrix and d in one nnz
+/// sweep, completed by ONE allreduce and factorized redundantly — the
+/// allreduce makes E bit-identical on every rank, so every factor and
+/// every later coarse solve is too.  `scaled`, when non-null, receives
+/// the scaled CSR Â for callers that inspect it.
+RankSetup setup_rank(par::Comm& comm, const EddPartition& part,
+                     const PolySpec& spec,
+                     const std::vector<CsrMatrix>* local_matrices,
+                     const KernelOptions& kernels,
+                     const DeflationOptions& deflation,
+                     CsrMatrix* scaled = nullptr) {
+  const auto s = static_cast<std::size_t>(comm.rank());
+  const EddSubdomain& sub = part.subs[s];
+  const CsrMatrix& k = local_matrices ? (*local_matrices)[s] : sub.k_loc;
+  EddRank r(sub, comm);
+  OBS_SPAN(comm.tracer(), "build_operator", obs::Cat::Setup);
+  const auto nnz = static_cast<std::uint64_t>(k.nnz());
+  RankSetup op;
+  op.d = k.row_norms1();  // partial row norms d_i^(s) (Eq. 43)
+  r.counters().flops += nnz;
+  r.exchange(op.d);       // d_i = Σ_s d_i^(s) (Eq. 42)
+  invert_sqrt_row_norms(sub, op.d);
+  // Â = D̂ K̂ D̂ (Eq. 44): every kernel format folds D into its stored
+  // entries once, here — the 2*nnz scaling work is charged so setup and
+  // iteration flop accounting stay comparable across formats.
+  op.kern = RankKernel(k, Vector(op.d), sub.interface_local_dofs, kernels,
+                       local_matrices ? nullptr : sub.elem_store.get());
+  r.counters().flops += 2 * nnz;
+  if (scaled != nullptr) {
+    *scaled = k;
+    scaled->scale_symmetric(op.d);
+  }
+
+  if (spec.kind == PolyKind::Gls) {
+    op.gls = std::make_shared<const GlsPolynomial>(spec.theta, spec.degree);
+    r.counters().flops += gls_build_flops(*op.gls);
+  } else if (spec.kind == PolyKind::Chebyshev) {
+    op.cheb = std::make_shared<const ChebyshevPolynomial>(spec.theta.front(),
+                                                          spec.degree);
+  }
+
+  if (deflation.enabled) {
+    OBS_SPAN(comm.tracer(), "build_coarse", obs::Cat::Setup);
+    const DeflationRank dr(sub, static_cast<int>(s), part.nparts(),
+                           deflation, z_weights(op.d));
+    la::DenseMatrix e(dr.ncoarse(), dr.ncoarse());
+    dr.accumulate_e(k, op.d, e);
+    r.counters().flops += 3 * nnz;
+    comm.allreduce_sum(e.data());
+    op.coarse = std::make_shared<const CoarseOperator>(std::move(e));
+    const auto nc = static_cast<std::uint64_t>(op.coarse->n());
+    r.counters().flops += 2 * nc * nc * nc / 3;
+  }
+  return op;
+}
+
+}  // namespace
+
+SolveOut::SolveOut(const EddPartition& part, std::size_t nb,
+                   const SolveOptions& opts)
+    : sol(nb, std::vector<Vector>(part.subs.size())), items(nb) {
+  if (opts.recycle.enabled && opts.recycle.harvest)
+    kmax = static_cast<std::size_t>(
+        std::max<index_t>(opts.recycle.max_directions, 0));
+  if (kmax > 0) {
+    dirs.assign(nb, std::vector<std::vector<Vector>>(
+                        kmax, std::vector<Vector>(part.subs.size())));
+    dir_count.assign(nb, 0);
+  }
+}
+
+Vector SolveOut::solution(const EddPartition& part, std::size_t b) {
+  return gather(part, sol[b]);
+}
+
+std::vector<Vector> SolveOut::recycled(const EddPartition& part,
+                                       std::size_t b) {
+  std::vector<Vector> out;
+  if (kmax == 0) return out;
+  const std::size_t cnt = dir_count[b];
+  const std::size_t h = std::min(cnt, kmax);
+  for (std::size_t i = 0; i < h; ++i)
+    out.push_back(gather(part, dirs[b][(cnt - h + i) % kmax]));
+  return out;
+}
+
+void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
+                 std::span<const Vector> rhs, const SolveOptions& opts,
+                 FgmresMode mode, SolveOut& out) {
   const int s = comm.rank();
   // Shared per-process result state is written by the LOCAL leader (rank
   // 0 in-process; each process's lowest rank on a multi-process
   // transport).  Every value written under this guard derives from
-  // allreduced scalars, so all leaders write bit-identical results and
-  // every process ends up with a full copy of the per-RHS reports.
+  // allreduced scalars, so all leaders write bit-identical results.
   const int leader = comm.local_leader();
   const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   const std::size_t nb = rhs.size();
+  const bool basic = mode.basic;
   // Widest fused exchange this solve will issue: the per-iteration batch
   // (nb), or the recycle warm-setup exchange when sessions are active.
   std::size_t prewidth = 0;
@@ -294,36 +195,24 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
   obs::Tracer* const tr = comm.tracer();
   const std::size_t nl = r.nl();
   const index_t m = opts.restart;
-  const Vector& d = op.d[static_cast<std::size_t>(s)];
-  // Prebuilt kernels when the state came from build_edd_operator; a
-  // hand-assembled state falls back to a scalar-CSR view of op.a.
-  std::optional<RankKernel> fallback_kern;
-  if (op.kern.size() != part.subs.size()) {
-    KernelOptions fb;
-    fb.format = KernelOptions::Format::Csr;
-    fb.overlap = false;
-    fallback_kern = RankKernel::from_scaled(
-        &op.a[static_cast<std::size_t>(s)], sub.interface_local_dofs, fb);
-  }
-  const RankKernel& a = fallback_kern
-                            ? *fallback_kern
-                            : op.kern[static_cast<std::size_t>(s)];
-  OBS_SPAN(tr, "solve_batch", obs::Cat::Solve,
-           static_cast<std::uint32_t>(nb));
+  const Vector& d = op.d;
+  const RankKernel& a = op.a;
 
   // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
   std::vector<Vector> b_loc(nb, Vector(nl));
   for (std::size_t b = 0; b < nb; ++b)
     for (std::size_t l = 0; l < nl; ++l)
       b_loc[b][l] =
-          d[l] * rhs[b][static_cast<std::size_t>(sub.local_to_global[l])] /
-          static_cast<real_t>(sub.multiplicity[l]);
+          d[l] * (rhs[b][static_cast<std::size_t>(sub.local_to_global[l])] /
+                  static_cast<real_t>(sub.multiplicity[l]));
   r.counters().flops += 2 * nb * nl;
 
-  // Per-RHS solver state.
+  // Per-RHS solver state.  x and the Arnoldi basis v, z live in the
+  // discipline's format: global for Enhanced, local for Basic.
   std::vector<Vector> x(nb, Vector(nl, 0.0));
   std::vector<Vector> r_loc(nb, Vector(nl)), r_glob(nb, Vector(nl));
   std::vector<Vector> w_loc(nb, Vector(nl)), w_glob(nb, Vector(nl));
+  std::vector<Vector> tmp(basic ? nb : 0, Vector(nl));
   std::vector<std::vector<Vector>> v(nb), z(nb);
   for (std::size_t b = 0; b < nb; ++b) {
     v[b].assign(static_cast<std::size_t>(m) + 1, Vector(nl));
@@ -336,52 +225,73 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
   std::vector<index_t> iters(nb, 0), jcols(nb, 0);
   std::vector<real_t> beta0(nb, -1.0), relres(nb, 1.0);
 
-  BatchPoly poly(op, nl, nb);
-
-  // Two-level deflation, prebuilt by build_edd_operator and cached with
-  // the operator: the fused A-DEF1 correction costs the whole batch ONE
-  // small allreduce (every live RHS's coarse residual in one buffer) and
-  // ONE fused exchange (globalizing the ÂZy corrections) per
-  // preconditioner application.
-  const CoarseOperator* const coarse = op.coarse.get();
-  std::optional<DeflationRank> defl;
-  std::vector<Vector> zy, vdef;
-  Vector cbuf;
-  if (coarse != nullptr) {
-    Vector w(nl);  // Z weights 1/d̂: the scaled operator's near-null basis
-    for (std::size_t l = 0; l < nl; ++l)
-      w[l] = 1.0 / op.d[static_cast<std::size_t>(s)][l];
-    defl.emplace(sub, s, part.nparts(), op.deflation, w);
-    zy.assign(nb, Vector(nl));
-    vdef.assign(nb, Vector(nl));
-  }
+  // The preconditioner: the polynomial M, wrapped by A-DEF1 when the
+  // operator carries a coarse space.
+  PolyApplier poly(op.poly, op.gls, op.cheb, nl, nb);
+  std::optional<Adef1> defl;
+  if (op.coarse != nullptr)
+    defl.emplace(sub, s, part.nparts(), op.deflation, d, *op.coarse, nb);
 
   std::vector<Vector*> ex;         // fused-exchange view
-  std::vector<const Vector*> pv;   // poly inputs
-  std::vector<Vector*> pz;         // poly outputs
+  std::vector<Vector*> mx, my;     // matvec inputs / outputs
+  std::vector<const Vector*> pv;   // preconditioner inputs
+  std::vector<Vector*> pz;         // preconditioner outputs
   Vector red;                      // batched-reduction buffer
   std::vector<std::size_t> cyc, live;
   ex.reserve(std::max(nb, prewidth));
+  mx.reserve(nb);
+  my.reserve(nb);
   pv.reserve(nb);
   pz.reserve(nb);
   cyc.reserve(nb);
   live.reserve(nb);
 
+  // my[i] = Â mx[i] in local format, mx[i] in the discipline's format:
+  // Enhanced's vectors are global already; Basic globalizes a copy
+  // first — the extra exchange of Algorithm 5's residual and w = Âz.
+  const auto matvec = [&] {
+    if (!basic) {
+      for (std::size_t i = 0; i < mx.size(); ++i) r.spmv(a, *mx[i], *my[i]);
+      return;
+    }
+    for (std::size_t i = 0; i < mx.size(); ++i) {
+      la::copy(*mx[i], tmp[i]);
+      mx[i] = &tmp[i];
+    }
+    exchange_spmv(r, a, mx, my);
+  };
+  // Globalize copies of w_loc into w_glob for the live RHS (one fused
+  // exchange).
+  const auto globalize_w = [&] {
+    ex.clear();
+    for (const std::size_t b : live) {
+      la::copy(w_loc[b], w_glob[b]);
+      ex.push_back(&w_glob[b]);
+    }
+    r.exchange_many(ex);
+  };
+  // Complete `red`'s partial sums: one allreduce, or one per entry.
+  const auto reduce = [&] {
+    if (mode.per_coefficient)
+      for (real_t& c : red) c = comm.allreduce_sum(c);
+    else
+      comm.allreduce_sum(red);
+  };
+
   // ---- Solve-session warm setup (opts.recycle): warm-start guesses,
   // recycled-direction projection, and the ‖b̂‖ convergence reference.
   // ALL the extra session traffic is ONE fused exchange plus ONE
   // allreduce for the whole batch; stateless solves (prewidth == 0) skip
-  // this block entirely and stay bit-identical — exchange count for
-  // exchange count (the Table-1 contract) — with the pre-session code.
-  const auto kmax = static_cast<std::size_t>(
-      std::max<index_t>(opts.recycle.max_directions, 0));
-  const bool harvest =
-      opts.recycle.enabled && opts.recycle.harvest && kmax > 0;
+  // this block entirely — exchange count for exchange count (the
+  // Table-1 contract).
+  const std::size_t kmax = out.kmax;
   std::vector<std::size_t> harvested(nb, 0);
   if (prewidth > 0) {
     OBS_SPAN(tr, "recycle_setup", obs::Cat::Setup,
              static_cast<std::uint32_t>(prewidth));
     const auto ng = static_cast<std::size_t>(part.n_global);
+    const auto kcap = static_cast<std::size_t>(
+        std::max<index_t>(opts.recycle.max_directions, 0));
     std::vector<std::vector<Vector>> pd(nb);  // scaled directions p̂_j
     std::vector<std::vector<Vector>> cd(nb);  // Â p̂_j, globalized
     std::vector<Vector> bg(nb), ax0(nb);
@@ -404,7 +314,7 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
       std::size_t k = 0;
       for (const Vector& dir : rin.directions)
         if (dir.size() == ng) ++k;
-      std::size_t skip = k > kmax ? k - kmax : 0;  // keep the most recent
+      std::size_t skip = k > kcap ? k - kcap : 0;  // keep the most recent
       for (const Vector& dir : rin.directions) {
         if (dir.size() != ng) continue;
         if (skip > 0) {
@@ -501,19 +411,25 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
   // take identical decisions — the fused-message layouts (who is in the
   // cycle, who is live) never diverge across ranks.
   for (;;) {
-    // ---- Residuals r_b = b_b - A x_b for every unfinished RHS.
+    // ---- Residuals r_b = b_b − Â x_b for every unfinished RHS.
     cyc.clear();
-    ex.clear();
+    mx.clear();
+    my.clear();
     for (std::size_t b = 0; b < nb; ++b) {
       if (done[b]) continue;
-      r.spmv(a, x[b], r_loc[b]);
+      cyc.push_back(b);
+      mx.push_back(&x[b]);
+      my.push_back(&r_loc[b]);
+    }
+    if (cyc.empty()) break;
+    matvec();
+    ex.clear();
+    for (const std::size_t b : cyc) {
       for (std::size_t l = 0; l < nl; ++l) r_loc[b][l] = b_loc[b][l] - r_loc[b][l];
       r.counters().flops += nl;
       la::copy(r_loc[b], r_glob[b]);
       ex.push_back(&r_glob[b]);
-      cyc.push_back(b);
     }
-    if (cyc.empty()) break;
     r.exchange_many(ex);
 
     red.resize(cyc.size());
@@ -539,14 +455,14 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
         done[b] = 1;
         continue;
       }
-      if (iters[b] >= opts.max_iters) {
-        done[b] = 1;
-        continue;
-      }
-      for (std::size_t l = 0; l < nl; ++l) v[b][0][l] = r_glob[b][l] / beta;
+      // v_0 = r / beta in the discipline's basis format.
+      const Vector& r0 = basic ? r_loc[b] : r_glob[b];
+      for (std::size_t l = 0; l < nl; ++l) v[b][0][l] = r0[l] / beta;
       r.counters().flops += nl;
       r.counters().vector_updates += 1;
       lsq[b].emplace(m, beta);
+      // Re-entering Arnoldi after a completed cycle: only now has a
+      // restart actually happened (a first-cycle convergence reports 0).
       if (iters[b] > 0 && s == leader) ++out.items[b].restarts;
       frozen[b] = 0;
       brk[b] = 0;
@@ -556,7 +472,7 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
     cyc.swap(next_cyc);
     if (cyc.empty()) continue;  // re-enter to terminate cleanly
 
-    // ---- One fused Arnoldi cycle (Algorithm 6 inner loop).
+    // ---- One fused Arnoldi cycle.
     const int gs_passes = opts.reorthogonalize ? 2 : 1;
     for (index_t j = 0; j < m; ++j) {
       live.clear();
@@ -568,97 +484,55 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
       OBS_SPAN(tr, "arnoldi", obs::Cat::Solve,
                static_cast<std::uint32_t>(live.size()));
 
-      // z_b = P_m(A) v_b: m SpMVs per RHS, m fused exchanges in total.
+      // z_b = B v_b: m SpMVs per RHS, m fused exchanges in total.
       pv.clear();
       pz.clear();
       for (const std::size_t b : live) {
         pv.push_back(&v[b][jj]);
         pz.push_back(&z[b][jj]);
       }
-      if (defl) {
-        // Coarse correction first: v_b -> v_b − ÂZy_b with
-        // y_b = E⁻¹Zᵀv_b, then the polynomial on the deflated vectors,
-        // then z_b += Zy_b.
-        const auto nc = static_cast<std::size_t>(defl->ncoarse());
-        {
-          OBS_SPAN(tr, "coarse_correct", obs::Cat::Precond,
-                   static_cast<std::uint32_t>(live.size()));
-          cbuf.assign(live.size() * nc, 0.0);
-          const std::span<real_t> call(cbuf);
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            defl->restrict_global(*pv[i], call.subspan(i * nc, nc));
-            r.counters().flops += 2 * nl;
-          }
-          comm.allreduce_sum(call);
-          ex.clear();
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            const std::size_t b = live[i];
-            const auto c = call.subspan(i * nc, nc);
-            coarse->solve(c);
-            r.counters().coarse_solves += 1;
-            r.counters().flops += coarse->solve_flops();
-            defl->prolong_global(c, zy[b]);
-            r.counters().flops += nl;
-            r.spmv(a, zy[b], vdef[b]);
-            ex.push_back(&vdef[b]);
-          }
-          r.exchange_many(ex);  // one fused exchange globalizes every ÂZy
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            const std::size_t b = live[i];
-            const Vector& vin = *pv[i];
-            for (std::size_t l = 0; l < nl; ++l)
-              vdef[b][l] = vin[l] - vdef[b][l];
-            r.counters().flops += nl;
-            r.counters().vector_updates += 1;
-          }
-          pv.clear();
-          for (const std::size_t b : live) pv.push_back(&vdef[b]);
-        }
-        {
-          OBS_SPAN(tr, "poly_apply", obs::Cat::Precond);
-          poly.apply(r, a, pv, pz);
-        }
-        for (std::size_t i = 0; i < live.size(); ++i) {
-          const std::size_t b = live[i];
-          Vector& zout = *pz[i];
-          for (std::size_t l = 0; l < nl; ++l) zout[l] += zy[b][l];
-          r.counters().flops += nl;
-          r.counters().vector_updates += 1;
-        }
-      } else {
-        OBS_SPAN(tr, "poly_apply", obs::Cat::Precond);
-        poly.apply(r, a, pv, pz);
-      }
+      if (defl)
+        defl->apply(r, a, poly, pv, pz, basic);
+      else
+        poly.apply(r, a, pv, pz, basic);
 
-      // w_b = A z_b, globalized by the cycle's ONE extra fused exchange.
-      ex.clear();
+      // w_b = Â z_b, globalized by the iteration's extra fused exchange
+      // (Basic: two — its mat-vec input needs one first).
+      mx.clear();
+      my.clear();
       for (const std::size_t b : live) {
-        r.spmv(a, z[b][jj], w_loc[b]);
-        la::copy(w_loc[b], w_glob[b]);
-        ex.push_back(&w_glob[b]);
+        mx.push_back(&z[b][jj]);
+        my.push_back(&w_loc[b]);
       }
-      r.exchange_many(ex);
+      matvec();
+      globalize_w();
 
-      // Gram-Schmidt: the whole batch's j+1 coefficients fold into one
-      // allreduce (the batched_reductions idea, across RHS as well).
+      // Gram–Schmidt, h_k = ⊕Σ ⟨ŵ, v̂_k⟩ in the cross-format inner
+      // product (Eqs. 33/34).  Basic keeps w in local format and
+      // refreshes its global copy before a re-orthogonalization pass;
+      // Enhanced updates the global copy and re-orthogonalizes with the
+      // 1/mult-weighted dot, needing no exchange.
       {
         OBS_SPAN(tr, "gram_schmidt", obs::Cat::Ortho);
         for (int pass = 0; pass < gs_passes; ++pass) {
+          if (basic && pass > 0) globalize_w();
           red.resize(live.size() * (jj + 1));
           for (std::size_t i = 0; i < live.size(); ++i) {
             const std::size_t b = live[i];
             for (std::size_t k = 0; k <= jj; ++k)
               red[i * (jj + 1) + k] =
-                  pass == 0 ? r.dot_lg_partial(w_loc[b], v[b][k])
-                            : r.dot_gg_partial(w_glob[b], v[b][k]);
+                  basic      ? r.dot_lg_partial(v[b][k], w_glob[b])
+                  : pass == 0 ? r.dot_lg_partial(w_loc[b], v[b][k])
+                              : r.dot_gg_partial(w_glob[b], v[b][k]);
           }
-          comm.allreduce_sum(red);
+          reduce();
           for (std::size_t i = 0; i < live.size(); ++i) {
             const std::size_t b = live[i];
             Vector& coeff = pass == 0 ? h[b] : h2[b];
+            Vector& w = basic ? w_loc[b] : w_glob[b];
             for (std::size_t k = 0; k <= jj; ++k) {
               coeff[k] = red[i * (jj + 1) + k];
-              la::axpy(-coeff[k], v[b][k], w_glob[b]);
+              la::axpy(-coeff[k], v[b][k], w);
             }
             r.counters().flops += 2 * nl * (jj + 1);
             r.counters().vector_updates += jj + 1;
@@ -668,10 +542,15 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
         }
       }
 
-      // ||w_b|| for the whole batch: one more allreduce.
+      // ‖w_b‖ for the whole batch: one more allreduce (Basic first
+      // globalizes the orthogonalized w — its last exchange).
+      if (basic) globalize_w();
       red.resize(live.size());
-      for (std::size_t i = 0; i < live.size(); ++i)
-        red[i] = r.dot_gg_partial(w_glob[live[i]], w_glob[live[i]]);
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const std::size_t b = live[i];
+        red[i] = basic ? r.dot_lg_partial(w_loc[b], w_glob[b])
+                       : r.dot_gg_partial(w_glob[b], w_glob[b]);
+      }
       comm.allreduce_sum(red);
 
       for (std::size_t i = 0; i < live.size(); ++i) {
@@ -683,7 +562,12 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
             beta0[b];
         ++iters[b];
         if (s == leader) {
-          out.items[b].history.push_back(relres[b]);
+          // Written incrementally, so a comm failure mid-solve still
+          // leaves a truthful partial report behind.
+          SolveReport& item = out.items[b];
+          item.history.push_back(relres[b]);
+          item.iterations = iters[b];
+          item.final_relres = relres[b];
           if (tr != nullptr)
             tr->counter("relres", obs::Cat::Solve, relres[b],
                         static_cast<std::uint32_t>(b));
@@ -700,8 +584,8 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
           frozen[b] = 1;  // converged: no next basis vector needed
           continue;
         }
-        for (std::size_t l = 0; l < nl; ++l)
-          v[b][jj + 1][l] = w_glob[b][l] / hnext;
+        const Vector& w = basic ? w_loc[b] : w_glob[b];
+        for (std::size_t l = 0; l < nl; ++l) v[b][jj + 1][l] = w[l] / hnext;
         r.counters().flops += nl;
         r.counters().vector_updates += 1;
       }
@@ -716,7 +600,7 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
                    z[b][static_cast<std::size_t>(k)], x[b]);
         r.counters().flops += 2 * nl * static_cast<std::size_t>(jcols[b]);
         r.counters().vector_updates += static_cast<std::uint64_t>(jcols[b]);
-        if (harvest) {
+        if (kmax > 0) {
           // Deposit this cycle's physical update Δu = D̂·Z_b y_b into the
           // harvest ring.  The slot index derives from the deterministic
           // cycle count, so every rank writes its own piece of the SAME
@@ -733,10 +617,10 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
       }
       if (brk[b]) {
         // Terminal, but NOT convergence: the final true residual below
-        // is the only arbiter of that (mirrors solve_edd).
+        // is the only arbiter of that.
         done[b] = 1;
         if (s == leader) out.items[b].breakdown = true;
-      } else if (relres[b] <= opts.tol) {
+      } else if (relres[b] <= opts.tol || iters[b] >= opts.max_iters) {
         done[b] = 1;
       }
     }
@@ -744,9 +628,15 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
 
   // ---- Final true residuals (one fused exchange + one reduction) and
   // solutions in physical variables u = D x.
+  mx.clear();
+  my.clear();
+  for (std::size_t b = 0; b < nb; ++b) {
+    mx.push_back(&x[b]);
+    my.push_back(&r_loc[b]);
+  }
+  matvec();
   ex.clear();
   for (std::size_t b = 0; b < nb; ++b) {
-    r.spmv(a, x[b], r_loc[b]);
     for (std::size_t l = 0; l < nl; ++l) r_loc[b][l] = b_loc[b][l] - r_loc[b][l];
     la::copy(r_loc[b], r_glob[b]);
     ex.push_back(&r_glob[b]);
@@ -756,6 +646,11 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
   for (std::size_t b = 0; b < nb; ++b)
     red[b] = r.dot_lg_partial(r_loc[b], r_glob[b]);
   comm.allreduce_sum(red);
+  if (basic) {  // x to global format for u = D x
+    ex.clear();
+    for (std::size_t b = 0; b < nb; ++b) ex.push_back(&x[b]);
+    r.exchange_many(ex);
+  }
 
   for (std::size_t b = 0; b < nb; ++b) {
     Vector u(nl);
@@ -764,41 +659,84 @@ void batch_rank_solve(const EddPartition& part, const EddOperatorState& op,
   }
   if (s == leader) {
     for (std::size_t b = 0; b < nb; ++b) {
-      BatchItemResult& item = out.items[b];
+      SolveReport& item = out.items[b];
       const real_t final_res = sqrt_nonneg(red[b]);
       item.final_relres = beta0[b] > 0.0 ? final_res / beta0[b] : 0.0;
       // Convergence is claimed on the final TRUE relative residual alone
       // (a trivial RHS reports 0, which always meets a positive tol).
       item.converged = item.final_relres <= opts.tol;
       item.iterations = iters[b];
-      if (harvest) out.dir_count[b] = harvested[b];
+      if (kmax > 0) out.dir_count[b] = harvested[b];
     }
   }
 }
 
-}  // namespace
+DistSolve run_one_shot(
+    const EddPartition& part, const PolySpec& spec,
+    const std::vector<CsrMatrix>* local_matrices, const SolveOptions& opts,
+    const char* root,
+    const std::function<void(par::Comm&, const RankSetup&, SolveOut&)>&
+        solve) {
+  validate_setup(part, spec, local_matrices, opts.kernels, opts.deflation);
+  const int p = part.nparts();
+  SolveOut out(part, 1, opts);
+  out.setup.resize(static_cast<std::size_t>(p));
+  std::shared_ptr<obs::Trace> trace;
+  if (opts.observe.trace)
+    trace = std::make_shared<obs::Trace>(p, opts.observe.ring_capacity);
+
+  WallTimer timer;
+  std::vector<par::PerfCounters> counters;
+  std::string comm_error;
+  try {
+    counters = par::run_spmd(
+        p,
+        [&](par::Comm& comm) {
+          const auto s = static_cast<std::size_t>(comm.rank());
+          OBS_SPAN(comm.tracer(), root, obs::Cat::Solve);
+          const WallTimer setup_timer;
+          const RankSetup op = setup_rank(comm, part, spec, local_matrices,
+                                          opts.kernels, opts.deflation);
+          out.setup[s] = comm.counters();
+          out.setup[s].total_seconds = setup_timer.seconds();
+          solve(comm, op, out);
+        },
+        trace.get(), opts.observe.fault_injector,
+        opts.observe.comm_timeout_seconds);
+  } catch (const par::CommError& e) {
+    // Typed communication failure (timeout / injected crash): every rank
+    // has unwound and joined, so the partial report the leader wrote is
+    // safe to return.  Any other exception still propagates — a rank's
+    // own error is not a comm fault.
+    comm_error = e.what();
+  }
+
+  DistSolve result;
+  static_cast<SolveReport&>(result) = std::move(out.items.front());
+  result.wall_seconds = timer.seconds();
+  result.trace = std::move(trace);
+  if (!comm_error.empty()) {
+    result.converged = false;
+    result.comm_error = std::move(comm_error);
+    return result;  // no solution: never hand out corrupt results
+  }
+  result.x = out.solution(part, 0);
+  result.recycled = out.recycled(part, 0);
+  result.rank_counters = std::move(counters);
+  result.setup_counters = std::move(out.setup);
+  return result;
+}
+
+}  // namespace detail
 
 EddOperatorState build_edd_operator(
     par::Team& team, const partition::EddPartition& part, const PolySpec& spec,
     const std::vector<sparse::CsrMatrix>* local_matrices, obs::Trace* trace,
     const KernelOptions& kernels, const DeflationOptions& deflation) {
-  validate_poly_spec(spec);
-  // Fail a mismatched coarse-space configuration HERE, on the calling
-  // thread, as a typed BadOperatorError — not as a per-rank surprise
-  // halfway through the team's build.
-  validate_deflation(deflation, part.n_global);
+  detail::validate_setup(part, spec, local_matrices, kernels, deflation);
   PFEM_CHECK_MSG(team.size() == part.nparts(),
                  "build_edd_operator: team size " << team.size()
                  << " != partition parts " << part.nparts());
-  if (local_matrices != nullptr)
-    PFEM_CHECK(local_matrices->size() == part.subs.size());
-  // Matrix override + matrix-free kernel: the element store would be
-  // stale — same guard as solve_edd.
-  PFEM_CHECK_MSG(!(kernels.format == KernelOptions::Format::Ebe &&
-                   local_matrices != nullptr),
-                 "Format::Ebe cannot be combined with a local-matrix "
-                 "override: the partition's element store holds the "
-                 "originally assembled operator, not the override");
   const auto p = static_cast<std::size_t>(part.nparts());
 
   WallTimer timer;
@@ -809,77 +747,30 @@ EddOperatorState build_edd_operator(
   op.a.resize(p);
   op.d.resize(p);
   op.kern.resize(p);
-  la::DenseMatrix e_shared;  // allreduced E, identical bits on every rank
   op.setup_counters = team.run(
       [&](par::Comm& comm) {
         const auto s = static_cast<std::size_t>(comm.rank());
-        const EddSubdomain& sub = part.subs[s];
-        EddRank r(sub, comm);
-        OBS_SPAN(comm.tracer(), "build_operator", obs::Cat::Setup);
-        const std::size_t nl = r.nl();
-        CsrMatrix a = local_matrices ? (*local_matrices)[s] : sub.k_loc;
-        Vector d = a.row_norms1();  // partial row norms d_i^(s) (Eq. 43)
-        r.counters().flops += static_cast<std::uint64_t>(a.nnz());
-        r.exchange(d);              // d_i = Σ_s d_i^(s) (Eq. 42)
-        invert_sqrt_row_norms(sub, d);
-        // Kernels are built from the UNSCALED matrix and fold D into
-        // their own stored entries.  op.a keeps the scaled CSR
-        // alongside for callers that inspect it.
-        op.kern[s] = RankKernel(a, Vector(d), sub.interface_local_dofs,
-                                kernels,
-                                local_matrices ? nullptr
-                                               : sub.elem_store.get());
-        a.scale_symmetric(d);  // Â = D̂ K̂ D̂ (Eq. 44)
-        r.counters().flops += 2ull * static_cast<std::uint64_t>(a.nnz());
-        if (deflation.enabled) {
-          // E = ZᵀÂZ from the local-format sum identity: one sweep over
-          // the scaled nnz per rank, ONE allreduce of the dense buffer.
-          OBS_SPAN(comm.tracer(), "build_coarse", obs::Cat::Setup);
-          Vector w(nl);  // Z weights 1/d̂ (see core/deflation.hpp)
-          for (std::size_t l = 0; l < nl; ++l) w[l] = 1.0 / d[l];
-          DeflationRank dr(sub, static_cast<int>(s), part.nparts(),
-                           deflation, w);
-          la::DenseMatrix ep(dr.ncoarse(), dr.ncoarse());
-          dr.accumulate_e_scaled(a, ep);
-          r.counters().flops += static_cast<std::uint64_t>(a.nnz());
-          comm.allreduce_sum(ep.data());
-          // Local-leader guard (not rank 0): on a multi-process team
-          // every process needs its own copy, and the allreduce made
-          // ep bit-identical on every rank.
-          if (static_cast<int>(s) == comm.local_leader())
-            e_shared = std::move(ep);
+        detail::RankSetup rs = detail::setup_rank(
+            comm, part, spec, local_matrices, kernels, deflation, &op.a[s]);
+        op.d[s] = std::move(rs.d);
+        op.kern[s] = std::move(rs.kern);
+        // Every rank built bit-identical polynomial and coarse data; the
+        // local leader's copy is the one every later solve shares (on a
+        // multi-process team each process keeps its own).
+        if (comm.rank() == comm.local_leader()) {
+          op.gls = std::move(rs.gls);
+          op.cheb = std::move(rs.cheb);
+          op.coarse = std::move(rs.coarse);
         }
-        op.a[s] = std::move(a);
-        op.d[s] = std::move(d);
       },
       trace);
-  if (deflation.enabled) {
-    // One shared read-only factorization serves every rank (the
-    // allreduce already replicated E bit-identically); the flops are
-    // charged per rank, matching the redundant factorization a
-    // distributed-memory run performs in place of a broadcast.
-    op.coarse = std::make_shared<const CoarseOperator>(std::move(e_shared));
-    const auto nc = static_cast<std::uint64_t>(op.coarse->n());
-    for (auto& c : op.setup_counters) c.flops += 2 * nc * nc * nc / 3;
-  }
-
-  // The polynomial recursion data depends only on the spec (the paper
-  // builds it redundantly per rank with zero communication); one shared
-  // read-only build serves every rank of every later batch solve.
-  if (spec.kind == PolyKind::Gls) {
-    op.gls = std::make_shared<const GlsPolynomial>(spec.theta, spec.degree);
-    const std::uint64_t build = DistPoly::gls_build_flops(*op.gls);
-    for (auto& c : op.setup_counters) c.flops += build;
-  } else if (spec.kind == PolyKind::Chebyshev) {
-    op.cheb = std::make_shared<const ChebyshevPolynomial>(spec.theta.front(),
-                                                          spec.degree);
-  }
   op.setup_seconds = timer.seconds();
   for (auto& c : op.setup_counters) c.total_seconds = op.setup_seconds;
   return op;
 }
 
-BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
+BatchSolveResult solve_edd_batch(par::Team& team,
+                                 const partition::EddPartition& part,
                                  const EddOperatorState& op,
                                  std::span<const Vector> rhs,
                                  const SolveOptions& opts, obs::Trace* trace) {
@@ -890,11 +781,13 @@ BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
   PFEM_CHECK_MSG(team.size() == part.nparts(),
                  "solve_edd_batch: team size " << team.size()
                  << " != partition parts " << part.nparts());
-  PFEM_CHECK(op.a.size() == part.subs.size());
+  PFEM_CHECK_MSG(op.kern.size() == part.subs.size() &&
+                     op.d.size() == part.subs.size(),
+                 "solve_edd_batch: operator state was not built for this "
+                 "partition (use build_edd_operator)");
   validate_poly_spec(op.poly);
   for (const Vector& f : rhs)
     PFEM_CHECK(f.size() == static_cast<std::size_t>(part.n_global));
-  const auto p = static_cast<std::size_t>(part.nparts());
   const std::size_t nb = rhs.size();
   if (opts.recycle.enabled && opts.recycle.in != nullptr) {
     // Session inputs are physical global vectors, same shape as the
@@ -912,25 +805,14 @@ BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
                 << b);
     }
   }
-  const auto kmax = static_cast<std::size_t>(
-      std::max<index_t>(opts.recycle.max_directions, 0));
-  const bool harvest =
-      opts.recycle.enabled && opts.recycle.harvest && kmax > 0;
 
-  BatchShared out;
-  out.sol.assign(nb, std::vector<Vector>(p));
-  out.items.assign(nb, BatchItemResult{});
-  if (harvest) {
-    out.dirs.assign(
-        nb, std::vector<std::vector<Vector>>(kmax, std::vector<Vector>(p)));
-    out.dir_count.assign(nb, 0);
-  }
+  detail::SolveOut out(part, nb, opts);
 
   // An external trace (the service's) wins; otherwise honor the per-call
   // observe knob with a trace owned by this result.
   std::shared_ptr<obs::Trace> own_trace;
   if (trace == nullptr && opts.observe.trace) {
-    own_trace = std::make_shared<obs::Trace>(static_cast<int>(p),
+    own_trace = std::make_shared<obs::Trace>(part.nparts(),
                                              opts.observe.ring_capacity);
     trace = own_trace.get();
   }
@@ -941,13 +823,23 @@ BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
   try {
     counters = team.run(
         [&](par::Comm& comm) {
-          batch_rank_solve(part, op, rhs, opts, comm, out);
+          const auto s = static_cast<std::size_t>(comm.rank());
+          OBS_SPAN(comm.tracer(), "solve_batch", obs::Cat::Solve,
+                   static_cast<std::uint32_t>(nb));
+          const detail::RankOp rop{op.d[s],          op.kern[s],
+                                   op.poly,          op.gls.get(),
+                                   op.cheb.get(),    op.deflation,
+                                   op.coarse.get()};
+          // The service path: Enhanced, every Gram–Schmidt pass folded
+          // into one allreduce across the whole batch.
+          detail::fgmres_rank(comm, part, rop, rhs, opts, {}, out);
         },
         trace);
   } catch (const par::CommError& e) {
     // Typed communication failure: all ranks have joined, so the partial
-    // per-RHS histories rank 0 wrote incrementally are intact.  Return a
-    // typed failed report; Cancelled and rank errors still propagate.
+    // per-RHS histories the leader wrote incrementally are intact.
+    // Return a typed failed report; Cancelled and rank errors still
+    // propagate.
     comm_error = e.what();
   }
 
@@ -963,38 +855,15 @@ BatchSolveResult solve_edd_batch(par::Team& team, const EddPartition& part,
     result.comm_error = std::move(comm_error);
     return result;  // x stays empty: no corrupt solutions
   }
-  // On a multi-process team only locally hosted subdomains deposited
-  // their solution pieces; zero-fill the remote slots so the gather
-  // assembles the dofs this process's ranks own (each process holds its
-  // piece of the solution, as a distributed-memory run would — the
-  // per-RHS convergence reports above are complete everywhere).
-  for (std::size_t b = 0; b < nb; ++b)
-    for (std::size_t q = 0; q < p; ++q) {
-      Vector& slot = out.sol[b][q];
-      const std::size_t want = part.subs[q].local_to_global.size();
-      if (slot.size() != want) slot.assign(want, 0.0);
-    }
+  // Each process holds its piece of every solution, as a
+  // distributed-memory run would — the per-RHS reports are complete
+  // everywhere.
   result.x.reserve(nb);
-  for (std::size_t b = 0; b < nb; ++b)
-    result.x.push_back(partition::edd_gather_global(part, out.sol[b]));
-  if (harvest) {
-    // Assemble the harvested ring slots oldest → newest; remote ranks'
-    // pieces zero-fill exactly like the solution gather above.
+  for (std::size_t b = 0; b < nb; ++b) result.x.push_back(out.solution(part, b));
+  if (out.kmax > 0) {
     result.recycled.resize(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      const std::size_t cnt = out.dir_count[b];
-      const std::size_t h = std::min(cnt, kmax);
-      for (std::size_t i = 0; i < h; ++i) {
-        std::vector<Vector>& pieces = out.dirs[b][(cnt - h + i) % kmax];
-        for (std::size_t q = 0; q < p; ++q) {
-          Vector& piece = pieces[q];
-          const std::size_t want = part.subs[q].local_to_global.size();
-          if (piece.size() != want) piece.assign(want, 0.0);
-        }
-        result.recycled[b].push_back(
-            partition::edd_gather_global(part, pieces));
-      }
-    }
+    for (std::size_t b = 0; b < nb; ++b)
+      result.recycled[b] = out.recycled(part, b);
   }
   result.rank_counters = std::move(counters);
   return result;

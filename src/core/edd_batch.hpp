@@ -11,14 +11,16 @@
 //   EddOperatorState op = build_edd_operator(team, part, spec);  // once
 //   BatchSolveResult r = solve_edd_batch(team, part, op, rhs_batch);
 //
-// The batch solve runs a loop-fused enhanced EDD-FGMRES (Algorithm 6)
-// over all right-hand sides at once: each Arnoldi step still performs m
-// polynomial-recursion exchanges plus 1 basis exchange *in total* — each
-// fused message carries every RHS's shared-dof section — and the
-// Gram-Schmidt coefficients and norms of the whole batch fold into one
-// allreduce each.  Against B independent solves this divides the
-// per-step message and reduction count (the alpha term of the cost
-// model) by B, while the mat-vec flops stay the same.
+// Both halves are the ones solve_edd runs: the same per-rank setup, and
+// the same EDD-FGMRES driver, here loop-fused over all right-hand sides
+// in the Enhanced discipline (Algorithm 6): each Arnoldi step still
+// performs m polynomial-recursion exchanges plus 1 basis exchange *in
+// total* — each fused message carries every RHS's shared-dof section —
+// and the Gram-Schmidt coefficients and norms of the whole batch fold
+// into one allreduce each.  Against B independent solves this divides
+// the per-step message and reduction count (the alpha term of the cost
+// model) by B, while the mat-vec flops stay the same, and each RHS's
+// arithmetic is bit-identical to its own solve_edd.
 #pragma once
 
 #include <memory>
@@ -36,14 +38,18 @@ namespace pfem::core {
 
 /// Prebuilt per-operator state: everything solve_edd recomputes per call
 /// that only depends on (matrix, PolySpec).  Build once, solve many.
+/// build_edd_operator is its only producer: it runs the same per-rank
+/// setup a one-shot solve_edd runs, and keeps the result.
 struct EddOperatorState {
   PolySpec poly;                   ///< the spec the preconditioner was built for
-  std::vector<sparse::CsrMatrix> a;  ///< per-rank Â = D̂ K̂ D̂ (Eq. 44)
+  /// Per-rank scaled CSR Â = D̂ K̂ D̂ (Eq. 44), kept for callers that
+  /// inspect the operator; the solvers apply `kern`.
+  std::vector<sparse::CsrMatrix> a;
   std::vector<Vector> d;             ///< per-rank scaling 1/sqrt(d_i) (Eq. 43)
   KernelOptions kernels;             ///< format/overlap the kernels were built for
-  /// Per-rank apply kernels (SELL-C-σ blocks or scalar CSR, interior/
-  /// interface split per `kernels`).  A state without them (hand-built)
-  /// falls back to a scalar-CSR view of `a` at solve time.
+  /// Per-rank apply kernels (SELL-C-σ blocks, scalar CSR or matrix-free
+  /// EBE, interior/interface split per `kernels`).  solve_edd_batch
+  /// rejects a state without them.
   std::vector<RankKernel> kern;
   /// Prebuilt polynomial recursion data (shared read-only by all ranks;
   /// null for kinds that need none).

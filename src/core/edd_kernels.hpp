@@ -1,22 +1,26 @@
-// Internal rank-local kernels shared by the EDD solvers (FGMRES and CG):
-// the nearest-neighbor exchange (monolithic and split into start/finish
-// halves for compute overlap), distributed inner products in the two
-// vector formats, and the distributed polynomial application
-// (Algorithm 7 generalized to Neumann and GLS, in both the local- and
-// global-format disciplines).  Not part of the public API.
+// Internal rank-level building blocks of the EDD solvers (FGMRES and
+// PCG): the nearest-neighbor exchange (monolithic, fused over lanes, and
+// split into start/finish halves for compute overlap), distributed inner
+// products in the two vector formats, the multi-lane polynomial applier
+// (Algorithm 7 generalized to Neumann, GLS and Chebyshev, in both
+// formats), the A-DEF1 deflation wrapper around it, and the one EDD
+// setup, EDD-FGMRES driver and one-shot runner every entry point shares.
+// Not part of the public API.
 #pragma once
 
 #include <cmath>
-#include <optional>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/chebyshev.hpp"
+#include "core/deflation.hpp"
 #include "core/edd_solver.hpp"
 #include "core/gls_poly.hpp"
 #include "core/kernels.hpp"
-#include "core/neumann.hpp"
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
 #include "partition/edd.hpp"
@@ -29,20 +33,6 @@ using partition::EddSubdomain;
 using sparse::CsrMatrix;
 
 inline constexpr int kExchangeTag = 0;
-
-/// d_i <- 1/√d_i over the globally summed row norms (Eq. 44).  The
-/// exchange made d consistent, so a zero sum is a degenerate ROW OF THE
-/// ASSEMBLED OPERATOR, not a partition artifact — typed so the service
-/// answers Failed{BadOperator} (request-scoped, never cached).
-inline void invert_sqrt_row_norms(const EddSubdomain& sub, Vector& d) {
-  for (std::size_t l = 0; l < d.size(); ++l) {
-    if (!(d[l] > 0.0))
-      throw BadOperatorError(
-          "norm-1 scaling: zero/degenerate row at global dof " +
-          std::to_string(sub.local_to_global[l]));
-    d[l] = 1.0 / std::sqrt(d[l]);
-  }
-}
 
 /// sqrt clamped at zero: distributed ⟨x_loc, x_glob⟩ equals ‖x‖² only in
 /// exact arithmetic — near convergence the cross-format partial sums can
@@ -190,20 +180,9 @@ class EddRank {
     return la::dot(x_loc, y_glob);
   }
 
-  /// ‖x‖² for a global-distributed x via the partition-of-unity weights
-  /// 1/mult (each global dof counted exactly once across ranks).
-  [[nodiscard]] real_t norm2_sq_global(std::span<const real_t> x_glob) {
-    return comm_.allreduce_sum(dot_gg_partial(x_glob, x_glob));
-  }
-
-  /// ⟨x, y⟩ with both operands in global-distributed format (weighted by
-  /// 1/mult), allreduced.
-  [[nodiscard]] real_t dot_gg(std::span<const real_t> x_glob,
-                              std::span<const real_t> y_glob) {
-    return comm_.allreduce_sum(dot_gg_partial(x_glob, y_glob));
-  }
-
-  /// Local partial of the weighted global-format inner product.
+  /// Local partial of ⟨x, y⟩ with both operands in global-distributed
+  /// format, weighted by 1/mult so each global dof counts exactly once
+  /// across ranks (‖x‖² for x = y).
   [[nodiscard]] real_t dot_gg_partial(std::span<const real_t> x_glob,
                                       std::span<const real_t> y_glob) {
     counters().inner_products += 1;
@@ -215,16 +194,8 @@ class EddRank {
     return s;
   }
 
-  /// Local SpMV ŷ_loc = Â x̂_glob (Eq. 37) with counting.
-  void spmv(const CsrMatrix& a, std::span<const real_t> x_glob,
-            std::span<real_t> y_loc) {
-    OBS_SPAN(comm_.tracer(), "spmv", obs::Cat::Matvec);
-    a.spmv(x_glob, y_loc);
-    counters().matvecs += 1;
-    counters().flops += a.spmv_flops();
-  }
-
-  /// Same through the kernel layer (format chosen by KernelOptions).
+  /// Local SpMV ŷ_loc = Â x̂_glob (Eq. 37) through the kernel layer
+  /// (format chosen by KernelOptions), with counting.
   void spmv(const RankKernel& a, std::span<const real_t> x_glob,
             std::span<real_t> y_loc) {
     OBS_SPAN(comm_.tracer(), "spmv", obs::Cat::Matvec);
@@ -362,279 +333,238 @@ class EddRank {
   Vector fused_buf_;  ///< interface stash of exchange_many (nb x ni)
 };
 
-/// One Enhanced-discipline recursion step: ŷ = Â x̂ immediately
-/// globalized by one exchange.  With a split kernel the exchange
-/// overlaps the interior block: the interface-coupled rows are computed
-/// first, the sends go out while the interior rows (disjoint from every
-/// stashed interface dof) fill in, and the folds land last.  Exactly one
-/// matvec and one exchange either way — the overlapped "exchange" span
-/// nests inside the "spmv" span instead of following it, but per-event
-/// counts (what pfem_trace cross-checks against Table 1) are unchanged.
+/// One Enhanced-discipline recursion step for every lane: ŷ_i = Â x̂_i,
+/// then ONE fused exchange globalizes all outputs.  With a split kernel
+/// the coupled rows of every lane are computed first, the sends go out,
+/// the interior rows fill in while messages fly (they write no stashed
+/// interface dof), and the folds land last — still exactly one logical
+/// exchange and one matvec per lane.  The matrix-free kernel runs its
+/// element sweeps lane-fused (each dense element matrix loaded once per
+/// batch) with the same per-lane arithmetic as a single apply.
 inline void spmv_exchange(EddRank& r, const RankKernel& a,
-                          std::span<const real_t> x_glob,
-                          std::span<real_t> y) {
-  if (a.split()) {
-    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec);
-    // Additive halves (Ebe) scatter-add into shared rows — start clean.
-    if (a.additive()) la::fill(y, 0.0);
-    a.apply_coupled(x_glob, y);
-    r.exchange_start(y);
-    a.apply_interior(x_glob, y);
-    r.counters().matvecs += 1;
-    r.counters().flops += a.apply_flops();
-    r.exchange_finish(y);
-  } else {
-    r.spmv(a, x_glob, y);
-    r.exchange(y);
+                          std::span<Vector* const> xs,
+                          std::span<Vector* const> ys) {
+  const std::size_t nb = xs.size();
+  const std::span<const Vector* const> cxs(
+      const_cast<const Vector* const*>(xs.data()), nb);
+  {
+    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+             static_cast<std::uint32_t>(nb));
+    if (a.split()) {
+      // Additive halves scatter-add into shared rows — start clean.
+      if (a.additive())
+        for (Vector* y : ys) la::fill(*y, 0.0);
+      a.apply_coupled_many(cxs, ys);
+      r.exchange_many_start(ys);
+      a.apply_interior_many(cxs, ys);
+    } else {
+      a.apply_many(cxs, ys);
+    }
+    r.counters().matvecs += nb;
+    r.counters().flops += nb * a.apply_flops();
   }
+  if (a.split())
+    r.exchange_many_finish(ys);
+  else
+    r.exchange_many(ys);
 }
 
-/// One Basic-discipline recursion step: globalize ŵ in place (the caller
-/// passes a copy it can spare), then ŷ_loc = Â ŵ_glob.  With a split
-/// kernel the sends go out first; the interior rows — which read no
-/// interface column, so the mid-flight zeroed entries of ŵ are invisible
-/// to them — compute while messages fly; the folds land; the coupled
-/// rows finish against the fully globalized ŵ.
+/// One Basic-discipline recursion step for every lane: globalize ŵ_i in
+/// place with ONE fused exchange (the caller passes copies it can
+/// spare), then ŷ_i = Â ŵ_i in local format.  With a split kernel the
+/// sends go out first; the interior rows — which read no interface
+/// column, so the mid-flight zeroed entries of ŵ are invisible to them —
+/// compute while messages fly; the folds land; the coupled rows finish
+/// against the fully globalized ŵ.
 inline void exchange_spmv(EddRank& r, const RankKernel& a,
-                          std::span<real_t> w_glob,
-                          std::span<real_t> y_loc) {
+                          std::span<Vector* const> ws,
+                          std::span<Vector* const> ys) {
+  const std::size_t nb = ws.size();
+  const std::span<const Vector* const> cws(
+      const_cast<const Vector* const*>(ws.data()), nb);
+  if (a.split())
+    r.exchange_many_start(ws);
+  else
+    r.exchange_many(ws);
+  OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
+           static_cast<std::uint32_t>(nb));
   if (a.split()) {
-    r.exchange_start(w_glob);
-    OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec);
-    // Additive halves (Ebe) scatter-add into shared rows — start clean.
-    if (a.additive()) la::fill(y_loc, 0.0);
-    a.apply_interior(w_glob, y_loc);
-    r.exchange_finish(w_glob);
-    a.apply_coupled(w_glob, y_loc);
-    r.counters().matvecs += 1;
-    r.counters().flops += a.apply_flops();
+    if (a.additive())
+      for (Vector* y : ys) la::fill(*y, 0.0);
+    a.apply_interior_many(cws, ys);
+    r.exchange_many_finish(ws);
+    a.apply_coupled_many(cws, ys);
   } else {
-    r.exchange(w_glob);
-    r.spmv(a, w_glob, y_loc);
+    a.apply_many(cws, ys);
   }
+  r.counters().matvecs += nb;
+  r.counters().flops += nb * a.apply_flops();
 }
 
-/// Distributed polynomial preconditioner: the Algorithm-7 pattern for
-/// both Neumann and GLS, in both vector-format disciplines.
-class DistPoly {
+/// Flop estimate of a GLS build: the Stieltjes three-term recursion and
+/// the mu fit each sweep every quadrature node per basis degree (~10
+/// flops per node-degree pair, counting the alpha/beta inner products).
+[[nodiscard]] inline std::uint64_t gls_build_flops(const GlsPolynomial& g) {
+  return 10ull * static_cast<std::uint64_t>(g.degree() + 1) *
+         static_cast<std::uint64_t>(g.basis().num_nodes());
+}
+
+/// The distributed polynomial preconditioner z = P_m(Â) v (Algorithm 7,
+/// generalized to Neumann, GLS and Chebyshev), for any number of lanes:
+/// the recursions advance in lockstep, so each of the m steps does one
+/// SpMV per lane but ONE fused neighbor exchange in total.  Two vector
+/// formats, one recursion:
+///   global (Algorithm 6 line 10, and EDD-PCG) — v, z and the state are
+///     globally consistent; each step's SpMV output is globalized;
+///   local  (Algorithm 5 line 12) — v, z and the state are in local
+///     distributed format; each step globalizes a copy of the state
+///     before its SpMV, so the result needs no final exchange.
+/// Either way exactly `degree` exchanges per application.
+class PolyApplier {
  public:
-  /// @param counters when non-null, construction work (the GLS Stieltjes
-  ///        basis build) is charged here so setup accounting covers the
-  ///        preconditioner, not just the scaling.
-  DistPoly(const PolySpec& spec, std::size_t nl,
-           par::PerfCounters* counters = nullptr)
-      : spec_(spec) {
-    if (spec.kind == PolyKind::Gls) {
-      gls_.emplace(spec.theta, spec.degree);
-      if (counters != nullptr) counters->flops += gls_build_flops(*gls_);
-    } else if (spec.kind == PolyKind::Chebyshev) {
-      PFEM_CHECK_MSG(!spec.theta.empty(),
-                     "Chebyshev preconditioner needs an interval");
-      cheb_.emplace(spec.theta.front(), spec.degree);
-    }
-    scratch_a_.resize(nl);
-    scratch_b_.resize(nl);
-    scratch_c_.resize(nl);
-    scratch_d_.resize(nl);
+  PolyApplier(const PolySpec& spec, const GlsPolynomial* gls,
+              const ChebyshevPolynomial* cheb, std::size_t nl,
+              std::size_t width)
+      : spec_(spec), gls_(gls), cheb_(cheb), nl_(nl) {
+    PFEM_CHECK(spec.kind != PolyKind::Gls || gls != nullptr);
+    PFEM_CHECK(spec.kind != PolyKind::Chebyshev || cheb != nullptr);
+    if (spec.kind == PolyKind::None) return;
+    wa_.assign(width, Vector(nl));
+    wb_.assign(width, Vector(nl));
+    if (spec.kind != PolyKind::Neumann) wc_.assign(width, Vector(nl));
+    ins_.reserve(width);
+    outs_.reserve(width);
   }
 
-  /// Flop estimate of a GLS build: the Stieltjes three-term recursion and
-  /// the mu fit each sweep every quadrature node per basis degree (~10
-  /// flops per node-degree pair, counting the alpha/beta inner products).
-  [[nodiscard]] static std::uint64_t gls_build_flops(const GlsPolynomial& g) {
-    return 10ull * static_cast<std::uint64_t>(g.degree() + 1) *
-           static_cast<std::uint64_t>(g.basis().num_nodes());
-  }
-
-  [[nodiscard]] int degree() const noexcept {
-    return spec_.kind == PolyKind::None ? 0 : spec_.degree;
-  }
-
-  /// Enhanced discipline (Algorithm 6 line 10): v and z in *global*
-  /// distributed format; exactly `degree` exchanges.
-  void apply_global(EddRank& r, const RankKernel& a,
-                    std::span<const real_t> v_glob, std::span<real_t> z_glob) {
-    const std::size_t n = r.nl();
+  /// vin[i] -> zout[i]; scratch lane i serves input i.
+  void apply(EddRank& r, const RankKernel& a,
+             std::span<const Vector* const> vin, std::span<Vector* const> zout,
+             bool local) {
+    OBS_SPAN(r.comm().tracer(), "poly_apply", obs::Cat::Precond);
+    const std::size_t nb = vin.size();
+    const std::size_t n = nl_;
+    // out_i = Â in_i for every lane, in this application's format.
+    const auto step = [&](std::vector<Vector>& in, std::vector<Vector>& out) {
+      ins_.clear();
+      outs_.clear();
+      if (local && wd_.size() < nb) wd_.resize(nb, Vector(n));
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (local) la::copy(in[i], wd_[i]);
+        ins_.push_back(local ? &wd_[i] : &in[i]);
+        outs_.push_back(&out[i]);
+      }
+      if (local)
+        exchange_spmv(r, a, ins_, outs_);
+      else
+        spmv_exchange(r, a, ins_, outs_);
+    };
     switch (spec_.kind) {
       case PolyKind::None:
-        la::copy(v_glob, z_glob);
+        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], *zout[i]);
         return;
       case PolyKind::Neumann: {
-        // w_k = v + (I − ωA) w_{k−1}, all in global format.
-        Vector& w = scratch_a_;
-        Vector& aw = scratch_b_;
-        la::copy(v_glob, w);
+        // w_k = v + (I − ωÂ) w_{k−1}; wa = w, wb = Âw.
+        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], wa_[i]);
         for (int k = 0; k < spec_.degree; ++k) {
-          spmv_exchange(r, a, w, aw);
-          for (std::size_t i = 0; i < n; ++i)
-            w[i] = v_glob[i] + w[i] - spec_.omega * aw[i];
-          r.counters().flops += 3 * n;
-          r.counters().vector_updates += 1;
+          step(wa_, wb_);
+          for (std::size_t i = 0; i < nb; ++i) {
+            const Vector& v = *vin[i];
+            Vector& w = wa_[i];
+            const Vector& aw = wb_[i];
+            for (std::size_t l = 0; l < n; ++l)
+              w[l] = v[l] + w[l] - spec_.omega * aw[l];
+            r.counters().flops += 3 * n;
+            r.counters().vector_updates += 1;
+          }
         }
-        for (std::size_t i = 0; i < n; ++i) z_glob[i] = spec_.omega * w[i];
-        r.counters().flops += n;
+        for (std::size_t i = 0; i < nb; ++i) {
+          Vector& z = *zout[i];
+          for (std::size_t l = 0; l < n; ++l) z[l] = spec_.omega * wa_[i][l];
+          r.counters().flops += n;
+        }
         return;
       }
       case PolyKind::Gls: {
+        // Three-term recursion of the orthonormal basis; wa = u_prev,
+        // wb = u, wc = Âu.
         const OrthoBasis& basis = gls_->basis();
         const auto mu = gls_->mu();
-        Vector& u_prev = scratch_a_;
-        Vector& u = scratch_b_;
-        Vector& au = scratch_c_;
-        la::fill(u_prev, 0.0);
         const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < n; ++i) {
-          u[i] = inv0 * v_glob[i];
-          z_glob[i] = mu[0] * u[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int i = 0; i < spec_.degree; ++i) {
-          spmv_exchange(r, a, u, au);
-          const real_t ai = basis.alpha(i);
-          const real_t sb_i = basis.sqrt_beta(i);
-          const real_t sb_n = basis.sqrt_beta(i + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(i) + 1];
-          for (std::size_t k = 0; k < n; ++k) {
-            const real_t t =
-                (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-            u_prev[k] = u[k];
-            u[k] = t;
-            z_glob[k] += mu_next * t;
+        for (std::size_t i = 0; i < nb; ++i) {
+          la::fill(wa_[i], 0.0);
+          Vector& u = wb_[i];
+          Vector& z = *zout[i];
+          const Vector& v = *vin[i];
+          for (std::size_t l = 0; l < n; ++l) {
+            u[l] = inv0 * v[l];
+            z[l] = mu[0] * u[l];
           }
-          r.counters().flops += 7 * n;
-          r.counters().vector_updates += 1;
+          r.counters().flops += 2 * n;
+        }
+        for (int s = 0; s < spec_.degree; ++s) {
+          step(wb_, wc_);
+          const real_t as = basis.alpha(s);
+          const real_t sb_s = basis.sqrt_beta(s);
+          const real_t sb_n = basis.sqrt_beta(s + 1);
+          const real_t mu_next = mu[static_cast<std::size_t>(s) + 1];
+          for (std::size_t i = 0; i < nb; ++i) {
+            Vector& u_prev = wa_[i];
+            Vector& u = wb_[i];
+            const Vector& au = wc_[i];
+            Vector& z = *zout[i];
+            for (std::size_t l = 0; l < n; ++l) {
+              const real_t t =
+                  (au[l] - as * u[l] - (s > 0 ? sb_s * u_prev[l] : 0.0)) /
+                  sb_n;
+              u_prev[l] = u[l];
+              u[l] = t;
+              z[l] += mu_next * t;
+            }
+            r.counters().flops += 7 * n;
+            r.counters().vector_updates += 1;
+          }
         }
         return;
       }
       case PolyKind::Chebyshev: {
-        // Chebyshev semi-iteration, all vectors in global format; each
-        // step's SpMV output is globalized by one exchange.
-        const real_t theta = cheb_theta();
-        const real_t delta = cheb_delta();
+        // Chebyshev semi-iteration; wa = residual, wb = direction d,
+        // wc = Âd.
+        const real_t theta =
+            0.5 * (cheb_->interval().lo + cheb_->interval().hi);
+        const real_t delta =
+            0.5 * (cheb_->interval().hi - cheb_->interval().lo);
         const real_t sigma1 = theta / delta;
-        Vector& res = scratch_a_;
-        Vector& d = scratch_b_;
-        Vector& ad = scratch_c_;
-        la::copy(v_glob, res);
         real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < n; ++i) {
-          d[i] = res[i] / theta;
-          z_glob[i] = d[i];
+        for (std::size_t i = 0; i < nb; ++i) {
+          Vector& res = wa_[i];
+          Vector& d = wb_[i];
+          Vector& z = *zout[i];
+          la::copy(*vin[i], res);
+          for (std::size_t l = 0; l < n; ++l) {
+            d[l] = res[l] / theta;
+            z[l] = d[l];
+          }
+          r.counters().flops += 2 * n;
         }
-        r.counters().flops += 2 * n;
         for (int k = 1; k <= spec_.degree; ++k) {
-          spmv_exchange(r, a, d, ad);
+          step(wb_, wc_);
           const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
           const real_t c1 = rho_next * rho;
           const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < n; ++i) {
-            res[i] -= ad[i];
-            d[i] = c1 * d[i] + c2 * res[i];
-            z_glob[i] += d[i];
+          for (std::size_t i = 0; i < nb; ++i) {
+            Vector& res = wa_[i];
+            Vector& d = wb_[i];
+            const Vector& ad = wc_[i];
+            Vector& z = *zout[i];
+            for (std::size_t l = 0; l < n; ++l) {
+              res[l] -= ad[l];
+              d[l] = c1 * d[l] + c2 * res[l];
+              z[l] += d[l];
+            }
+            r.counters().flops += 6 * n;
+            r.counters().vector_updates += 1;
           }
           rho = rho_next;
-          r.counters().flops += 6 * n;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-    }
-  }
-
-  /// Basic discipline (Algorithm 5 line 12 via Algorithm 7): v and z in
-  /// *local* distributed format; the recursion state is kept in both
-  /// formats so the result needs no final exchange.  Exactly `degree`
-  /// exchanges.
-  void apply_local(EddRank& r, const RankKernel& a,
-                   std::span<const real_t> v_loc, std::span<real_t> z_loc) {
-    const std::size_t n = r.nl();
-    switch (spec_.kind) {
-      case PolyKind::None:
-        la::copy(v_loc, z_loc);
-        return;
-      case PolyKind::Neumann: {
-        // w_loc holds w_k in local format; each step exchanges a copy to
-        // get the global format needed by the SpMV.
-        Vector& w_loc = scratch_a_;
-        Vector& w_glob = scratch_b_;
-        Vector& aw = scratch_c_;
-        la::copy(v_loc, w_loc);
-        for (int k = 0; k < spec_.degree; ++k) {
-          la::copy(w_loc, w_glob);
-          exchange_spmv(r, a, w_glob, aw);
-          for (std::size_t i = 0; i < n; ++i)
-            w_loc[i] = v_loc[i] + w_loc[i] - spec_.omega * aw[i];
-          r.counters().flops += 3 * n;
-          r.counters().vector_updates += 1;
-        }
-        for (std::size_t i = 0; i < n; ++i) z_loc[i] = spec_.omega * w_loc[i];
-        r.counters().flops += n;
-        return;
-      }
-      case PolyKind::Gls: {
-        const OrthoBasis& basis = gls_->basis();
-        const auto mu = gls_->mu();
-        Vector& u_prev = scratch_a_;
-        Vector& u = scratch_b_;
-        Vector& work = scratch_c_;  // globalized copy of u
-        Vector& au = scratch_d_;
-        la::fill(u_prev, 0.0);
-        const real_t inv0 = 1.0 / basis.sqrt_beta(0);
-        for (std::size_t i = 0; i < n; ++i) {
-          u[i] = inv0 * v_loc[i];
-          z_loc[i] = mu[0] * u[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int i = 0; i < spec_.degree; ++i) {
-          la::copy(u, work);
-          exchange_spmv(r, a, work, au);  // au back in local format
-          const real_t ai = basis.alpha(i);
-          const real_t sb_i = basis.sqrt_beta(i);
-          const real_t sb_n = basis.sqrt_beta(i + 1);
-          const real_t mu_next = mu[static_cast<std::size_t>(i) + 1];
-          for (std::size_t k = 0; k < n; ++k) {
-            const real_t t =
-                (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-            u_prev[k] = u[k];
-            u[k] = t;
-            z_loc[k] += mu_next * t;
-          }
-          r.counters().flops += 7 * n;
-          r.counters().vector_updates += 1;
-        }
-        return;
-      }
-      case PolyKind::Chebyshev: {
-        // Chebyshev semi-iteration with res/d/z in local format; each
-        // step exchanges a copy of d to feed the SpMV.
-        const real_t theta = cheb_theta();
-        const real_t delta = cheb_delta();
-        const real_t sigma1 = theta / delta;
-        Vector& res = scratch_a_;
-        Vector& d = scratch_b_;
-        Vector& ad = scratch_c_;
-        Vector& d_glob = scratch_d_;
-        la::copy(v_loc, res);
-        real_t rho = 1.0 / sigma1;
-        for (std::size_t i = 0; i < n; ++i) {
-          d[i] = res[i] / theta;
-          z_loc[i] = d[i];
-        }
-        r.counters().flops += 2 * n;
-        for (int k = 1; k <= spec_.degree; ++k) {
-          la::copy(d, d_glob);
-          exchange_spmv(r, a, d_glob, ad);  // local-format result
-          const real_t rho_next = 1.0 / (2.0 * sigma1 - rho);
-          const real_t c1 = rho_next * rho;
-          const real_t c2 = 2.0 * rho_next / delta;
-          for (std::size_t i = 0; i < n; ++i) {
-            res[i] -= ad[i];
-            d[i] = c1 * d[i] + c2 * res[i];
-            z_loc[i] += d[i];
-          }
-          rho = rho_next;
-          r.counters().flops += 6 * n;
-          r.counters().vector_updates += 1;
         }
         return;
       }
@@ -643,17 +573,202 @@ class DistPoly {
 
  private:
   PolySpec spec_;
-  std::optional<GlsPolynomial> gls_;
-  std::optional<ChebyshevPolynomial> cheb_;
-  Vector scratch_a_, scratch_b_, scratch_c_, scratch_d_;
-
-  [[nodiscard]] real_t cheb_theta() const {
-    return 0.5 * (cheb_->interval().lo + cheb_->interval().hi);
-  }
-  [[nodiscard]] real_t cheb_delta() const {
-    return 0.5 * (cheb_->interval().hi - cheb_->interval().lo);
-  }
+  const GlsPolynomial* gls_;
+  const ChebyshevPolynomial* cheb_;
+  std::size_t nl_;
+  std::vector<Vector> wa_, wb_, wc_;  // per-lane recursion state
+  std::vector<Vector> wd_;  // local format: the copy each step globalizes
+  std::vector<Vector*> ins_, outs_;  // one step's lane views
 };
 
+/// Z's per-dof weights 1/d̂: the scaled operator's near-null basis (see
+/// core/deflation.hpp).
+[[nodiscard]] inline Vector z_weights(std::span<const real_t> d) {
+  Vector w(d.size());
+  for (std::size_t l = 0; l < d.size(); ++l) w[l] = 1.0 / d[l];
+  return w;
+}
+
+/// The two-level A-DEF1 preconditioner (Tang/Nabben/Vuik/Erlangga)
+/// wrapped around a local preconditioner M:
+///
+///   B v = M (v − ÂQv) + Qv,     Q = Z E⁻¹ Zᵀ.
+///
+/// (A-DEF2, the M-first order, only matches it when started from the
+/// special x0 = Qb; from the zero start used here it measurably
+/// degrades.)  Per application, for every lane at once: ONE small
+/// allreduce (the coarse residuals Zᵀv), one extra mat-vec ÂZy per
+/// lane, and — in global format only — ONE fused exchange globalizing
+/// those mat-vecs.  Zy is globally consistent by construction (every
+/// column ingredient is a function of the global dof id), so the local
+/// format's mat-vec input is already global and it needs no exchange.
+class Adef1 {
+ public:
+  /// @param d the rank's scaling 1/√d_i (Z is weighted by z_weights(d)).
+  Adef1(const EddSubdomain& sub, int rank, int nparts,
+        const DeflationOptions& opts, std::span<const real_t> d,
+        const CoarseOperator& coarse, std::size_t width)
+      : defl_(sub, rank, nparts, opts, z_weights(d)),
+        coarse_(coarse),
+        zy_(width, Vector(d.size())),
+        vdef_(width, Vector(d.size())) {
+    pv_.reserve(width);
+  }
+
+  void apply(EddRank& r, const RankKernel& a, PolyApplier& m,
+             std::span<const Vector* const> vin, std::span<Vector* const> zout,
+             bool local) {
+    const std::size_t nb = vin.size();
+    const std::size_t nl = r.nl();
+    const auto nc = static_cast<std::size_t>(defl_.ncoarse());
+    {
+      OBS_SPAN(r.comm().tracer(), "coarse_correct", obs::Cat::Precond,
+               static_cast<std::uint32_t>(nb));
+      cbuf_.assign(nb * nc, 0.0);
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (local)
+          defl_.restrict_local(*vin[i], lane(i, nc));
+        else
+          defl_.restrict_global(*vin[i], lane(i, nc));
+        r.counters().flops += 2 * nl;
+      }
+      r.comm().allreduce_sum(cbuf_);
+      pv_.clear();
+      for (std::size_t i = 0; i < nb; ++i) {
+        coarse_.solve(lane(i, nc));  // y = E⁻¹Zᵀv, identical on every rank
+        r.counters().coarse_solves += 1;
+        r.counters().flops += coarse_.solve_flops();
+        defl_.prolong_global(lane(i, nc), zy_[i]);
+        r.counters().flops += nl;
+        r.spmv(a, zy_[i], vdef_[i]);  // ÂZy in local format
+        pv_.push_back(&vdef_[i]);
+      }
+      if (!local) r.exchange_many(pv_);
+      for (std::size_t i = 0; i < nb; ++i) {
+        const Vector& v = *vin[i];
+        Vector& vd = vdef_[i];
+        for (std::size_t l = 0; l < nl; ++l) vd[l] = v[l] - vd[l];
+        r.counters().flops += nl;
+        r.counters().vector_updates += 1;
+      }
+    }
+    const std::span<const Vector* const> cpv(
+        const_cast<const Vector* const*>(pv_.data()), nb);
+    m.apply(r, a, cpv, zout, local);
+    for (std::size_t i = 0; i < nb; ++i) {
+      // Local format adds Zy split by multiplicity; global adds it as is.
+      if (local) defl_.prolong_local(lane(i, nc), zy_[i]);
+      Vector& z = *zout[i];
+      for (std::size_t l = 0; l < nl; ++l) z[l] += zy_[i][l];
+      r.counters().flops += nl;
+      r.counters().vector_updates += 1;
+    }
+  }
+
+ private:
+  std::span<real_t> lane(std::size_t i, std::size_t nc) {
+    return std::span<real_t>(cbuf_).subspan(i * nc, nc);
+  }
+
+  DeflationRank defl_;
+  const CoarseOperator& coarse_;
+  Vector cbuf_;                     // every lane's coarse residual
+  std::vector<Vector> zy_, vdef_;   // per-lane Zy and v − ÂZy
+  std::vector<Vector*> pv_;         // lane views of vdef_
+};
+
+// ---- The one EDD setup, the one EDD-FGMRES driver, and the one-shot
+// runner: shared by build_edd_operator / solve_edd_batch (a persistent
+// team) and solve_edd / solve_edd_cg (a transient team).
+
+/// One rank's share of a built EDD operator: what the one EDD setup
+/// produces (build_edd_operator keeps it; a one-shot solve hands it to
+/// its solver loop).
+struct RankSetup {
+  Vector d;         ///< scaling 1/√d_i (Eq. 43), globally consistent
+  RankKernel kern;  ///< Â = D̂ K̂ D̂ (Eq. 44), folded at build
+  /// Polynomial recursion data (null for kinds that need none).
+  std::shared_ptr<const GlsPolynomial> gls;
+  std::shared_ptr<const ChebyshevPolynomial> cheb;
+  /// Factorized coarse operator E = ZᵀÂZ (null when deflation is off).
+  std::shared_ptr<const CoarseOperator> coarse;
+};
+
+/// What a solver loop reads of one rank's operator: a view into an
+/// EddOperatorState or into a RankSetup.
+struct RankOp {
+  const Vector& d;
+  const RankKernel& a;
+  const PolySpec& poly;
+  const GlsPolynomial* gls;
+  const ChebyshevPolynomial* cheb;
+  const DeflationOptions& deflation;
+  const CoarseOperator* coarse;
+};
+
+/// What the ranks of one EDD solve write back; read after the team
+/// joins.  Per-RHS reports are written by each process's local leader
+/// from allreduced scalars, so every process holds the same reports.
+struct SolveOut {
+  SolveOut(const EddPartition& part, std::size_t nb,
+           const SolveOptions& opts);
+
+  std::vector<std::vector<Vector>> sol;  ///< [rhs][rank] u, global format
+  std::vector<SolveReport> items;        ///< [rhs], local leader writes
+  /// Harvested recycle directions, [rhs][ring slot][rank] pieces of the
+  /// physical cycle updates Δu, ring-bounded to `kmax` slots; dir_count
+  /// says how many cycles deposited.  The slot index is a pure function
+  /// of allreduced state, so every rank writes its piece of one slot.
+  std::size_t kmax = 0;  ///< 0 = no harvest
+  std::vector<std::vector<std::vector<Vector>>> dirs;
+  std::vector<std::size_t> dir_count;
+  std::vector<par::PerfCounters> setup;  ///< one-shot: per-rank setup slice
+
+  /// Global solution of RHS b.  On a multi-process team only locally
+  /// hosted subdomains deposited pieces; remote slots zero-fill, so each
+  /// process assembles the dofs its ranks own.
+  [[nodiscard]] Vector solution(const EddPartition& part, std::size_t b);
+  /// Harvested directions of RHS b, oldest → newest.
+  [[nodiscard]] std::vector<Vector> recycled(const EddPartition& part,
+                                             std::size_t b);
+};
+
+/// How a solve runs fgmres_rank.
+struct FgmresMode {
+  /// Algorithm 5: x and the basis in local format, m+3 exchanges per
+  /// iteration.  Otherwise Algorithm 6: global format, m+1.
+  bool basic = false;
+  /// One allreduce per Gram–Schmidt coefficient, as the paper's Table 1
+  /// counts; otherwise each pass folds into one allreduce.  The two
+  /// give identical bits — only the reduction count differs.
+  bool per_coefficient = false;
+};
+
+/// The one EDD-FGMRES (Algorithms 5 and 6), loop-fused over the RHS in
+/// `rhs` (global vectors): each Arnoldi step performs the discipline's
+/// exchanges ONCE for the whole batch — each fused message carries every
+/// live RHS's shared-dof section — and the batch's Gram–Schmidt
+/// coefficients and norms fold into shared allreduces.  Every branch
+/// depends only on allreduced scalars, so all ranks take identical
+/// decisions and each RHS's arithmetic is exactly that of a width-1 run.
+void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
+                 std::span<const Vector> rhs, const SolveOptions& opts,
+                 FgmresMode mode, SolveOut& out);
+
+/// Run a one-shot EDD solve of one RHS as ONE job on a transient team
+/// armed from opts.observe (fault injector, comm timeout, trace).  The
+/// setup arguments are checked on the calling thread first, so a bad
+/// spec or coarse space fails typed there, not halfway through the job.
+/// Every rank then opens the `root` span, runs the EDD setup (its
+/// counters and wall time become the setup slice) and `solve`, a loop
+/// that fills out.sol[0] and out.items[0].  A par::CommError becomes a
+/// typed partial report (history so far, no solution); any other rank
+/// error propagates.
+[[nodiscard]] DistSolve run_one_shot(
+    const EddPartition& part, const PolySpec& spec,
+    const std::vector<CsrMatrix>* local_matrices, const SolveOptions& opts,
+    const char* root,
+    const std::function<void(par::Comm&, const RankSetup&, SolveOut&)>&
+        solve);
 
 }  // namespace pfem::core::detail

@@ -7,8 +7,8 @@
 // the polynomial degree:
 //   Basic    (Algorithm 5): m + 3   (basis kept in local distributed form)
 //   Enhanced (Algorithm 6): m + 1   (preconditioned vectors kept global)
-// Both are implemented and their measured counts are reproduced by
-// bench/table1_complexity.
+// Both are modes of one driver (core/edd_kernels.hpp); their measured
+// counts are reproduced by bench/table1_complexity.
 #pragma once
 
 #include <optional>
@@ -57,7 +57,12 @@ void validate_poly_spec(const PolySpec& spec);
 
 /// Solve K u = f on an EDD partition (K = the partition's k_loc
 /// sub-assemblies).  Applies distributed norm-1 scaling, builds the
-/// polynomial preconditioner per PolySpec, runs restarted FGMRES.
+/// polynomial preconditioner per PolySpec, runs restarted FGMRES — the
+/// same setup and driver as build_edd_operator + solve_edd_batch, as one
+/// width-1 job on a transient team.  `variant` picks Algorithm 5 or 6;
+/// opts.batched_reductions folds the paper's one allreduce per
+/// Gram–Schmidt coefficient into one per pass (identical bits).
+/// opts.recycle requires EddVariant::Enhanced (pfem::Error otherwise).
 ///
 /// @param local_matrices optional override of part.subs[s].k_loc (same
 ///        dof layout), e.g. the dynamic effective stiffness K + a0*M.

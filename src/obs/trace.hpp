@@ -238,13 +238,13 @@ class Trace {
 struct ObserveOptions {
   bool trace = false;               ///< record spans for this solve
   std::size_t ring_capacity = 0;    ///< records per lane; 0 = default
-  /// Called after every FGMRES iteration with (iteration, relative
+  /// Called after every solver iteration with (iteration, relative
   /// residual, RHS index).  Invoked from rank 0's solver thread — keep
   /// it cheap and thread-safe.
   std::function<void(index_t, real_t, std::size_t)> progress;
   /// Chaos hooks for solvers that own their team internally (solve_edd,
-  /// solve_rdd): a seeded fault plan armed on the solve's team (not
-  /// owned; its plan must match the partition's rank count), and a
+  /// solve_edd_cg, solve_rdd): a seeded fault plan armed on the solve's
+  /// team (not owned; its plan must match the partition's rank count), and a
   /// channel-wait deadline (0 disables) that turns a dead peer into a
   /// typed comm failure instead of a hang.  Pointer-only here — obs
   /// stays independent of the fault library.

@@ -31,7 +31,7 @@ namespace pfem::sparse {
 
 /// Upwind finite-difference convection–diffusion operator
 /// −Δu + (vx, vy)·∇u on an nx x ny grid (Dirichlet): the classical
-/// *unsymmetric* test system for GMRES/BiCGSTAB (the paper motivates
+/// *unsymmetric* test system for GMRES (the paper motivates
 /// GMRES with exactly this problem class).  Larger |v| = stronger
 /// nonsymmetry; the upwind stencil keeps it an M-matrix.
 [[nodiscard]] CsrMatrix convection_diffusion_2d(index_t nx, index_t ny,

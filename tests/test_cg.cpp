@@ -1,13 +1,16 @@
 // PCG tests: sequential correctness, EDD-distributed correctness across
-// process counts, and the m+1 exchange count per iteration.
+// process counts, the m+1 exchange count per iteration, and the one-shot
+// runner's options (typed rejections, trace, progress, fault injection).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/cg.hpp"
 #include "core/diag_scaling.hpp"
 #include "core/fgmres.hpp"
 #include "exp/experiments.hpp"
+#include "fault/fault.hpp"
 #include "fem/problems.hpp"
 #include "la/dense.hpp"
 #include "la/vector_ops.hpp"
@@ -180,6 +183,104 @@ TEST(EddCg, AgreesWithEddFgmresIterationsBallpark) {
   ASSERT_TRUE(cg.converged && gm.converged);
   EXPECT_LT(cg.iterations, 4 * gm.iterations + 10);
   EXPECT_LT(gm.iterations, 4 * cg.iterations + 10);
+}
+
+// ---- Options through the shared one-shot runner ----------------------
+
+fem::CantileverProblem cg_problem() {
+  fem::CantileverSpec spec;
+  spec.nx = 10;
+  spec.ny = 5;
+  return fem::make_cantilever(spec);
+}
+
+TEST(EddCg, RejectsDeflationAndRecyclingTyped) {
+  // A-DEF1 is not symmetric, so PCG cannot use it, and sessions recycle
+  // FGMRES directions: both must fail at entry, not be silently ignored.
+  const fem::CantileverProblem prob = cg_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  SolveOptions deflated;
+  deflated.deflation.enabled = true;
+  EXPECT_THROW((void)solve_edd_cg(part, prob.load, poly, deflated), Error);
+  SolveOptions recycled;
+  recycled.recycle.enabled = true;
+  EXPECT_THROW((void)solve_edd_cg(part, prob.load, poly, recycled), Error);
+}
+
+TEST(EddCg, TracedExchangesMatchCountersOnEveryRank) {
+  // The Table1Oracle cross-check for CG: one "exchange" span per counted
+  // neighbor exchange, setup included, on every rank.
+  const fem::CantileverProblem prob = cg_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  poly.degree = 5;
+  SolveOptions opts;
+  opts.tol = 1e-8;
+  opts.observe.trace = true;
+  opts.observe.ring_capacity = std::size_t{1} << 16;
+  const DistSolve res = solve_edd_cg(part, prob.load, poly, opts);
+  ASSERT_TRUE(res.converged);
+  ASSERT_NE(res.trace, nullptr);
+  for (int r = 0; r < part.nparts(); ++r) {
+    const obs::Tracer& lane = res.trace->rank(r);
+    ASSERT_EQ(lane.dropped(), 0u);
+    std::uint64_t exchanges = 0;
+    for (const obs::Record& rec : lane.records())
+      if (rec.kind == obs::Record::Kind::Span &&
+          std::string(rec.name) == "exchange")
+        ++exchanges;
+    EXPECT_EQ(exchanges,
+              res.rank_counters[static_cast<std::size_t>(r)]
+                  .neighbor_exchanges)
+        << "rank " << r;
+  }
+}
+
+TEST(EddCg, ProgressFiresOncePerIteration) {
+  const fem::CantileverProblem prob = cg_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  poly.degree = 5;
+  SolveOptions opts;
+  opts.tol = 1e-8;
+  std::vector<real_t> seen;
+  opts.observe.progress = [&](index_t it, real_t relres, std::size_t b) {
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(it, static_cast<index_t>(seen.size()) + 1);
+    seen.push_back(relres);
+  };
+  const DistSolve res = solve_edd_cg(part, prob.load, poly, opts);
+  ASSERT_TRUE(res.converged);
+  ASSERT_GT(res.iterations, 0);
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(res.iterations));
+  EXPECT_EQ(seen, res.history);
+}
+
+TEST(EddCg, InjectedCrashReturnsTypedCommError) {
+  // A crash plan armed through opts.observe reaches CG's team and comes
+  // back as a typed partial report, not as a thrown par::CommError.
+  const fem::CantileverProblem prob = cg_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  fault::FaultPlan plan;
+  plan.nranks = part.nparts();
+  plan.faults = {{fault::FaultSite{2, -1, fault::Op::Collective, 12},
+                  fault::FaultAction{fault::FaultType::Crash, 0}}};
+  fault::FaultInjector inj(plan);
+  PolySpec poly;
+  poly.degree = 5;
+  SolveOptions opts;
+  opts.tol = 1e-8;
+  opts.observe.fault_injector = &inj;
+  opts.observe.comm_timeout_seconds = 0.5;
+  DistSolve res;
+  ASSERT_NO_THROW(res = solve_edd_cg(part, prob.load, poly, opts));
+  ASSERT_TRUE(res.comm_failed());
+  EXPECT_NE(res.comm_error.find("injected crash"), std::string::npos);
+  EXPECT_FALSE(res.converged);
+  EXPECT_TRUE(res.x.empty());
+  EXPECT_GT(res.iterations, 0);
+  EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
 }
 
 }  // namespace

@@ -432,6 +432,21 @@ TEST(EddDeflation, PerIterationCostsExtendTable1) {
   EXPECT_EQ(enhanced.global_reductions, 6u);
 }
 
+TEST(EddSolver, BasicWithRecyclingIsRejected) {
+  // Sessions warm-start and project in the Enhanced discipline's global
+  // format; a Basic solve must not silently run Algorithm 6 instead.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  PolySpec poly;
+  SolveOptions opts;
+  opts.recycle.enabled = true;
+  EXPECT_THROW(
+      (void)solve_edd(part, prob.load, poly, opts, EddVariant::Basic), Error);
+  const DistSolve enhanced =
+      solve_edd(part, prob.load, poly, opts, EddVariant::Enhanced);
+  EXPECT_TRUE(enhanced.converged);
+}
+
 TEST(EddSolver, SetupCountersAreSubsetOfTotals) {
   const fem::CantileverProblem prob = test_problem();
   const partition::EddPartition part = exp::make_edd(prob, 4);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/bicgstab.hpp"
 #include "core/cg.hpp"
 #include "core/fgmres.hpp"
 #include "core/orthopoly.hpp"
@@ -150,8 +149,6 @@ TEST(SolverEdge, ZeroRhsConvergesInZeroIterations) {
   check(core::fgmres(a, b, x, none, opts), x);
   x.assign(64, -2.0);
   check(core::pcg(a, b, x, none, opts), x);
-  x.assign(64, 1.5);
-  check(core::bicgstab(a, b, x, none, opts), x);
 }
 
 // ---- Typed failure on a degenerate operator: a zero row of the
@@ -195,15 +192,6 @@ TEST(ZeroRowEdge, EddCgThrowsBadOperator) {
   const auto mats = zeroed_dof_override(part, /*dead=*/5);
   EXPECT_THROW((void)core::solve_edd_cg(part, prob.load, {}, {}, &mats),
                BadOperatorError);
-}
-
-TEST(ZeroRowEdge, EddBicgstabThrowsBadOperator) {
-  const fem::CantileverProblem prob = small_cantilever();
-  const partition::EddPartition part = exp::make_edd(prob, 4);
-  const auto mats = zeroed_dof_override(part, /*dead=*/5);
-  EXPECT_THROW(
-      (void)core::solve_edd_bicgstab(part, prob.load, {}, {}, &mats),
-      BadOperatorError);
 }
 
 TEST(ZeroRowEdge, RddThrowsBadOperator) {

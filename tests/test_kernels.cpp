@@ -405,34 +405,6 @@ TEST(RankKernelTest, AllConfigsBitIdenticalToScaledCsr) {
   EXPECT_FALSE(whole.split());
 }
 
-TEST(RankKernelTest, FromScaledMatchesOwningBuild) {
-  const CsrMatrix k = sparse::convection_diffusion_2d(8, 7, 2.0, 1.0);
-  const std::size_t n = static_cast<std::size_t>(k.rows());
-  Vector d = k.row_norms1();
-  for (std::size_t i = 0; i < n; ++i) d[i] = 1.0 / std::sqrt(d[i]);
-  IndexVector iface = {0, 5, 17, 30};
-
-  CsrMatrix scaled = k;
-  scaled.scale_symmetric(d);
-  const Vector x = test_vector(n, 43);
-  Vector y_ref(n, 0.0);
-  const RankKernel owning(k, Vector(d), iface, {});
-  owning.apply(x, y_ref);
-
-  for (const auto format :
-       {KernelOptions::Format::Csr, KernelOptions::Format::Sell}) {
-    for (const bool overlap : {false, true}) {
-      KernelOptions ko;
-      ko.format = format;
-      ko.overlap = overlap;
-      const RankKernel view = RankKernel::from_scaled(&scaled, iface, ko);
-      Vector y(n, 0.0);
-      view.apply(x, y);
-      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
-    }
-  }
-}
-
 // ---- Distributed: kernel format and exchange overlap are bit-neutral
 // for every solver path, and leave the Table-1 exchange counts alone.
 
@@ -785,12 +757,6 @@ TEST(RankKernelEbe, TypedErrorsWithoutElementData) {
   EXPECT_THROW(RankKernel(sub.k_loc, Vector(d), sub.interface_local_dofs,
                           ko, nullptr),
                Error);
-  // from_scaled cannot serve the matrix-free format at all.
-  CsrMatrix scaled = sub.k_loc;
-  scaled.scale_symmetric(d);
-  EXPECT_THROW(
-      (void)RankKernel::from_scaled(&scaled, sub.interface_local_dofs, ko),
-      Error);
 }
 
 // ---- Distributed Format::Ebe: the format must preserve the solver's

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/cg.hpp"
@@ -123,9 +124,10 @@ TEST_P(FuzzSeed, AllSolversAgreeOnRandomProblem) {
 
 TEST_P(FuzzSeed, FusedBatchMatchesPerRhsSolves) {
   // The loop-fused multi-RHS sweep shares messages and allreduces across
-  // the batch, but each RHS's arithmetic must be the one the standalone
-  // enhanced solver performs: identical iteration counts and residual
-  // histories, not just "both converge".
+  // the batch, but it runs the FGMRES loop solve_edd runs, on the setup
+  // solve_edd runs: each RHS's arithmetic is bit-identical to its own
+  // one-shot solve — iterations, restarts, residual history and
+  // solution — with and without the deflation coarse space.
   FuzzCase c = make_case(GetParam());
   const partition::EddPartition part = exp::make_edd(c.prob, c.nparts);
   core::PolySpec poly;
@@ -143,30 +145,29 @@ TEST_P(FuzzSeed, FusedBatchMatchesPerRhsSolves) {
   }
 
   par::Team team(part.nparts());
-  const core::EddOperatorState op = core::build_edd_operator(team, part, poly);
-  const core::BatchSolveResult batch =
-      core::solve_edd_batch(team, part, op, rhs, opts);
-  ASSERT_FALSE(batch.comm_failed()) << batch.comm_error;
-  ASSERT_EQ(batch.items.size(), rhs.size());
+  for (const bool deflate : {false, true}) {
+    opts.deflation.enabled = deflate;
+    const core::EddOperatorState op = core::build_edd_operator(
+        team, part, poly, nullptr, nullptr, opts.kernels, opts.deflation);
+    const core::BatchSolveResult batch =
+        core::solve_edd_batch(team, part, op, rhs, opts);
+    ASSERT_FALSE(batch.comm_failed()) << batch.comm_error;
+    ASSERT_EQ(batch.items.size(), rhs.size());
 
-  for (std::size_t b = 0; b < rhs.size(); ++b) {
-    const auto single = core::solve_edd(part, rhs[b], poly, opts);
-    const auto& item = batch.items[b];
-    ASSERT_EQ(item.converged, single.converged)
-        << "seed " << GetParam() << " rhs " << b;
-    ASSERT_EQ(item.iterations, single.iterations)
-        << "seed " << GetParam() << " rhs " << b;
-    EXPECT_NEAR(item.final_relres, single.final_relres, 1e-12)
-        << "seed " << GetParam() << " rhs " << b;
-    ASSERT_EQ(item.history.size(), single.history.size());
-    for (std::size_t it = 0; it < item.history.size(); ++it)
-      EXPECT_NEAR(item.history[it], single.history[it], 1e-12)
-          << "seed " << GetParam() << " rhs " << b << " iter " << it;
-    const real_t scale = la::nrm_inf(single.x) + 1e-30;
-    ASSERT_EQ(batch.x[b].size(), single.x.size());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(batch.x[b][i], single.x[i], 1e-10 * scale)
-          << "seed " << GetParam() << " rhs " << b;
+    for (std::size_t b = 0; b < rhs.size(); ++b) {
+      const auto single = core::solve_edd(part, rhs[b], poly, opts);
+      const auto& item = batch.items[b];
+      const std::string where = "seed " + std::to_string(GetParam()) +
+                                " rhs " + std::to_string(b) +
+                                (deflate ? " deflated" : "");
+      ASSERT_EQ(item.converged, single.converged) << where;
+      ASSERT_EQ(item.iterations, single.iterations) << where;
+      ASSERT_EQ(item.restarts, single.restarts) << where;
+      ASSERT_EQ(item.breakdown, single.breakdown) << where;
+      ASSERT_EQ(item.final_relres, single.final_relres) << where;
+      ASSERT_EQ(item.history, single.history) << where;
+      ASSERT_EQ(batch.x[b], single.x) << where;
+    }
   }
 }
 
