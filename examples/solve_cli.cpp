@@ -8,8 +8,9 @@
 // Options:
 //   --dd edd|rdd            domain decomposition (default edd; rdd for
 //                           --matrix input, which has no mesh)
-//   --solver fgmres|cg      Krylov method (default fgmres)
-//   --precond gls|neumann|cheb|none|ilu|schwarz   (default gls)
+//   --solver fgmres|cg      Krylov method (default fgmres; cg needs edd)
+//   --precond gls|neumann|cheb|none|ilu|schwarz   (default gls; ilu and
+//                           schwarz are RDD preconditioners)
 //   --degree N              polynomial degree (default 7)
 //   --parts P               subdomains/ranks (default 4)
 //   --tol T                 relative residual target (default 1e-6)
@@ -85,14 +86,29 @@ Args parse(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (a.solver != "fgmres" && a.solver != "cg") {
-    std::cerr << "unknown --solver " << a.solver << " (fgmres or cg)\n";
+  const auto reject = [](const std::string& why) {
+    std::cerr << why << "\n";
     std::exit(2);
-  }
-  if (a.matrix.empty() && a.mesh.empty() && !a.demo) {
-    std::cerr << "need --matrix, --mesh or --demo\n";
-    std::exit(2);
-  }
+  };
+  if (a.solver != "fgmres" && a.solver != "cg")
+    reject("unknown --solver " + a.solver + " (fgmres or cg)");
+  if (a.dd != "edd" && a.dd != "rdd")
+    reject("unknown --dd " + a.dd + " (edd or rdd)");
+  const bool rdd_precond = a.precond == "ilu" || a.precond == "schwarz";
+  if (!rdd_precond && a.precond != "gls" && a.precond != "neumann" &&
+      a.precond != "cheb" && a.precond != "none")
+    reject("unknown --precond " + a.precond +
+           " (gls, neumann, cheb, none, ilu or schwarz)");
+  if (a.matrix.empty() && a.mesh.empty() && !a.demo)
+    reject("need --matrix, --mesh or --demo");
+  // --matrix input has no mesh, so it always runs the RDD path.
+  const bool rdd = a.dd == "rdd" || !a.matrix.empty();
+  if (rdd && a.solver == "cg")
+    reject("--solver cg runs on EDD only (RDD runs FGMRES); use a --mesh "
+           "or --demo input with --dd edd");
+  if (!rdd && rdd_precond)
+    reject("--precond " + a.precond +
+           " is an RDD preconditioner; use --dd rdd");
   return a;
 }
 
@@ -117,7 +133,7 @@ int main(int argc, char** argv) {
   if (args.precond == "neumann") poly.kind = core::PolyKind::Neumann;
   else if (args.precond == "cheb") poly.kind = core::PolyKind::Chebyshev;
   else if (args.precond == "none") poly.kind = core::PolyKind::None;
-  else poly.kind = core::PolyKind::Gls;
+  else poly.kind = core::PolyKind::Gls;  // gls, or unused by ilu/schwarz
 
   // ---- Build the problem.
   sparse::CsrMatrix k;

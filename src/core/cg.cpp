@@ -207,7 +207,7 @@ DistSolve solve_edd_cg(const EddPartition& part,
   PFEM_CHECK_MSG(!opts.recycle.enabled,
                  "solve_edd_cg: recycling (opts.recycle) is an FGMRES "
                  "session feature; use solve_edd");
-  return detail::run_one_shot(
+  return detail::run_edd_one_shot(
       part, spec, local_matrices, opts, "solve_edd_cg",
       [&](par::Comm& comm, const detail::RankSetup& op,
           detail::SolveOut& out) {

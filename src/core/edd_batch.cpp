@@ -51,6 +51,16 @@ std::size_t recycle_width(const SolveOptions& opts, std::size_t b,
   return 1 + k + (k > 0 && has_x0 ? 1 : 0);
 }
 
+/// Width of the one fused warm-setup exchange over the whole batch (0 =
+/// every RHS starts cold).
+std::size_t recycle_prewidth(const SolveOptions& opts,
+                             std::span<const Vector> rhs) {
+  std::size_t w = 0;
+  for (std::size_t b = 0; b < rhs.size(); ++b)
+    w += recycle_width(opts, b, rhs[b].size());
+  return w;
+}
+
 /// Zero-fill the pieces of `pieces` that no local rank deposited, then
 /// assemble the global vector.
 Vector gather(const EddPartition& part, std::vector<Vector>& pieces) {
@@ -145,15 +155,15 @@ RankSetup setup_rank(par::Comm& comm, const EddPartition& part,
 
 }  // namespace
 
-SolveOut::SolveOut(const EddPartition& part, std::size_t nb,
+SolveOut::SolveOut(std::size_t nparts, std::size_t nb,
                    const SolveOptions& opts)
-    : sol(nb, std::vector<Vector>(part.subs.size())), items(nb) {
+    : sol(nb, std::vector<Vector>(nparts)), items(nb) {
   if (opts.recycle.enabled && opts.recycle.harvest)
     kmax = static_cast<std::size_t>(
         std::max<index_t>(opts.recycle.max_directions, 0));
   if (kmax > 0) {
     dirs.assign(nb, std::vector<std::vector<Vector>>(
-                        kmax, std::vector<Vector>(part.subs.size())));
+                        kmax, std::vector<Vector>(nparts)));
     dir_count.assign(nb, 0);
   }
 }
@@ -173,39 +183,28 @@ std::vector<Vector> SolveOut::recycled(const EddPartition& part,
   return out;
 }
 
-void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
-                 std::span<const Vector> rhs, const SolveOptions& opts,
-                 FgmresMode mode, SolveOut& out) {
+template <class Rank, class Op>
+void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
+                 std::span<const Vector> rhs, const LanePrecond& precond,
+                 const SolveOptions& opts, FgmresMode mode, SolveOut& out) {
+  par::Comm& comm = r.comm();
   const int s = comm.rank();
   // Shared per-process result state is written by the LOCAL leader (rank
   // 0 in-process; each process's lowest rank on a multi-process
   // transport).  Every value written under this guard derives from
   // allreduced scalars, so all leaders write bit-identical results.
   const int leader = comm.local_leader();
-  const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   const std::size_t nb = rhs.size();
   const bool basic = mode.basic;
-  // Widest fused exchange this solve will issue: the per-iteration batch
-  // (nb), or the recycle warm-setup exchange when sessions are active.
-  std::size_t prewidth = 0;
-  for (std::size_t b = 0; b < nb; ++b)
-    prewidth +=
-        recycle_width(opts, b, static_cast<std::size_t>(part.n_global));
-  EddRank r(sub, comm, std::max(nb, prewidth));
+  const std::size_t prewidth = recycle_prewidth(opts, rhs);
   obs::Tracer* const tr = comm.tracer();
   const std::size_t nl = r.nl();
   const index_t m = opts.restart;
-  const Vector& d = op.d;
-  const RankKernel& a = op.a;
+  const std::span<const index_t> gid = r.global_ids();
 
-  // RHS in local distributed, scaled format: b = D̂ (f_loc / mult).
+  // RHS in local distributed, scaled format.
   std::vector<Vector> b_loc(nb, Vector(nl));
-  for (std::size_t b = 0; b < nb; ++b)
-    for (std::size_t l = 0; l < nl; ++l)
-      b_loc[b][l] =
-          d[l] * (rhs[b][static_cast<std::size_t>(sub.local_to_global[l])] /
-                  static_cast<real_t>(sub.multiplicity[l]));
-  r.counters().flops += 2 * nb * nl;
+  for (std::size_t b = 0; b < nb; ++b) r.localize(rhs[b], d, b_loc[b]);
 
   // Per-RHS solver state.  x and the Arnoldi basis v, z live in the
   // discipline's format: global for Enhanced, local for Basic.
@@ -224,13 +223,6 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
   std::vector<char> done(nb, 0), frozen(nb, 0), brk(nb, 0);
   std::vector<index_t> iters(nb, 0), jcols(nb, 0);
   std::vector<real_t> beta0(nb, -1.0), relres(nb, 1.0);
-
-  // The preconditioner: the polynomial M, wrapped by A-DEF1 when the
-  // operator carries a coarse space.
-  PolyApplier poly(op.poly, op.gls, op.cheb, nl, nb);
-  std::optional<Adef1> defl;
-  if (op.coarse != nullptr)
-    defl.emplace(sub, s, part.nparts(), op.deflation, d, *op.coarse, nb);
 
   std::vector<Vector*> ex;         // fused-exchange view
   std::vector<Vector*> mx, my;     // matvec inputs / outputs
@@ -289,7 +281,7 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
   if (prewidth > 0) {
     OBS_SPAN(tr, "recycle_setup", obs::Cat::Setup,
              static_cast<std::uint32_t>(prewidth));
-    const auto ng = static_cast<std::size_t>(part.n_global);
+    const std::size_t ng = rhs.front().size();
     const auto kcap = static_cast<std::size_t>(
         std::max<index_t>(opts.recycle.max_directions, 0));
     std::vector<std::vector<Vector>> pd(nb);  // scaled directions p̂_j
@@ -305,8 +297,7 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
       if (rin.x0.size() == ng) {
         has_x0[b] = 1;
         for (std::size_t l = 0; l < nl; ++l)
-          x[b][l] =
-              rin.x0[static_cast<std::size_t>(sub.local_to_global[l])] / d[l];
+          x[b][l] = rin.x0[static_cast<std::size_t>(gid[l])] / d[l];
         r.counters().flops += nl;
       }
       bg[b] = b_loc[b];  // globalized below, for ‖b̂‖ and r̂₀
@@ -323,8 +314,7 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
         }
         Vector ps(nl);
         for (std::size_t l = 0; l < nl; ++l)
-          ps[l] =
-              dir[static_cast<std::size_t>(sub.local_to_global[l])] / d[l];
+          ps[l] = dir[static_cast<std::size_t>(gid[l])] / d[l];
         r.counters().flops += nl;
         pd[b].push_back(std::move(ps));
       }
@@ -491,10 +481,7 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
         pv.push_back(&v[b][jj]);
         pz.push_back(&z[b][jj]);
       }
-      if (defl)
-        defl->apply(r, a, poly, pv, pz, basic);
-      else
-        poly.apply(r, a, pv, pz, basic);
+      precond(pv, pz);
 
       // w_b = Â z_b, globalized by the iteration's extra fused exchange
       // (Basic: two — its mat-vec input needs one first).
@@ -671,35 +658,59 @@ void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
   }
 }
 
-DistSolve run_one_shot(
-    const EddPartition& part, const PolySpec& spec,
-    const std::vector<CsrMatrix>* local_matrices, const SolveOptions& opts,
-    const char* root,
-    const std::function<void(par::Comm&, const RankSetup&, SolveOut&)>&
-        solve) {
-  validate_setup(part, spec, local_matrices, opts.kernels, opts.deflation);
-  const int p = part.nparts();
-  SolveOut out(part, 1, opts);
-  out.setup.resize(static_cast<std::size_t>(p));
+template void fgmres_rank(EddRank&, const RankKernel&,
+                          std::span<const real_t>, std::span<const Vector>,
+                          const LanePrecond&, const SolveOptions&,
+                          FgmresMode, SolveOut&);
+template void fgmres_rank(RddRank&, const RddOp&, std::span<const real_t>,
+                          std::span<const Vector>, const LanePrecond&,
+                          const SolveOptions&, FgmresMode, SolveOut&);
+
+void fgmres_edd(par::Comm& comm, const EddPartition& part, const RankOp& op,
+                std::span<const Vector> rhs, const SolveOptions& opts,
+                FgmresMode mode, SolveOut& out) {
+  const int s = comm.rank();
+  const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
+  const std::size_t nb = rhs.size();
+  // Widest fused exchange this solve will issue: the per-iteration batch
+  // (nb), or the recycle warm-setup exchange when sessions are active.
+  EddRank r(sub, comm, std::max(nb, recycle_prewidth(opts, rhs)));
+  PolyApplier poly(op.poly, op.gls, op.cheb, r.nl(), nb);
+  std::optional<Adef1> defl;
+  if (op.coarse != nullptr)
+    defl.emplace(sub, s, part.nparts(), op.deflation, op.d, *op.coarse, nb);
+  fgmres_rank(
+      r, op.a, op.d, rhs,
+      [&](std::span<const Vector* const> v, std::span<Vector* const> z) {
+        if (defl)
+          defl->apply(r, op.a, poly, v, z, mode.basic);
+        else
+          poly.apply(r, op.a, v, z, mode.basic);
+      },
+      opts, mode, out);
+}
+
+DistSolve run_one_shot(int nparts, const SolveOptions& opts,
+                       const char* root, SolveOut& out, const RankJob& job) {
+  out.setup.resize(static_cast<std::size_t>(nparts));
   std::shared_ptr<obs::Trace> trace;
   if (opts.observe.trace)
-    trace = std::make_shared<obs::Trace>(p, opts.observe.ring_capacity);
+    trace = std::make_shared<obs::Trace>(nparts, opts.observe.ring_capacity);
 
   WallTimer timer;
   std::vector<par::PerfCounters> counters;
   std::string comm_error;
   try {
     counters = par::run_spmd(
-        p,
+        nparts,
         [&](par::Comm& comm) {
           const auto s = static_cast<std::size_t>(comm.rank());
           OBS_SPAN(comm.tracer(), root, obs::Cat::Solve);
           const WallTimer setup_timer;
-          const RankSetup op = setup_rank(comm, part, spec, local_matrices,
-                                          opts.kernels, opts.deflation);
-          out.setup[s] = comm.counters();
-          out.setup[s].total_seconds = setup_timer.seconds();
-          solve(comm, op, out);
+          job(comm, [&] {
+            out.setup[s] = comm.counters();
+            out.setup[s].total_seconds = setup_timer.seconds();
+          });
         },
         trace.get(), opts.observe.fault_injector,
         opts.observe.comm_timeout_seconds);
@@ -720,10 +731,31 @@ DistSolve run_one_shot(
     result.comm_error = std::move(comm_error);
     return result;  // no solution: never hand out corrupt results
   }
-  result.x = out.solution(part, 0);
-  result.recycled = out.recycled(part, 0);
   result.rank_counters = std::move(counters);
   result.setup_counters = std::move(out.setup);
+  return result;
+}
+
+DistSolve run_edd_one_shot(
+    const EddPartition& part, const PolySpec& spec,
+    const std::vector<CsrMatrix>* local_matrices, const SolveOptions& opts,
+    const char* root,
+    const std::function<void(par::Comm&, const RankSetup&, SolveOut&)>&
+        solve) {
+  validate_setup(part, spec, local_matrices, opts.kernels, opts.deflation);
+  SolveOut out(part.subs.size(), 1, opts);
+  DistSolve result = run_one_shot(
+      part.nparts(), opts, root, out,
+      [&](par::Comm& comm, const std::function<void()>& setup_done) {
+        const RankSetup op = setup_rank(comm, part, spec, local_matrices,
+                                        opts.kernels, opts.deflation);
+        setup_done();
+        solve(comm, op, out);
+      });
+  if (!result.comm_failed()) {
+    result.x = out.solution(part, 0);
+    result.recycled = out.recycled(part, 0);
+  }
   return result;
 }
 
@@ -806,7 +838,7 @@ BatchSolveResult solve_edd_batch(par::Team& team,
     }
   }
 
-  detail::SolveOut out(part, nb, opts);
+  detail::SolveOut out(part.subs.size(), nb, opts);
 
   // An external trace (the service's) wins; otherwise honor the per-call
   // observe knob with a trace owned by this result.
@@ -832,7 +864,7 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                                    op.coarse.get()};
           // The service path: Enhanced, every Gram–Schmidt pass folded
           // into one allreduce across the whole batch.
-          detail::fgmres_rank(comm, part, rop, rhs, opts, {}, out);
+          detail::fgmres_edd(comm, part, rop, rhs, opts, {}, out);
         },
         trace);
   } catch (const par::CommError& e) {

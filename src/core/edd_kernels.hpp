@@ -1,11 +1,14 @@
-// Internal rank-level building blocks of the EDD solvers (FGMRES and
-// PCG): the nearest-neighbor exchange (monolithic, fused over lanes, and
-// split into start/finish halves for compute overlap), distributed inner
-// products in the two vector formats, the multi-lane polynomial applier
-// (Algorithm 7 generalized to Neumann, GLS and Chebyshev, in both
-// formats), the A-DEF1 deflation wrapper around it, and the one EDD
-// setup, EDD-FGMRES driver and one-shot runner every entry point shares.
-// Not part of the public API.
+// Internal rank-level building blocks of the distributed solvers.  A
+// *rank space* is a rank helper plus the operator it applies: EDD's
+// EddRank + RankKernel (the nearest-neighbor exchange — monolithic, fused
+// over lanes, and split into start/finish halves for compute overlap —
+// and the distributed inner products of its two vector formats), and
+// RDD's RddRank + RddOp (owned rows plus an external halo, where the two
+// formats coincide).  On top of a space: the multi-lane polynomial
+// applier (Algorithm 7 generalized to Neumann, GLS and Chebyshev), the
+// A-DEF1 deflation wrapper around it (EDD), the one EDD setup, and the
+// one distributed FGMRES driver and one-shot runner every FGMRES entry
+// point shares (Algorithms 5, 6 and 8).  Not part of the public API.
 #pragma once
 
 #include <cmath>
@@ -24,7 +27,9 @@
 #include "la/vector_ops.hpp"
 #include "par/comm.hpp"
 #include "partition/edd.hpp"
+#include "partition/rdd.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/sell.hpp"
 
 namespace pfem::core::detail {
 
@@ -204,7 +209,19 @@ class EddRank {
     counters().flops += a.apply_flops();
   }
 
-  const EddSubdomain& sub() const noexcept { return sub_; }
+  /// b̂ = D̂ (f / mult) on this rank's dofs: the scaled RHS in local
+  /// distributed format.
+  void localize(std::span<const real_t> f, std::span<const real_t> d,
+                std::span<real_t> b) {
+    for (std::size_t l = 0; l < nl_; ++l)
+      b[l] = d[l] * (f[static_cast<std::size_t>(sub_.local_to_global[l])] /
+                     static_cast<real_t>(sub_.multiplicity[l]));
+    counters().flops += 2 * nl_;
+  }
+
+  [[nodiscard]] std::span<const index_t> global_ids() const noexcept {
+    return sub_.local_to_global;
+  }
 
  private:
   // The exchange decomposed into its three phases, shared by the
@@ -401,6 +418,177 @@ inline void exchange_spmv(EddRank& r, const RankKernel& a,
   r.counters().flops += nb * a.apply_flops();
 }
 
+// ---- RDD's rank space (§4, Algorithm 8): vectors live on the owned rows
+// only, so the local and global formats coincide — globalizing is a
+// no-op, both partial dots are la::dot, and the lane mat-vec gathers the
+// halo itself (Eq. 48).
+
+inline constexpr int kRddTag = 1;
+
+/// RDD's operator: the rank's scaled row blocks (A_loc, A_ext) in the
+/// selected storage format.  SELL conversion preserves per-row
+/// accumulation order, so the iteration is bit-identical across formats.
+struct RddOp {
+  CsrMatrix loc, ext;
+  sparse::SellMatrix loc_sell, ext_sell;
+  bool sell = false;
+  bool overlap = false;
+  std::uint64_t spmv_flops = 0;
+
+  void apply_loc(std::span<const real_t> x, std::span<real_t> y) const {
+    if (sell)
+      loc_sell.spmv(x, y);
+    else
+      loc.spmv(x, y);
+  }
+  void apply_ext_add(std::span<const real_t> x_ext,
+                     std::span<real_t> y) const {
+    if (sell)
+      ext_sell.spmv_add(x_ext, y);
+    else
+      ext.spmv_add(x_ext, y);
+  }
+};
+
+/// Rank-local RDD kernels: the halo exchange, the distributed mat-vec
+/// (Eq. 48) and the partial inner products (Eq. 47), with counting.
+class RddRank {
+ public:
+  RddRank(const partition::RddSubdomain& sub, par::Comm& comm)
+      : sub_(sub), comm_(comm), nl_(static_cast<std::size_t>(sub.n_local())),
+        x_ext_(std::max<std::size_t>(
+            static_cast<std::size_t>(sub.n_ext()), 1)) {
+    // Prepost the exchange buffers: sizes are fixed by the comm schedule,
+    // so the per-iteration resizes in exchange_into_ext never allocate.
+    std::size_t max_send = 0, max_recv = 0;
+    for (const auto& nb : sub_.neighbors) {
+      max_send = std::max(max_send, nb.send_local_rows.size());
+      max_recv = std::max(max_recv, nb.recv_ext_positions.size());
+    }
+    send_buf_.reserve(max_send);
+    recv_buf_.reserve(max_recv);
+  }
+
+  [[nodiscard]] std::size_t nl() const noexcept { return nl_; }
+  [[nodiscard]] par::Comm& comm() noexcept { return comm_; }
+  [[nodiscard]] par::PerfCounters& counters() noexcept {
+    return comm_.counters();
+  }
+
+  /// y <- A x: scatter owned boundary values, gather externals, then
+  /// y = A_loc x + A_ext x_ext (Eq. 48).  A_loc reads only owned entries
+  /// of x, which the exchange never touches — with `op.overlap` it runs
+  /// while the neighbor messages are in flight.  Exchange count per
+  /// matvec is one either way.
+  void spmv(const RddOp& op, std::span<const real_t> x, std::span<real_t> y) {
+    OBS_SPAN(comm_.tracer(), "matvec", obs::Cat::Matvec);
+    if (op.overlap) {
+      // Split exchange: counted when the sends go out; the finish emits
+      // the one "exchange" span.
+      counters().neighbor_exchanges += 1;
+      post_sends(x);
+      op.apply_loc(x, y);
+      OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
+      recv_into_ext();
+    } else {
+      exchange_into_ext(x);
+      op.apply_loc(x, y);
+    }
+    if (sub_.n_ext() > 0) op.apply_ext_add(x_ext_, y);
+    counters().matvecs += 1;
+    counters().flops += op.spmv_flops;
+    // Redundant ghost-row work of the paper's duplicated-element layout
+    // (Fig. 8); zero unless annotate_rdd_fe_duplication() ran.
+    counters().flops += sub_.matvec_extra_flops;
+  }
+
+  /// One scatter/gather phase filling x_ext from neighbors.
+  void exchange_into_ext(std::span<const real_t> x) {
+    // The "exchange" span and neighbor_exchanges count the same logical
+    // event — a trace is an exact cross-check of the counters.
+    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
+    counters().neighbor_exchanges += 1;
+    post_sends(x);
+    recv_into_ext();
+  }
+
+  [[nodiscard]] std::span<const real_t> x_ext() const { return x_ext_; }
+
+  /// The formats coincide: there is nothing to globalize.
+  void exchange_many(std::span<Vector* const>) {}
+
+  /// Local partial of the global inner product (Eq. 47).
+  [[nodiscard]] real_t dot_lg_partial(std::span<const real_t> x,
+                                      std::span<const real_t> y) {
+    counters().inner_products += 1;
+    counters().flops += 2 * nl_;
+    return la::dot(x, y);
+  }
+  [[nodiscard]] real_t dot_gg_partial(std::span<const real_t> x,
+                                      std::span<const real_t> y) {
+    return dot_lg_partial(x, y);
+  }
+
+  /// b = D f on the owned rows: a gather and a scale, not charged to the
+  /// flop count.
+  void localize(std::span<const real_t> f, std::span<const real_t> d,
+                std::span<real_t> b) const {
+    for (std::size_t l = 0; l < nl_; ++l)
+      b[l] = d[l] * f[static_cast<std::size_t>(sub_.rows[l])];
+  }
+
+  [[nodiscard]] std::span<const index_t> global_ids() const noexcept {
+    return sub_.rows;
+  }
+
+ private:
+  /// Pack and post the boundary sends (both exchange forms share this,
+  /// so the wire order cannot drift between them).
+  void post_sends(std::span<const real_t> x) {
+    for (const auto& nb : sub_.neighbors) {
+      if (nb.send_local_rows.empty()) continue;
+      PFEM_DEBUG_CHECK(send_buf_.capacity() >= nb.send_local_rows.size());
+      send_buf_.resize(nb.send_local_rows.size());
+      for (std::size_t k = 0; k < nb.send_local_rows.size(); ++k)
+        send_buf_[k] = x[static_cast<std::size_t>(nb.send_local_rows[k])];
+      comm_.exchange_start(nb.rank, kRddTag, send_buf_);
+    }
+  }
+
+  /// Complete the receives and scatter into x_ext.
+  void recv_into_ext() {
+    for (const auto& nb : sub_.neighbors) {
+      if (nb.recv_ext_positions.empty()) continue;
+      PFEM_DEBUG_CHECK(recv_buf_.capacity() >= nb.recv_ext_positions.size());
+      recv_buf_.resize(nb.recv_ext_positions.size());
+      comm_.exchange_finish(
+          nb.rank, kRddTag,
+          std::span<real_t>(recv_buf_.data(), recv_buf_.size()));
+      for (std::size_t k = 0; k < nb.recv_ext_positions.size(); ++k)
+        x_ext_[static_cast<std::size_t>(nb.recv_ext_positions[k])] =
+            recv_buf_[k];
+    }
+  }
+
+  const partition::RddSubdomain& sub_;
+  par::Comm& comm_;
+  std::size_t nl_;
+  Vector x_ext_, send_buf_, recv_buf_;
+};
+
+/// RDD's lane step, in either discipline's form: each lane's mat-vec
+/// gathers its own halo (one exchange per lane).
+inline void spmv_exchange(RddRank& r, const RddOp& a,
+                          std::span<Vector* const> xs,
+                          std::span<Vector* const> ys) {
+  for (std::size_t i = 0; i < xs.size(); ++i) r.spmv(a, *xs[i], *ys[i]);
+}
+inline void exchange_spmv(RddRank& r, const RddOp& a,
+                          std::span<Vector* const> xs,
+                          std::span<Vector* const> ys) {
+  spmv_exchange(r, a, xs, ys);
+}
+
 /// Flop estimate of a GLS build: the Stieltjes three-term recursion and
 /// the mu fit each sweep every quadrature node per basis degree (~10
 /// flops per node-degree pair, counting the alpha/beta inner products).
@@ -410,11 +598,11 @@ inline void exchange_spmv(EddRank& r, const RankKernel& a,
 }
 
 /// The distributed polynomial preconditioner z = P_m(Â) v (Algorithm 7,
-/// generalized to Neumann, GLS and Chebyshev), for any number of lanes:
-/// the recursions advance in lockstep, so each of the m steps does one
-/// SpMV per lane but ONE fused neighbor exchange in total.  Two vector
-/// formats, one recursion:
-///   global (Algorithm 6 line 10, and EDD-PCG) — v, z and the state are
+/// generalized to Neumann, GLS and Chebyshev), for any number of lanes
+/// and in either rank space: the recursions advance in lockstep, so each
+/// of the m steps does one SpMV per lane but (EDD) ONE fused neighbor
+/// exchange in total.  Two vector formats, one recursion:
+///   global (Algorithms 6 and 8, and EDD-PCG) — v, z and the state are
 ///     globally consistent; each step's SpMV output is globalized;
 ///   local  (Algorithm 5 line 12) — v, z and the state are in local
 ///     distributed format; each step globalizes a copy of the state
@@ -437,9 +625,9 @@ class PolyApplier {
   }
 
   /// vin[i] -> zout[i]; scratch lane i serves input i.
-  void apply(EddRank& r, const RankKernel& a,
-             std::span<const Vector* const> vin, std::span<Vector* const> zout,
-             bool local) {
+  template <class Rank, class Op>
+  void apply(Rank& r, const Op& a, std::span<const Vector* const> vin,
+             std::span<Vector* const> zout, bool local) {
     OBS_SPAN(r.comm().tracer(), "poly_apply", obs::Cat::Precond);
     const std::size_t nb = vin.size();
     const std::size_t n = nl_;
@@ -677,9 +865,10 @@ class Adef1 {
   std::vector<Vector*> pv_;         // lane views of vdef_
 };
 
-// ---- The one EDD setup, the one EDD-FGMRES driver, and the one-shot
-// runner: shared by build_edd_operator / solve_edd_batch (a persistent
-// team) and solve_edd / solve_edd_cg (a transient team).
+// ---- The one EDD setup, the one distributed FGMRES driver, and the
+// one-shot runner: shared by build_edd_operator / solve_edd_batch (a
+// persistent team) and solve_edd / solve_edd_cg / solve_rdd (a transient
+// team).
 
 /// One rank's share of a built EDD operator: what the one EDD setup
 /// produces (build_edd_operator keeps it; a one-shot solve hands it to
@@ -706,12 +895,12 @@ struct RankOp {
   const CoarseOperator* coarse;
 };
 
-/// What the ranks of one EDD solve write back; read after the team
-/// joins.  Per-RHS reports are written by each process's local leader
-/// from allreduced scalars, so every process holds the same reports.
+/// What the ranks of one distributed solve write back; read after the
+/// team joins.  Per-RHS reports are written by each process's local
+/// leader from allreduced scalars, so every process holds the same
+/// reports.
 struct SolveOut {
-  SolveOut(const EddPartition& part, std::size_t nb,
-           const SolveOptions& opts);
+  SolveOut(std::size_t nparts, std::size_t nb, const SolveOptions& opts);
 
   std::vector<std::vector<Vector>> sol;  ///< [rhs][rank] u, global format
   std::vector<SolveReport> items;        ///< [rhs], local leader writes
@@ -724,9 +913,9 @@ struct SolveOut {
   std::vector<std::size_t> dir_count;
   std::vector<par::PerfCounters> setup;  ///< one-shot: per-rank setup slice
 
-  /// Global solution of RHS b.  On a multi-process team only locally
-  /// hosted subdomains deposited pieces; remote slots zero-fill, so each
-  /// process assembles the dofs its ranks own.
+  /// Global solution of RHS b on an EDD partition.  On a multi-process
+  /// team only locally hosted subdomains deposited pieces; remote slots
+  /// zero-fill, so each process assembles the dofs its ranks own.
   [[nodiscard]] Vector solution(const EddPartition& part, std::size_t b);
   /// Harvested directions of RHS b, oldest → newest.
   [[nodiscard]] std::vector<Vector> recycled(const EddPartition& part,
@@ -736,7 +925,8 @@ struct SolveOut {
 /// How a solve runs fgmres_rank.
 struct FgmresMode {
   /// Algorithm 5: x and the basis in local format, m+3 exchanges per
-  /// iteration.  Otherwise Algorithm 6: global format, m+1.
+  /// iteration.  Otherwise Algorithm 6 (8 in RDD's space): global
+  /// format, m+1.
   bool basic = false;
   /// One allreduce per Gram–Schmidt coefficient, as the paper's Table 1
   /// counts; otherwise each pass folds into one allreduce.  The two
@@ -744,27 +934,57 @@ struct FgmresMode {
   bool per_coefficient = false;
 };
 
-/// The one EDD-FGMRES (Algorithms 5 and 6), loop-fused over the RHS in
-/// `rhs` (global vectors): each Arnoldi step performs the discipline's
-/// exchanges ONCE for the whole batch — each fused message carries every
-/// live RHS's shared-dof section — and the batch's Gram–Schmidt
-/// coefficients and norms fold into shared allreduces.  Every branch
-/// depends only on allreduced scalars, so all ranks take identical
-/// decisions and each RHS's arithmetic is exactly that of a width-1 run.
-void fgmres_rank(par::Comm& comm, const EddPartition& part, const RankOp& op,
-                 std::span<const Vector> rhs, const SolveOptions& opts,
-                 FgmresMode mode, SolveOut& out);
+/// The preconditioner a caller hands the driver: z_i = B v_i for every
+/// live lane of one Arnoldi step, in the discipline's format (the
+/// polynomial, A-DEF1 around it, or RDD's block-Jacobi ILU / restricted
+/// Schwarz).
+using LanePrecond = std::function<void(std::span<const Vector* const>,
+                                       std::span<Vector* const>)>;
 
-/// Run a one-shot EDD solve of one RHS as ONE job on a transient team
-/// armed from opts.observe (fault injector, comm timeout, trace).  The
-/// setup arguments are checked on the calling thread first, so a bad
-/// spec or coarse space fails typed there, not halfway through the job.
-/// Every rank then opens the `root` span, runs the EDD setup (its
-/// counters and wall time become the setup slice) and `solve`, a loop
-/// that fills out.sol[0] and out.items[0].  A par::CommError becomes a
-/// typed partial report (history so far, no solution); any other rank
-/// error propagates.
-[[nodiscard]] DistSolve run_one_shot(
+/// The one distributed FGMRES (Algorithms 5, 6 and 8), generic over the
+/// rank space Rank + Op — explicitly instantiated for EddRank +
+/// RankKernel and RddRank + RddOp — and loop-fused over the RHS in `rhs`
+/// (global vectors, scaled by `d` on entry and on exit): each Arnoldi
+/// step performs the discipline's exchanges ONCE for the whole batch —
+/// each fused message carries every live RHS's shared-dof section — and
+/// the batch's Gram–Schmidt coefficients and norms fold into shared
+/// allreduces.  Every branch depends only on allreduced scalars, so all
+/// ranks take identical decisions and each RHS's arithmetic is exactly
+/// that of a width-1 run.
+template <class Rank, class Op>
+void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
+                 std::span<const Vector> rhs, const LanePrecond& precond,
+                 const SolveOptions& opts, FgmresMode mode, SolveOut& out);
+
+/// fgmres_rank on one rank's EDD operator: the EDD rank (its exchange
+/// buffers sized for the batch and any session warm-up), and the
+/// polynomial M, wrapped by A-DEF1 when the operator carries a coarse
+/// space.
+void fgmres_edd(par::Comm& comm, const EddPartition& part, const RankOp& op,
+                std::span<const Vector> rhs, const SolveOptions& opts,
+                FgmresMode mode, SolveOut& out);
+
+/// One rank's part of a one-shot job: its setup, then `setup_done()`,
+/// then a solve loop that fills out.sol[0] and out.items[0].
+using RankJob =
+    std::function<void(par::Comm&, const std::function<void()>& setup_done)>;
+
+/// Run a one-shot distributed solve of one RHS as ONE job on a transient
+/// team armed from opts.observe (fault injector, comm timeout, trace).
+/// Every rank opens the `root` span and runs `job`; at `setup_done` the
+/// rank's counters and wall time become its setup slice.  The caller
+/// assembles result.x from out.sol[0] unless comm_failed(): a
+/// par::CommError becomes a typed partial report (history so far, no
+/// solution); any other rank error propagates.
+[[nodiscard]] DistSolve run_one_shot(int nparts, const SolveOptions& opts,
+                                     const char* root, SolveOut& out,
+                                     const RankJob& job);
+
+/// run_one_shot of one RHS on an EDD partition: the setup arguments are
+/// checked on the calling thread first, so a bad spec or coarse space
+/// fails typed there, not halfway through the job; every rank then runs
+/// the EDD setup and `solve`.
+[[nodiscard]] DistSolve run_edd_one_shot(
     const EddPartition& part, const PolySpec& spec,
     const std::vector<CsrMatrix>* local_matrices, const SolveOptions& opts,
     const char* root,

@@ -58,7 +58,7 @@ DistSolve solve_edd(const partition::EddPartition& part,
                                 !opts.batched_reductions};
   const std::vector<Vector> rhs{Vector(f_global.begin(), f_global.end())};
 
-  return detail::run_one_shot(
+  return detail::run_edd_one_shot(
       part, spec, local_matrices, opts, "solve_edd",
       [&](par::Comm& comm, const detail::RankSetup& op,
           detail::SolveOut& out) {
@@ -66,7 +66,7 @@ DistSolve solve_edd(const partition::EddPartition& part,
                                  spec,          op.gls.get(),
                                  op.cheb.get(), opts.deflation,
                                  op.coarse.get()};
-        detail::fgmres_rank(comm, part, rop, rhs, opts, mode, out);
+        detail::fgmres_edd(comm, part, rop, rhs, opts, mode, out);
       });
 }
 

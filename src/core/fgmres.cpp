@@ -1,52 +1,12 @@
 #include "core/fgmres.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "la/dense.hpp"
 #include "la/hessenberg_lsq.hpp"
 #include "la/vector_ops.hpp"
 
 namespace pfem::core {
-
-namespace {
-
-/// Project the current residual b - A x out of span(dirs): solve the
-/// small normal equations (CᵀC)γ = Cᵀ(b − Ax) with C_j = A p_j and take
-/// x += Pγ.  Mildly regularized so near-parallel recycled directions
-/// cannot break the factorization; a (numerically) singular system just
-/// skips the projection — the solve then merely starts less warm.
-void project_onto_directions(const LinearOp& a, std::span<const real_t> b,
-                             std::span<real_t> x,
-                             std::span<const Vector* const> dirs) {
-  const std::size_t n = b.size();
-  const std::size_t k = dirs.size();
-  Vector r0(n);
-  a.apply(x, r0);
-  la::sub(b, r0, r0);
-  std::vector<Vector> c(k, Vector(n));
-  for (std::size_t j = 0; j < k; ++j) a.apply(*dirs[j], c[j]);
-  la::DenseMatrix m(as_index(k), as_index(k));
-  Vector g(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j)
-      m(as_index(i), as_index(j)) = la::dot(c[i], c[j]);
-    g[i] = la::dot(c[i], r0);
-  }
-  real_t trace = 0.0;
-  for (std::size_t i = 0; i < k; ++i) trace += m(as_index(i), as_index(i));
-  const real_t eps = 1e-12 * (trace / static_cast<real_t>(k));
-  for (std::size_t i = 0; i < k; ++i) m(as_index(i), as_index(i)) += eps;
-  try {
-    la::lu_solve(m, g);
-  } catch (const Error&) {
-    return;
-  }
-  for (std::size_t j = 0; j < k; ++j) la::axpy(g[j], *dirs[j], x);
-}
-
-}  // namespace
 
 SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
                    std::span<real_t> x, Preconditioner& precond,
@@ -55,6 +15,9 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
   PFEM_CHECK(x.size() == n);
   PFEM_CHECK(a.size() == as_index(n));
   PFEM_CHECK(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0);
+  PFEM_CHECK_MSG(!opts.recycle.enabled,
+                 "fgmres: recycling (opts.recycle) is a distributed session "
+                 "feature; use solve_edd or solve_edd_batch");
 
   SolveReport result;
   const index_t m = opts.restart;
@@ -69,34 +32,11 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
     return result;
   }
 
-  // Solve-session hooks (RecycleOptions): warm-start from the previous
-  // solution, project the residual onto recycled directions, and measure
-  // convergence against ‖b‖ so warm and cold solves chase the same
-  // absolute target (a cold start has r₀ = b, so nothing changes there).
-  bool recycled = false;
-  if (opts.recycle.enabled && opts.recycle.in != nullptr &&
-      !opts.recycle.in->empty()) {
-    const RecycleIn& rin = opts.recycle.in->front();
-    if (rin.x0.size() == n) la::copy(rin.x0, x);
-    std::vector<const Vector*> dirs;
-    for (const Vector& p : rin.directions)
-      if (p.size() == n) dirs.push_back(&p);
-    const auto kmax = static_cast<std::size_t>(
-        std::max<index_t>(opts.recycle.max_directions, 0));
-    if (dirs.size() > kmax)  // keep the most recent directions
-      dirs.erase(dirs.begin(),
-                 dirs.begin() + static_cast<std::ptrdiff_t>(dirs.size() -
-                                                            kmax));
-    if (!dirs.empty()) project_onto_directions(a, b, x, dirs);
-    recycled = !rin.empty();
-  }
-
   Vector r(n);
   a.apply(x, r);                       // r = b - A x0
   la::sub(b, r, r);
-  const real_t r0_norm = la::nrm2(r);
-  const real_t beta0 = recycled ? la::nrm2(b) : r0_norm;
-  if (r0_norm == 0.0) {                // x0 already exact
+  const real_t beta0 = la::nrm2(r);
+  if (beta0 == 0.0) {                  // x0 already exact
     result.converged = true;
     result.final_relres = 0.0;
     return result;

@@ -43,6 +43,8 @@ struct RecycleIn {
 /// Krylov recycling across solves (solve sessions).  Off by default;
 /// when off, every solver path is bit-identical to the pre-session code
 /// (same exchange counts, same reductions — the Table-1 contract).
+/// EDD-FGMRES only (solve_edd Enhanced, solve_edd_batch): fgmres,
+/// solve_edd_cg and solve_rdd reject it with pfem::Error.
 ///
 /// When enabled, a solve (a) starts from RecycleIn::x0 instead of zero,
 /// (b) projects the initial residual onto RecycleIn::directions (one
@@ -62,7 +64,7 @@ struct RecycleOptions {
   /// Per-RHS input state, index-aligned with the solve's RHS batch;
   /// null, or a missing/empty entry, means that RHS starts cold.
   /// Shared (read-only) so a service can hand session state to a fused
-  /// batch without copying.  The sequential fgmres() path uses entry 0.
+  /// batch without copying.
   std::shared_ptr<const std::vector<RecycleIn>> in;
 
   /// Harvest this solve's cycle updates into BatchSolveResult::recycled
@@ -107,8 +109,9 @@ struct SolveOptions {
   KernelOptions kernels;
 
   /// Two-level subdomain deflation around the polynomial preconditioner
-  /// (EDD-FGMRES only; the sequential path ignores it, and EDD-PCG
-  /// rejects it — A-DEF1 is not symmetric).
+  /// (EDD-FGMRES only: the coarse space is built on EDD subdomains, so
+  /// solve_rdd rejects it, and so does EDD-PCG — A-DEF1 is not
+  /// symmetric; the sequential path ignores it).
   /// Off by default — enabling it adds one small allreduce and one
   /// mat-vec per preconditioner application and keeps iteration counts
   /// flat under weak scaling.  The warm batch path takes its deflation

@@ -6,9 +6,14 @@
 // inner products are local dots + allreduce (Eq. 47), and the norm-1
 // diagonal scaling needs no communication for the row norms (the paper's
 // remark in §4.1.2) but one exchange to obtain the scaling of external
-// columns.  Preconditioning is either the same polynomial machinery
-// (each application = m distributed mat-vecs, hence m exchanges) or the
-// block-Jacobi local-ILU(0) kernel of Eq. 49's discussion.
+// columns.  Only that setup is RDD's own: the iteration is the one
+// distributed FGMRES driver (core/edd_kernels.hpp) run in RDD's rank
+// space, on the same one-shot runner as solve_edd (so trace, fault
+// injector, comm timeout and typed comm_error come from opts.observe).
+// Preconditioning is either the same polynomial applier (each
+// application = m distributed mat-vecs, hence m exchanges), the
+// block-Jacobi local-ILU(0) kernel of Eq. 49's discussion, or restricted
+// additive Schwarz.
 #pragma once
 
 #include <span>
@@ -29,7 +34,11 @@ struct RddOptions {
   PolySpec poly;  ///< used when precond == Poly
 };
 
-/// Solve A u = f on an RDD (block-row) partition.
+/// Solve A u = f on an RDD (block-row) partition.  Typed entry contract,
+/// as solve_edd's: opts.deflation and opts.recycle (EDD features) throw
+/// pfem::Error, and so does an invalid rdd_opts.poly when precond ==
+/// Poly.  KernelOptions::Format::Ebe runs the CSR kernel (RDD rows are
+/// fully assembled; there is no element sub-assembly to sweep).
 [[nodiscard]] DistSolve solve_rdd(const partition::RddPartition& part,
                                         std::span<const real_t> f_global,
                                         const RddOptions& rdd_opts = {},

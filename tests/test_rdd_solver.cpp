@@ -1,11 +1,14 @@
 // RDD-FGMRES baseline tests (Algorithm 8): correctness across process
-// counts and preconditioners, its Table-1 exchange count (m+1), and the
+// counts and preconditioners, its Table-1 exchange count (m+1), the entry
+// contract it shares with solve_edd, bit-neutral kernel formats, and the
 // unsymmetric convection-diffusion systems the paper motivates GMRES
 // with.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
@@ -178,6 +181,139 @@ TEST(RddSolver, MoreRanksMoreMessagesPerExchange) {
     for (const auto& c : res.rank_counters) msgs8 += c.neighbor_msgs;
   }
   EXPECT_GT(msgs8, msgs2);
+}
+
+TEST(RddSolver, RejectsDeflationAndRecyclingTyped) {
+  // The coarse space and solve sessions are EDD features: asking RDD for
+  // them is a typed error, not a silently ignored knob.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 2);
+  SolveOptions deflated;
+  deflated.deflation.enabled = true;
+  EXPECT_THROW((void)solve_rdd(part, prob.load, RddOptions{}, deflated),
+               Error);
+  SolveOptions recycled;
+  recycled.recycle.enabled = true;
+  EXPECT_THROW((void)solve_rdd(part, prob.load, RddOptions{}, recycled),
+               Error);
+}
+
+TEST(RddSolver, ValidatesPolySpecAtEntry) {
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 2);
+  RddOptions zero_degree;
+  zero_degree.poly.kind = PolyKind::Neumann;
+  zero_degree.poly.degree = 0;
+  EXPECT_THROW((void)solve_rdd(part, prob.load, zero_degree), Error);
+  RddOptions two_intervals;
+  two_intervals.poly.kind = PolyKind::Chebyshev;
+  two_intervals.poly.theta = {{0.1, 0.5}, {0.6, 1.0}};
+  EXPECT_THROW((void)solve_rdd(part, prob.load, two_intervals), Error);
+  // The polynomial is not consulted by the ILU preconditioners.
+  RddOptions ilu = zero_degree;
+  ilu.precond = RddOptions::Precond::BlockJacobiIlu;
+  EXPECT_TRUE(solve_rdd(part, prob.load, ilu).converged);
+}
+
+TEST(RddSolver, SetupCountersAreSubsetOfTotals) {
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 4);
+  RddOptions rdd;
+  rdd.poly.degree = 7;
+  const DistSolve res = solve_rdd(part, prob.load, rdd);
+  ASSERT_EQ(res.setup_counters.size(), res.rank_counters.size());
+  for (std::size_t r = 0; r < res.rank_counters.size(); ++r) {
+    EXPECT_LE(res.setup_counters[r].flops, res.rank_counters[r].flops);
+    EXPECT_LE(res.setup_counters[r].neighbor_exchanges,
+              res.rank_counters[r].neighbor_exchanges);
+    // Setup performs exactly one exchange (the external-column scaling).
+    EXPECT_EQ(res.setup_counters[r].neighbor_exchanges, 1u);
+    // ... and carries the rank's setup wall time.
+    EXPECT_GT(res.setup_counters[r].total_seconds, 0.0);
+  }
+}
+
+TEST(RddSolver, ResultsDoNotDependOnKernelFormat) {
+  // SELL and the overlapped exchange are bit-neutral, and Format::Ebe
+  // falls back to CSR: every combination must reproduce the CSR run
+  // exactly, counters included.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 4);
+  std::vector<RddOptions> precs(5);
+  precs[0].poly.degree = 7;
+  precs[1].poly.kind = PolyKind::Neumann;
+  precs[1].poly.degree = 10;
+  precs[2].poly.kind = PolyKind::Chebyshev;
+  precs[2].poly.degree = 7;
+  precs[2].poly.theta = {{1e-4, 1.0}};
+  precs[3].precond = RddOptions::Precond::BlockJacobiIlu;
+  precs[4].precond = RddOptions::Precond::AdditiveSchwarz;
+  using Format = KernelOptions::Format;
+  for (std::size_t k = 0; k < precs.size(); ++k) {
+    SolveOptions opts;
+    opts.tol = 1e-10;
+    const DistSolve ref = solve_rdd(part, prob.load, precs[k], opts);
+    ASSERT_TRUE(ref.converged) << "preconditioner " << k;
+    for (const Format format : {Format::Csr, Format::Sell, Format::Ebe}) {
+      for (const bool overlap : {false, true}) {
+        SCOPED_TRACE("preconditioner " + std::to_string(k) + ", format " +
+                     std::to_string(static_cast<int>(format)) +
+                     (overlap ? ", overlap" : ""));
+        opts.kernels.format = format;
+        opts.kernels.overlap = overlap;
+        const DistSolve res = solve_rdd(part, prob.load, precs[k], opts);
+        EXPECT_EQ(res.iterations, ref.iterations);
+        EXPECT_EQ(res.history, ref.history);
+        EXPECT_EQ(res.x, ref.x);
+        ASSERT_EQ(res.rank_counters.size(), ref.rank_counters.size());
+        for (std::size_t r = 0; r < ref.rank_counters.size(); ++r) {
+          EXPECT_EQ(res.rank_counters[r].neighbor_exchanges,
+                    ref.rank_counters[r].neighbor_exchanges);
+          EXPECT_EQ(res.rank_counters[r].global_reductions,
+                    ref.rank_counters[r].global_reductions);
+          EXPECT_EQ(res.rank_counters[r].matvecs,
+                    ref.rank_counters[r].matvecs);
+        }
+      }
+    }
+  }
+}
+
+TEST(RddSolver, TracedExchangesMatchCountersOnEveryRank) {
+  // The one-shot runner's trace: a `solve_rdd` root span per rank and one
+  // "exchange" span per counted neighbor exchange, setup included, with
+  // the halo exchange overlapped or not and inside RAS applications.
+  const fem::CantileverProblem prob = test_problem();
+  const partition::RddPartition part = exp::make_rdd(prob, 4);
+  RddOptions ras;
+  ras.precond = RddOptions::Precond::AdditiveSchwarz;
+  for (const RddOptions& rdd : {RddOptions{}, ras}) {
+    for (const bool overlap : {false, true}) {
+      SolveOptions opts;
+      opts.tol = 1e-8;
+      opts.kernels.overlap = overlap;
+      opts.observe.trace = true;
+      opts.observe.ring_capacity = std::size_t{1} << 16;
+      const DistSolve res = solve_rdd(part, prob.load, rdd, opts);
+      ASSERT_TRUE(res.converged);
+      ASSERT_NE(res.trace, nullptr);
+      for (int r = 0; r < part.nparts(); ++r) {
+        const obs::Tracer& lane = res.trace->rank(r);
+        ASSERT_EQ(lane.dropped(), 0u);
+        std::uint64_t exchanges = 0, roots = 0;
+        for (const obs::Record& rec : lane.records()) {
+          if (rec.kind != obs::Record::Kind::Span) continue;
+          exchanges += std::string(rec.name) == "exchange";
+          roots += std::string(rec.name) == "solve_rdd";
+        }
+        EXPECT_EQ(roots, 1u) << "rank " << r;
+        EXPECT_EQ(exchanges,
+                  res.rank_counters[static_cast<std::size_t>(r)]
+                      .neighbor_exchanges)
+            << "rank " << r << (overlap ? ", overlap" : "");
+      }
+    }
+  }
 }
 
 // ---- Unsymmetric systems ---------------------------------------------
