@@ -166,9 +166,7 @@ void BM_GlsApplyFusedSell(benchmark::State& state) {
   const sparse::CsrMatrix& a = cantilever().stiffness;
   Vector d = a.row_norms1();
   for (auto& di : d) di = 1.0 / std::sqrt(di);
-  core::KernelOptions ko;
-  ko.overlap = false;
-  const core::RankKernel kern(a, std::move(d), {}, ko);
+  const core::RankKernel kern(a, std::move(d), {}, core::KernelOptions{});
   const core::LinearOp op(
       a.rows(), [&kern](std::span<const real_t> x, std::span<real_t> y) {
         kern.apply(x, y);
@@ -230,7 +228,6 @@ struct KernelSweepRow {
   std::string mesh;
   index_t n = 0;
   index_t nnz = 0;
-  int chunk = 0;
   double spmv_csr = 0, spmv_sell = 0, spmv_fused = 0;
   double poly_csr = 0, poly_fused = 0;
 };
@@ -245,16 +242,13 @@ KernelSweepRow sweep_mesh(int mesh_number, int degree) {
   scaled.scale_symmetric(d);
 
   const sparse::SellMatrix sell = sparse::SellMatrix::from_csr(scaled);
-  core::KernelOptions ko;
-  ko.overlap = false;
-  const core::RankKernel fused(k, Vector(d), {}, ko);
+  const core::RankKernel fused(k, Vector(d), {}, core::KernelOptions{});
 
   KernelSweepRow row;
   row.mesh = fem::table2_meshes()[static_cast<std::size_t>(mesh_number - 1)]
                  .name;
   row.n = k.rows();
   row.nnz = k.nnz();
-  row.chunk = sell.chunk();
 
   Vector x(static_cast<std::size_t>(k.cols()), 1.0);
   Vector y(static_cast<std::size_t>(k.rows()));
@@ -331,7 +325,7 @@ int run_kernel_sweep(const std::string& json_path, int max_mesh) {
     const auto& r = rows[i];
     const double gf = 2.0 * static_cast<double>(r.nnz) * 1e-9;
     out << "    {\"mesh\": \"" << r.mesh << "\", \"n\": " << r.n
-        << ", \"nnz\": " << r.nnz << ", \"chunk\": " << r.chunk
+        << ", \"nnz\": " << r.nnz
         << ",\n     \"spmv_seconds\": {\"csr\": " << r.spmv_csr
         << ", \"sell\": " << r.spmv_sell << ", \"fused\": " << r.spmv_fused
         << "},\n     \"spmv_gflops\": {\"csr\": " << gf / r.spmv_csr
@@ -390,7 +384,6 @@ EbeSweepRow sweep_mesh_ebe(int mesh_number, int degree) {
       prob.mesh, prob.dofs, prob.material, fem::Operator::Stiffness);
   core::KernelOptions eo;
   eo.format = core::KernelOptions::Format::Ebe;
-  eo.overlap = false;
   const core::RankKernel ebe(k, Vector(d), {}, eo, &elems);
 
   EbeSweepRow row;

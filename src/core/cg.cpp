@@ -14,7 +14,7 @@ SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
   const std::size_t n = b.size();
   PFEM_CHECK(x.size() == n);
   PFEM_CHECK(a.size() == as_index(n));
-  PFEM_CHECK(opts.max_iters >= 1 && opts.tol > 0.0);
+  check_solve_input(opts, b, /*restarted=*/false);
 
   SolveReport result;
   // ‖b‖ = 0: x = 0 solves exactly and any relative residual is 0/0 —
@@ -197,8 +197,7 @@ DistSolve solve_edd_cg(const EddPartition& part,
                        const SolveOptions& opts,
                        const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
-  PFEM_CHECK_MSG(opts.max_iters >= 1 && opts.tol > 0.0,
-                 "solve_edd_cg: max_iters must be >= 1 and tol > 0");
+  check_solve_input(opts, f_global, /*restarted=*/false);
   // A-DEF1 is not symmetric, so PCG cannot use it; sessions recycle
   // FGMRES directions.
   PFEM_CHECK_MSG(!opts.deflation.enabled,

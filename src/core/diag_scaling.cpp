@@ -7,18 +7,22 @@
 
 namespace pfem::core {
 
-Vector norm1_scaling(const sparse::CsrMatrix& k) {
-  Vector d = k.row_norms1();
+void invert_sqrt_row_norms(std::span<real_t> d,
+                           std::span<const index_t> global_dofs) {
   for (std::size_t i = 0; i < d.size(); ++i) {
-    // A zero (or non-finite) row norm means d_i = 1/sqrt(||k_i||_1) does
-    // not exist: the operator is degenerate, not the solver.  Typed so a
-    // multi-tenant service can answer Failed{BadOperator} and keep
-    // serving instead of treating it as an internal invariant violation.
     if (!(d[i] > 0.0) || !std::isfinite(d[i]))
-      throw BadOperatorError("norm-1 scaling: zero/degenerate row " +
-                             std::to_string(i));
+      throw BadOperatorError(
+          "norm-1 scaling: zero/degenerate row at global dof " +
+          std::to_string(global_dofs.empty() ? static_cast<index_t>(i)
+                                             : global_dofs[i]) +
+          " (row norm " + std::to_string(d[i]) + ")");
     d[i] = 1.0 / std::sqrt(d[i]);
   }
+}
+
+Vector norm1_scaling(const sparse::CsrMatrix& k) {
+  Vector d = k.row_norms1();
+  invert_sqrt_row_norms(d);
   return d;
 }
 

@@ -14,7 +14,16 @@
 
 namespace pfem::core {
 
-/// The scaling diagonal: D_ii = 1/√(‖k_i‖₁).  Throws if a row is all zero.
+/// d_i <- 1/√d_i over the row norms d_i = ‖k_i‖₁ (Eq. 44), in place.  A
+/// zero, NaN or infinite norm means the scaling does not exist: the
+/// operator is degenerate, not the solver.  Throws BadOperatorError
+/// naming the row's global dof (global_dofs[i], or i when global_dofs is
+/// empty), typed so a multi-tenant service answers Failed{BadOperator}
+/// and keeps serving.  The one inversion every solver setup uses.
+void invert_sqrt_row_norms(std::span<real_t> d,
+                           std::span<const index_t> global_dofs = {});
+
+/// The scaling diagonal: D_ii = 1/√(‖k_i‖₁) (invert_sqrt_row_norms).
 [[nodiscard]] Vector norm1_scaling(const sparse::CsrMatrix& k);
 
 /// A scaled system plus what is needed to map solutions back.

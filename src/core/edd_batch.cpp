@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "core/diag_scaling.hpp"
 #include "core/edd_kernels.hpp"
 #include "la/dense.hpp"
 #include "la/hessenberg_lsq.hpp"
@@ -16,20 +17,6 @@ namespace pfem::core {
 namespace detail {
 
 namespace {
-
-/// d_i <- 1/√d_i over the globally summed row norms (Eq. 44).  The
-/// exchange made d consistent, so a zero sum is a degenerate ROW OF THE
-/// ASSEMBLED OPERATOR, not a partition artifact — typed so the service
-/// answers Failed{BadOperator} (request-scoped, never cached).
-void invert_sqrt_row_norms(const EddSubdomain& sub, Vector& d) {
-  for (std::size_t l = 0; l < d.size(); ++l) {
-    if (!(d[l] > 0.0))
-      throw BadOperatorError(
-          "norm-1 scaling: zero/degenerate row at global dof " +
-          std::to_string(sub.local_to_global[l]));
-    d[l] = 1.0 / std::sqrt(d[l]);
-  }
-}
 
 /// How many vectors the warm-setup phase of `opts.recycle` contributes
 /// to its ONE fused exchange for RHS b: the globalized b̂ (for ‖b̂‖),
@@ -118,7 +105,10 @@ RankSetup setup_rank(par::Comm& comm, const EddPartition& part,
   op.d = k.row_norms1();  // partial row norms d_i^(s) (Eq. 43)
   r.counters().flops += nnz;
   r.exchange(op.d);       // d_i = Σ_s d_i^(s) (Eq. 42)
-  invert_sqrt_row_norms(sub, op.d);
+  // The exchange made d consistent, so a bad sum is a degenerate row of
+  // the assembled operator, not a partition artifact (request-scoped in
+  // the service, never cached).
+  invert_sqrt_row_norms(op.d, sub.local_to_global);
   // Â = D̂ K̂ D̂ (Eq. 44): every kernel format folds D into its stored
   // entries once, here — the 2*nnz scaling work is charged so setup and
   // iteration flop accounting stay comparable across formats.
@@ -807,9 +797,6 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                                  std::span<const Vector> rhs,
                                  const SolveOptions& opts, obs::Trace* trace) {
   PFEM_CHECK_MSG(!rhs.empty(), "solve_edd_batch: empty RHS batch");
-  PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
-                 "solve_edd_batch: restart/max_iters must be >= 1 and "
-                 "tol > 0");
   PFEM_CHECK_MSG(team.size() == part.nparts(),
                  "solve_edd_batch: team size " << team.size()
                  << " != partition parts " << part.nparts());
@@ -818,8 +805,10 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                  "solve_edd_batch: operator state was not built for this "
                  "partition (use build_edd_operator)");
   validate_poly_spec(op.poly);
-  for (const Vector& f : rhs)
+  for (const Vector& f : rhs) {
     PFEM_CHECK(f.size() == static_cast<std::size_t>(part.n_global));
+    check_solve_input(opts, f);
+  }
   const std::size_t nb = rhs.size();
   if (opts.recycle.enabled && opts.recycle.in != nullptr) {
     // Session inputs are physical global vectors, same shape as the

@@ -46,9 +46,9 @@ struct EddOperatorState {
   /// inspect the operator; the solvers apply `kern`.
   std::vector<sparse::CsrMatrix> a;
   std::vector<Vector> d;             ///< per-rank scaling 1/sqrt(d_i) (Eq. 43)
-  KernelOptions kernels;             ///< format/overlap the kernels were built for
+  KernelOptions kernels;             ///< format the kernels were built for
   /// Per-rank apply kernels (SELL-C-σ blocks, scalar CSR or matrix-free
-  /// EBE, interior/interface split per `kernels`).  solve_edd_batch
+  /// EBE, split interior/interface).  solve_edd_batch
   /// rejects a state without them.
   std::vector<RankKernel> kern;
   /// Prebuilt polynomial recursion data (shared read-only by all ranks;

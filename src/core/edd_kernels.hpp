@@ -1,8 +1,8 @@
 // Internal rank-level building blocks of the distributed solvers.  A
 // *rank space* is a rank helper plus the operator it applies: EDD's
-// EddRank + RankKernel (the nearest-neighbor exchange — monolithic, fused
-// over lanes, and split into start/finish halves for compute overlap —
-// and the distributed inner products of its two vector formats), and
+// EddRank + RankKernel (the nearest-neighbor exchange fused over lanes,
+// whole or split into start/finish halves for compute overlap, and the
+// distributed inner products of its two vector formats), and
 // RDD's RddRank + RddOp (owned rows plus an external halo, where the two
 // formats coincide).  On top of a space: the multi-lane polynomial
 // applier (Algorithm 7 generalized to Neumann, GLS and Chebyshev), the
@@ -57,15 +57,14 @@ class EddRank {
         nl_(static_cast<std::size_t>(sub.n_local())),
         max_batch_(std::max<std::size_t>(max_batch, 1)) {
     // Prepost the exchange buffers: capacities are fixed by the neighbor
-    // lists TIMES the configured batch width, so neither the single-RHS
-    // nor the fused multi-RHS exchange ever allocates per iteration.
+    // lists TIMES the configured batch width, so no exchange ever
+    // allocates per iteration.
     std::size_t max_shared = 0;
     for (const auto& nb : sub_.neighbors)
       max_shared = std::max(max_shared, nb.shared_local_dofs.size());
     send_buf_.reserve(max_shared * max_batch_);
     recv_buf_.reserve(max_shared * max_batch_);
-    buf_.reserve(sub_.interface_local_dofs.size());
-    fused_buf_.reserve(sub_.interface_local_dofs.size() * max_batch_);
+    stash_.reserve(sub_.interface_local_dofs.size() * max_batch_);
   }
 
   [[nodiscard]] std::size_t nl() const noexcept { return nl_; }
@@ -74,97 +73,62 @@ class EddRank {
     return comm_.counters();
   }
 
-  /// û_glob = ⊕Σ_{∂Ω_s} û_loc (Eq. 28): in-place sum of neighbors'
-  /// shared-dof contributions.  One logical nearest-neighbor exchange.
+  /// û_glob = ⊕Σ_{∂Ω_s} û_loc (Eq. 28) for every vector of `vs` at
+  /// once: in-place sum of neighbors' shared-dof contributions.  Each
+  /// neighbor gets ONE message carrying every vector's shared-dof
+  /// section, so the per-message latency (the cost model's alpha term)
+  /// is amortized across the batch.  One logical nearest-neighbor
+  /// exchange, whatever the width.
   ///
   /// Determinism: contributions are folded in ascending *rank* order
   /// (own contribution inserted at this rank's position), so every
   /// sharer of a dof computes the bit-identical sum even when three or
-  /// more subdomains meet at a point.  Without this, the per-rank
-  /// "global format" copies drift apart by ulps — harmless for restarted
-  /// FGMRES but fatal for CG's recursively updated residual.
-  void exchange(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
+  /// more subdomains meet at a point, and each vector's result is the
+  /// same at any batch width.  Without this, the per-rank "global
+  /// format" copies drift apart by ulps — harmless for restarted FGMRES
+  /// but fatal for CG's recursively updated residual.
+  void exchange_many(std::span<Vector* const> vs) {
+    if (vs.empty()) return;
     // The "exchange" span and neighbor_exchanges count the same logical
     // event, so a trace is an exact cross-check of the counters (and of
     // the paper's Table 1 per-iteration exchange counts).
-    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
+    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange,
+             static_cast<std::uint32_t>(vs.size()));
     counters().neighbor_exchanges += 1;
-    post_sends(v);
-    stash_and_zero(v);
-    fold(v);
+    post_sends(vs);
+    stash_and_zero(vs);
+    fold(vs);
   }
 
-  /// First half of exchange(): post the sends and stash-and-zero the
-  /// interface entries of v, then return with the messages in flight.
-  /// The caller may do any work that neither reads nor writes v's
-  /// interface entries — in particular the interior-row block of the
-  /// split operator — before calling exchange_finish(v).  The
+  /// exchange_many() of one vector.
+  void exchange(Vector& v) {
+    Vector* const vs[] = {&v};
+    exchange_many(vs);
+  }
+
+  /// First half of exchange_many(): post the sends and stash-and-zero the
+  /// interface entries of every vector, then return with the messages in
+  /// flight.  The caller may do any work that neither reads nor writes
+  /// the interface entries — in particular the interior-row block of the
+  /// split operator — before calling exchange_many_finish(vs).  The
   /// neighbor_exchanges counter is charged here (the exchange logically
   /// begins now); the matching "exchange" span is emitted by the finish
-  /// half, so a trace still carries exactly one per logical exchange.
-  void exchange_start(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
-    counters().neighbor_exchanges += 1;
-    post_sends(v);
-    stash_and_zero(v);
-  }
-
-  /// Second half: drain the receives and fold all contributions in the
-  /// same ascending-rank order as the monolithic exchange — the result
-  /// is bit-identical regardless of how much compute ran in between.
-  void exchange_finish(std::span<real_t> v) {
-    PFEM_DEBUG_CHECK(v.size() == nl_);
-    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
-    fold(v);
-  }
-
-  /// Fused form of exchange(): one ⊕Σ round for `vs.size()` vectors at
-  /// once — each neighbor gets ONE message carrying every vector's
-  /// shared-dof section, so the per-message latency (the cost model's
-  /// alpha term) is amortized across the batch.  Counted as one logical
-  /// neighbor exchange.  The per-dof fold order is identical to
-  /// exchange()'s (ascending sharer rank), so each vector's result is
-  /// bit-identical to what a standalone exchange would produce.
-  void exchange_many(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange(*vs[0]);
-      return;
-    }
-    OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange,
-             static_cast<std::uint32_t>(nb));
-    counters().neighbor_exchanges += 1;
-    post_sends_many(vs);
-    stash_and_zero_many(vs);
-    fold_many(vs);
-  }
-
-  /// Split halves of exchange_many(), same contract as exchange_start/
-  /// exchange_finish but for a fused batch.
+  /// half, so a trace carries exactly one per logical exchange.
   void exchange_many_start(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange_start(*vs[0]);
-      return;
-    }
+    if (vs.empty()) return;
     counters().neighbor_exchanges += 1;
-    post_sends_many(vs);
-    stash_and_zero_many(vs);
+    post_sends(vs);
+    stash_and_zero(vs);
   }
 
+  /// Second half: drain the receives and fold all contributions in
+  /// ascending rank order — the result is bit-identical regardless of
+  /// how much compute ran in between.
   void exchange_many_finish(std::span<Vector* const> vs) {
-    const std::size_t nb = vs.size();
-    if (nb == 0) return;
-    if (nb == 1) {
-      exchange_finish(*vs[0]);
-      return;
-    }
+    if (vs.empty()) return;
     OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange,
-             static_cast<std::uint32_t>(nb));
-    fold_many(vs);
+             static_cast<std::uint32_t>(vs.size()));
+    fold(vs);
   }
 
   /// ⟨x, y⟩ with x local-distributed and y global-distributed (Eq. 33):
@@ -224,60 +188,11 @@ class EddRank {
   }
 
  private:
-  // The exchange decomposed into its three phases, shared by the
-  // monolithic and the split form so the message pattern, the stash/fold
-  // arithmetic and the deterministic ordering cannot drift apart.
+  // The exchange's three phases, shared by the monolithic and the split
+  // form so the message pattern, the stash/fold arithmetic and the
+  // deterministic ordering cannot drift apart.
 
-  void post_sends(std::span<const real_t> v) {
-    for (const auto& nb : sub_.neighbors) {
-      const std::size_t ns = nb.shared_local_dofs.size();
-      PFEM_DEBUG_CHECK(ns <= send_buf_.capacity());
-      send_buf_.resize(ns);
-      for (std::size_t k = 0; k < ns; ++k)
-        send_buf_[k] = v[static_cast<std::size_t>(nb.shared_local_dofs[k])];
-      comm_.exchange_start(nb.rank, kExchangeTag, send_buf_);
-    }
-  }
-
-  /// Stash own interface contributions into buf_ and zero them in v, so
-  /// the folds (own and neighbors') can land in pure ascending order.
-  void stash_and_zero(std::span<real_t> v) {
-    buf_.resize(sub_.interface_local_dofs.size());
-    for (std::size_t k = 0; k < sub_.interface_local_dofs.size(); ++k) {
-      const auto l = static_cast<std::size_t>(sub_.interface_local_dofs[k]);
-      buf_[k] = v[l];
-      v[l] = 0.0;
-    }
-  }
-
-  /// Fold all sharers' contributions in ascending rank order (own
-  /// contribution inserted at this rank's position).
-  void fold(std::span<real_t> v) {
-    bool own_added = sub_.neighbors.empty();
-    auto add_own = [&] {
-      // The own-contribution fold is the same work as a neighbor fold —
-      // account its flops symmetrically.
-      for (std::size_t k = 0; k < sub_.interface_local_dofs.size(); ++k)
-        v[static_cast<std::size_t>(sub_.interface_local_dofs[k])] += buf_[k];
-      counters().flops += sub_.interface_local_dofs.size();
-      own_added = true;
-    };
-    if (own_added) add_own();
-    for (const auto& nb : sub_.neighbors) {  // sorted by rank
-      if (!own_added && nb.rank > comm_.rank()) add_own();
-      const std::size_t ns = nb.shared_local_dofs.size();
-      PFEM_DEBUG_CHECK(ns <= recv_buf_.capacity());
-      recv_buf_.resize(ns);
-      comm_.exchange_finish(nb.rank, kExchangeTag,
-                            std::span<real_t>(recv_buf_.data(), ns));
-      for (std::size_t k = 0; k < ns; ++k)
-        v[static_cast<std::size_t>(nb.shared_local_dofs[k])] += recv_buf_[k];
-      counters().flops += ns;
-    }
-    if (!own_added) add_own();
-  }
-
-  void post_sends_many(std::span<Vector* const> vs) {
+  void post_sends(std::span<Vector* const> vs) {
     const std::size_t nb = vs.size();
     PFEM_DEBUG_CHECK(nb <= max_batch_);
     for (const auto& nb_it : sub_.neighbors) {
@@ -294,31 +209,38 @@ class EddRank {
     }
   }
 
-  void stash_and_zero_many(std::span<Vector* const> vs) {
+  /// Stash own interface contributions into stash_ and zero them in
+  /// every vector, so the folds (own and neighbors') can land in pure
+  /// ascending order.
+  void stash_and_zero(std::span<Vector* const> vs) {
     const std::size_t nb = vs.size();
     const std::size_t ni = sub_.interface_local_dofs.size();
-    PFEM_DEBUG_CHECK(nb * ni <= fused_buf_.capacity());
-    fused_buf_.resize(nb * ni);
+    PFEM_DEBUG_CHECK(nb * ni <= stash_.capacity());
+    stash_.resize(nb * ni);
     for (std::size_t b = 0; b < nb; ++b) {
       Vector& v = *vs[b];
       for (std::size_t k = 0; k < ni; ++k) {
         const auto l = static_cast<std::size_t>(sub_.interface_local_dofs[k]);
-        fused_buf_[b * ni + k] = v[l];
+        stash_[b * ni + k] = v[l];
         v[l] = 0.0;
       }
     }
   }
 
-  void fold_many(std::span<Vector* const> vs) {
+  /// Fold all sharers' contributions in ascending rank order (own
+  /// contribution inserted at this rank's position).
+  void fold(std::span<Vector* const> vs) {
     const std::size_t nb = vs.size();
     const std::size_t ni = sub_.interface_local_dofs.size();
     bool own_added = sub_.neighbors.empty();
     auto add_own = [&] {
+      // The own-contribution fold is the same work as a neighbor fold —
+      // account its flops symmetrically.
       for (std::size_t b = 0; b < nb; ++b) {
         Vector& v = *vs[b];
         for (std::size_t k = 0; k < ni; ++k)
           v[static_cast<std::size_t>(sub_.interface_local_dofs[k])] +=
-              fused_buf_[b * ni + k];
+              stash_[b * ni + k];
       }
       counters().flops += nb * ni;
       own_added = true;
@@ -346,18 +268,18 @@ class EddRank {
   par::Comm& comm_;
   std::size_t nl_;
   std::size_t max_batch_;  ///< widest fused exchange ever issued
-  Vector buf_, send_buf_, recv_buf_;
-  Vector fused_buf_;  ///< interface stash of exchange_many (nb x ni)
+  Vector send_buf_, recv_buf_;
+  Vector stash_;  ///< own interface contributions in flight (nb x ni)
 };
 
 /// One Enhanced-discipline recursion step for every lane: ŷ_i = Â x̂_i,
-/// then ONE fused exchange globalizes all outputs.  With a split kernel
-/// the coupled rows of every lane are computed first, the sends go out,
-/// the interior rows fill in while messages fly (they write no stashed
-/// interface dof), and the folds land last — still exactly one logical
-/// exchange and one matvec per lane.  The matrix-free kernel runs its
-/// element sweeps lane-fused (each dense element matrix loaded once per
-/// batch) with the same per-lane arithmetic as a single apply.
+/// then ONE fused exchange globalizes all outputs.  The coupled rows of
+/// every lane are computed first, the sends go out, the interior rows
+/// fill in while messages fly (they write no stashed interface dof), and
+/// the folds land last — exactly one logical exchange and one matvec per
+/// lane.  The matrix-free kernel runs its element sweeps lane-fused
+/// (each dense element matrix loaded once per batch) with the same
+/// per-lane arithmetic as a single apply.
 inline void spmv_exchange(EddRank& r, const RankKernel& a,
                           std::span<Vector* const> xs,
                           std::span<Vector* const> ys) {
@@ -367,53 +289,39 @@ inline void spmv_exchange(EddRank& r, const RankKernel& a,
   {
     OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
              static_cast<std::uint32_t>(nb));
-    if (a.split()) {
-      // Additive halves scatter-add into shared rows — start clean.
-      if (a.additive())
-        for (Vector* y : ys) la::fill(*y, 0.0);
-      a.apply_coupled_many(cxs, ys);
-      r.exchange_many_start(ys);
-      a.apply_interior_many(cxs, ys);
-    } else {
-      a.apply_many(cxs, ys);
-    }
+    // Additive halves scatter-add into shared rows — start clean.
+    if (a.additive())
+      for (Vector* y : ys) la::fill(*y, 0.0);
+    a.apply_coupled_many(cxs, ys);
+    r.exchange_many_start(ys);
+    a.apply_interior_many(cxs, ys);
     r.counters().matvecs += nb;
     r.counters().flops += nb * a.apply_flops();
   }
-  if (a.split())
-    r.exchange_many_finish(ys);
-  else
-    r.exchange_many(ys);
+  r.exchange_many_finish(ys);
 }
 
 /// One Basic-discipline recursion step for every lane: globalize ŵ_i in
 /// place with ONE fused exchange (the caller passes copies it can
-/// spare), then ŷ_i = Â ŵ_i in local format.  With a split kernel the
-/// sends go out first; the interior rows — which read no interface
-/// column, so the mid-flight zeroed entries of ŵ are invisible to them —
-/// compute while messages fly; the folds land; the coupled rows finish
-/// against the fully globalized ŵ.
+/// spare), then ŷ_i = Â ŵ_i in local format.  The sends go out first;
+/// the interior rows — which read no interface column, so the mid-flight
+/// zeroed entries of ŵ are invisible to them — compute while messages
+/// fly; the folds land; the coupled rows finish against the fully
+/// globalized ŵ.
 inline void exchange_spmv(EddRank& r, const RankKernel& a,
                           std::span<Vector* const> ws,
                           std::span<Vector* const> ys) {
   const std::size_t nb = ws.size();
   const std::span<const Vector* const> cws(
       const_cast<const Vector* const*>(ws.data()), nb);
-  if (a.split())
-    r.exchange_many_start(ws);
-  else
-    r.exchange_many(ws);
+  r.exchange_many_start(ws);
   OBS_SPAN(r.comm().tracer(), "spmv", obs::Cat::Matvec,
            static_cast<std::uint32_t>(nb));
-  if (a.split()) {
-    if (a.additive())
-      for (Vector* y : ys) la::fill(*y, 0.0);
-    a.apply_interior_many(cws, ys);
-    r.exchange_many_finish(ws);
-    a.apply_coupled_many(cws, ys);
-  } else {
-    a.apply_many(cws, ys);
-  }
+  if (a.additive())
+    for (Vector* y : ys) la::fill(*y, 0.0);
+  a.apply_interior_many(cws, ys);
+  r.exchange_many_finish(ws);
+  a.apply_coupled_many(cws, ys);
   r.counters().matvecs += nb;
   r.counters().flops += nb * a.apply_flops();
 }
@@ -432,7 +340,6 @@ struct RddOp {
   CsrMatrix loc, ext;
   sparse::SellMatrix loc_sell, ext_sell;
   bool sell = false;
-  bool overlap = false;
   std::uint64_t spmv_flops = 0;
 
   void apply_loc(std::span<const real_t> x, std::span<real_t> y) const {
@@ -477,12 +384,11 @@ class RddRank {
 
   /// y <- A x: scatter owned boundary values, gather externals, then
   /// y = A_loc x + A_ext x_ext (Eq. 48).  A_loc reads only owned entries
-  /// of x, which the exchange never touches — with `op.overlap` it runs
-  /// while the neighbor messages are in flight.  Exchange count per
-  /// matvec is one either way.
+  /// of x, which the exchange never touches, so it runs while the
+  /// neighbor messages are in flight.  One exchange per matvec.
   void spmv(const RddOp& op, std::span<const real_t> x, std::span<real_t> y) {
     OBS_SPAN(comm_.tracer(), "matvec", obs::Cat::Matvec);
-    if (op.overlap) {
+    {
       // Split exchange: counted when the sends go out; the finish emits
       // the one "exchange" span.
       counters().neighbor_exchanges += 1;
@@ -490,9 +396,6 @@ class RddRank {
       op.apply_loc(x, y);
       OBS_SPAN(comm_.tracer(), "exchange", obs::Cat::Exchange);
       recv_into_ext();
-    } else {
-      exchange_into_ext(x);
-      op.apply_loc(x, y);
     }
     if (sub_.n_ext() > 0) op.apply_ext_add(x_ext_, y);
     counters().matvecs += 1;

@@ -45,8 +45,7 @@ DistSolve solve_edd(const partition::EddPartition& part,
                     const SolveOptions& opts, EddVariant variant,
                     const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
-  PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
-                 "solve_edd: restart/max_iters must be >= 1 and tol > 0");
+  check_solve_input(opts, f_global);
   // Solve sessions warm-start and project in the global format of the
   // Enhanced discipline; Algorithm 5 keeps x in local format.
   PFEM_CHECK_MSG(!(variant == EddVariant::Basic && opts.recycle.enabled),

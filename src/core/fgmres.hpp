@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -78,10 +79,13 @@ struct RecycleOptions {
 /// (net::proto::SolveRequestMsg carries the convergence + session
 /// fields; kernel/deflation/observe stay server-side policy):
 ///
-///   convergence   restart, max_iters, tol, reorthogonalize,
-///                 batched_reductions   — must match for requests to
-///                 coalesce into one fused service batch;
-///   kernels       KernelOptions        — bit-neutral storage/overlap;
+///   convergence   restart, max_iters, tol, reorthogonalize — must
+///                 match for requests to coalesce into one fused service
+///                 batch; batched_reductions need not (the batch path
+///                 always folds each Gram–Schmidt pass into one
+///                 allreduce);
+///   kernels       KernelOptions        — storage format (Csr and Sell
+///                 bit-identical, Ebe not);
 ///   deflation     DeflationOptions     — two-level coarse correction;
 ///   observe       obs::ObserveOptions  — tracing + progress callbacks;
 ///   recycle       RecycleOptions       — sessions: warm starts and
@@ -98,14 +102,15 @@ struct SolveOptions {
 
   /// Batch the j+1 Gram-Schmidt coefficients of an iteration into one
   /// allreduce instead of the paper's one-reduction-per-coefficient
-  /// (distributed solvers only).  Off by default (paper-faithful); the
-  /// ablation bench quantifies what this modern optimization buys.
+  /// (one-shot distributed solvers only; solve_edd_batch always folds).
+  /// Off by default (paper-faithful); the ablation bench quantifies what
+  /// this modern optimization buys.
   bool batched_reductions = false;
 
-  /// Subdomain-operator kernel selection for the distributed solvers:
-  /// storage format (vectorized SELL-C-σ with fused scaling vs the
-  /// scalar-CSR fallback) and interior/interface exchange overlap.  Both
-  /// choices are bit-neutral — results are identical across settings.
+  /// Subdomain-operator kernel format for the distributed solvers:
+  /// vectorized SELL-C-σ with fused scaling, scalar CSR (bit-identical
+  /// to SELL), or matrix-free Ebe (same iteration counts, results within
+  /// an ulp bound — not bit-identical).
   KernelOptions kernels;
 
   /// Two-level subdomain deflation around the polynomial preconditioner
@@ -128,6 +133,19 @@ struct SolveOptions {
   /// Off by default (every path bit-identical to stateless solves).
   RecycleOptions recycle;
 };
+
+/// The one input check of every solve entry point (fgmres, pcg,
+/// solve_edd, solve_edd_cg, solve_edd_batch, solve_rdd) and of the solve
+/// service's admission: restart >= 1 (skipped when `restarted` is false:
+/// CG does not restart), max_iters >= 1, a finite tol > 0 and finite RHS
+/// entries.  Returns why the input is refused, or "" when it is valid.
+[[nodiscard]] std::string solve_input_error(const SolveOptions& opts,
+                                            std::span<const real_t> rhs,
+                                            bool restarted = true);
+
+/// Throws pfem::Error with solve_input_error's message, if it has one.
+void check_solve_input(const SolveOptions& opts, std::span<const real_t> rhs,
+                       bool restarted = true);
 
 /// Solve A x = b with initial guess x (overwritten by the solution).
 [[nodiscard]] SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,

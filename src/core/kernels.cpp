@@ -76,8 +76,6 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
   PFEM_CHECK(d.size() == static_cast<std::size_t>(k.rows()));
   for (const index_t i : interface_dofs) PFEM_CHECK(i >= 0 && i < k.rows());
 
-  split_ = opts.overlap && !interface_dofs.empty();
-
   if (opts.format == KernelOptions::Format::Ebe) {
     PFEM_CHECK_MSG(elems != nullptr,
                    "Format::Ebe needs the subdomain's element store "
@@ -110,32 +108,18 @@ RankKernel::RankKernel(const sparse::CsrMatrix& k, Vector d,
 
   IndexVector interior;
   IndexVector coupled;
-  if (split_) detail::classify_rows(k, interface_dofs, interior, coupled);
+  detail::classify_rows(k, interface_dofs, interior, coupled);
 
+  // Fold D K D once at build, so every apply streams only the matrix
+  // and x.
+  sparse::CsrMatrix scaled = k;
+  scaled.scale_symmetric(d);
   if (opts.format == KernelOptions::Format::Sell) {
-    // Fold D K D once at build, exactly as format Csr does, so every
-    // apply streams only the matrix and x.
-    sparse::CsrMatrix scaled = k;
-    scaled.scale_symmetric(d);
-    if (split_) {
-      sell_coupled_ =
-          sparse::SellMatrix::from_csr_rows(scaled, coupled, opts.chunk,
-                                            opts.sigma);
-      sell_interior_ =
-          sparse::SellMatrix::from_csr_rows(scaled, interior, opts.chunk,
-                                            opts.sigma);
-    } else {
-      sell_full_ =
-          sparse::SellMatrix::from_csr(scaled, opts.chunk, opts.sigma);
-    }
+    sell_coupled_ = sparse::SellMatrix::from_csr_rows(scaled, coupled);
+    sell_interior_ = sparse::SellMatrix::from_csr_rows(scaled, interior);
   } else {
-    csr_own_ = k;
-    csr_own_.scale_symmetric(d);
-    if (split_) {
-      csr_coupled_ = detail::make_block(csr_own_, coupled);
-      csr_interior_ = detail::make_block(csr_own_, interior);
-      csr_own_ = sparse::CsrMatrix();  // blocks cover every row
-    }
+    csr_coupled_ = detail::make_block(scaled, coupled);
+    csr_interior_ = detail::make_block(scaled, interior);
   }
 }
 
@@ -150,21 +134,12 @@ void RankKernel::apply(std::span<const real_t> x, std::span<real_t> y) const {
     ebe_.apply_add(0, ebe_.num_elems(), x, y);
     return;
   }
-  if (split_) {
-    apply_coupled(x, y);
-    apply_interior(x, y);
-    return;
-  }
-  if (opts_.format == KernelOptions::Format::Sell) {
-    sell_full_.spmv(x, y);
-  } else {
-    csr_own_.spmv(x, y);
-  }
+  apply_coupled(x, y);
+  apply_interior(x, y);
 }
 
 void RankKernel::apply_coupled(std::span<const real_t> x,
                                std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(split_);
   if (opts_.format == KernelOptions::Format::Ebe) {
     ebe_.apply_add(0, ebe_split_, x, y);
   } else if (opts_.format == KernelOptions::Format::Sell) {
@@ -176,7 +151,6 @@ void RankKernel::apply_coupled(std::span<const real_t> x,
 
 void RankKernel::apply_interior(std::span<const real_t> x,
                                 std::span<real_t> y) const {
-  PFEM_DEBUG_CHECK(split_);
   if (opts_.format == KernelOptions::Format::Ebe) {
     ebe_.apply_add(ebe_split_, ebe_.num_elems(), x, y);
   } else if (opts_.format == KernelOptions::Format::Sell) {
@@ -184,17 +158,6 @@ void RankKernel::apply_interior(std::span<const real_t> x,
   } else {
     csr_interior_.spmv(x, y);
   }
-}
-
-void RankKernel::apply_many(std::span<const Vector* const> xs,
-                            std::span<Vector* const> ys) const {
-  PFEM_DEBUG_CHECK(xs.size() == ys.size());
-  if (opts_.format == KernelOptions::Format::Ebe) {
-    for (Vector* y : ys) std::fill(y->begin(), y->end(), real_t{0});
-    ebe_.apply_add_many(0, ebe_.num_elems(), xs, ys);
-    return;
-  }
-  for (std::size_t l = 0; l < xs.size(); ++l) apply(*xs[l], *ys[l]);
 }
 
 void RankKernel::apply_coupled_many(std::span<const Vector* const> xs,

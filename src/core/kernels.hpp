@@ -7,8 +7,7 @@
 // RankKernel wraps one subdomain's scaled operator Â = D K D behind a
 // uniform apply() so the distributed solvers never touch storage details:
 //
-//   - format Csr:  a prescaled CSR copy, scalar row loop — the exact
-//     kernel the solvers ran before this layer existed (the fallback).
+//   - format Csr:  a prescaled CSR copy, scalar row loop.
 //   - format Sell: SELL-C-σ (sparse/sell.hpp) converted from the same
 //     prescaled CSR entries, so it is bit-identical to format Csr.
 //     2-dof elasticity rows land in node-block chunks (one column index
@@ -24,16 +23,18 @@
 //     (DESIGN.md §14).  Requires element data — partitions built by
 //     build_edd_partition carry it; anything else gets a typed error.
 //
-// With overlap on, rows are classified once at build time:
+// Every kernel is split [coupled | interior], rows classified once at
+// build time:
 //   interior — not an interface dof AND coupled to no interface column;
 //     safe to compute while an exchange is in flight in either
 //     discipline (Basic's input vector has only its interface entries
 //     zeroed mid-exchange, which interior rows never read; Enhanced's
 //     output stash touches only interface dofs, which interior rows
 //     never write).
-//   coupled  — everything else (interface rows and their neighbors).
+//   coupled  — everything else (interface rows and their neighbors);
+//     empty on a rank with no interface.
 // Both blocks keep whole rows in original column order, so the split
-// apply is bit-identical to the full one.
+// apply is bit-identical to a whole-matrix row loop.
 //
 // The Ebe format splits ELEMENTS instead of rows: an element is
 // interior iff it touches no interface dof, so interior elements never
@@ -53,21 +54,16 @@
 
 namespace pfem::core {
 
-/// Kernel knob carried by SolveOptions / ServiceConfig.  Defaults pick
-/// the vectorized SELL path with exchange overlap; {Format::Csr,
-/// overlap=false} reproduces the pre-kernel-layer scalar behavior.
+/// Kernel knob carried by SolveOptions / ServiceConfig: the storage
+/// format, vectorized SELL by default.  Csr and Sell give bit-identical
+/// results; Ebe does not (see above).
 struct KernelOptions {
   enum class Format : std::uint8_t {
-    Csr,   ///< scalar CSR, eagerly scaled (the legacy fallback)
+    Csr,   ///< scalar CSR, eagerly scaled
     Sell,  ///< SELL-C-σ, D K D folded into the stored values at build
     Ebe,   ///< matrix-free element-by-element, scaling folded per entry
   };
   Format format = Format::Sell;
-  /// Split interior/interface rows and overlap the neighbor exchange
-  /// with interior compute inside the polynomial apply.
-  bool overlap = true;
-  int chunk = 0;  ///< SELL chunk width C; 0 = platform default (8)
-  int sigma = 0;  ///< SELL sort window σ in rows; 0 = default (8C)
 };
 
 namespace detail {
@@ -97,12 +93,7 @@ class RankKernel {
              const KernelOptions& opts,
              const sparse::EbeStore* elems = nullptr);
 
-  /// Split blocks were built — the overlapped exchange path is available.
-  [[nodiscard]] bool split() const noexcept { return split_; }
   [[nodiscard]] index_t rows() const noexcept { return n_; }
-  [[nodiscard]] const KernelOptions& options() const noexcept {
-    return opts_;
-  }
   /// The split halves scatter-ADD into shared rows instead of assigning
   /// disjoint whole rows (true for Ebe): callers must zero y before the
   /// first half.  apply() always handles its own initialization.
@@ -112,19 +103,18 @@ class RankKernel {
 
   /// y <- Â x over all rows.
   void apply(std::span<const real_t> x, std::span<real_t> y) const;
-  /// y[r] <- (Â x)_r for interface-coupled rows only (requires split()).
+  /// y[r] <- (Â x)_r for interface-coupled rows only.
   /// Ebe: y += the coupled elements' contributions (additive()).
   void apply_coupled(std::span<const real_t> x, std::span<real_t> y) const;
-  /// y[r] <- (Â x)_r for interior rows only (requires split()).
+  /// y[r] <- (Â x)_r for interior rows only.
   /// Ebe: y += the interior elements' contributions (additive()).
   void apply_interior(std::span<const real_t> x, std::span<real_t> y) const;
 
-  /// Multi-RHS forms for the batched service path: lane i of ys receives
-  /// the apply of lane i of xs.  Csr/Sell delegate per lane
-  /// (bit-identical to single applies); Ebe runs element-major so each
-  /// dense element matrix is loaded once per batch, not once per lane.
-  void apply_many(std::span<const Vector* const> xs,
-                  std::span<Vector* const> ys) const;
+  /// Multi-RHS forms of the halves for the batched polynomial steps:
+  /// lane i of ys receives the half-apply of lane i of xs.  Csr/Sell
+  /// delegate per lane (bit-identical to single applies); Ebe runs
+  /// element-major so each dense element matrix is loaded once per
+  /// batch, not once per lane.
   void apply_coupled_many(std::span<const Vector* const> xs,
                           std::span<Vector* const> ys) const;
   void apply_interior_many(std::span<const Vector* const> xs,
@@ -140,12 +130,10 @@ class RankKernel {
 
  private:
   KernelOptions opts_;
-  bool split_ = false;
   index_t n_ = 0;
   std::uint64_t nnz_ = 0;
-  sparse::CsrMatrix csr_own_;
   detail::CsrRowsBlock csr_coupled_, csr_interior_;
-  sparse::SellMatrix sell_full_, sell_coupled_, sell_interior_;
+  sparse::SellMatrix sell_coupled_, sell_interior_;
   /// Ebe only: the folded element store, elements permuted
   /// [coupled | interior]; ebe_split_ marks the boundary.
   sparse::EbeStore ebe_;

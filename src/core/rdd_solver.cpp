@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "core/diag_scaling.hpp"
 #include "core/edd_kernels.hpp"
 #include "sparse/ilu0.hpp"
 
@@ -44,17 +45,11 @@ RddSetup rdd_setup(RddRank& r, const RddSubdomain& sub,
   op.ext = sub.a_ext;
   st.d.assign(nl, 0.0);
   for (index_t i = 0; i < sub.n_local(); ++i) {
-    real_t rownorm = 0.0;
+    real_t& rownorm = st.d[static_cast<std::size_t>(i)];
     for (real_t v : op.loc.row_vals(i)) rownorm += std::abs(v);
     for (real_t v : op.ext.row_vals(i)) rownorm += std::abs(v);
-    // A zero row norm is a degenerate row of the assembled operator:
-    // typed, as in the EDD solvers.
-    if (!(rownorm > 0.0))
-      throw BadOperatorError(
-          "norm-1 scaling: zero/degenerate row at global dof " +
-          std::to_string(sub.rows[static_cast<std::size_t>(i)]));
-    st.d[static_cast<std::size_t>(i)] = 1.0 / std::sqrt(rownorm);
   }
+  invert_sqrt_row_norms(st.d, sub.rows);
   const auto nnz = static_cast<std::uint64_t>(op.loc.nnz() + op.ext.nnz());
   r.counters().flops += nnz;
   r.exchange_into_ext(st.d);
@@ -76,15 +71,11 @@ RddSetup rdd_setup(RddRank& r, const RddSubdomain& sub,
   // Format::Ebe falls back to CSR, bit-identically to Format::Csr: RDD
   // rows are FULLY assembled (local + external column blocks), so there
   // is no per-subdomain element sub-assembly to sweep matrix-free.
-  op.overlap = kernels.overlap;
   op.spmv_flops = op.loc.spmv_flops() + op.ext.spmv_flops();
   if (kernels.format == KernelOptions::Format::Sell) {
     op.sell = true;
-    op.loc_sell =
-        sparse::SellMatrix::from_csr(op.loc, kernels.chunk, kernels.sigma);
-    if (sub.n_ext() > 0)
-      op.ext_sell =
-          sparse::SellMatrix::from_csr(op.ext, kernels.chunk, kernels.sigma);
+    op.loc_sell = sparse::SellMatrix::from_csr(op.loc);
+    if (sub.n_ext() > 0) op.ext_sell = sparse::SellMatrix::from_csr(op.ext);
   }
 
   // Each rank builds the polynomial redundantly (no communication).
@@ -118,8 +109,7 @@ DistSolve solve_rdd(const RddPartition& part,
                     std::span<const real_t> f_global,
                     const RddOptions& rdd_opts, const SolveOptions& opts) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
-  PFEM_CHECK_MSG(opts.restart >= 1 && opts.max_iters >= 1 && opts.tol > 0.0,
-                 "solve_rdd: need restart >= 1, max_iters >= 1, tol > 0");
+  check_solve_input(opts, f_global);
   // The coarse space and solve sessions are built on EDD operators.
   PFEM_CHECK_MSG(!opts.deflation.enabled,
                  "solve_rdd: deflation (A-DEF1) needs an EDD operator; "

@@ -5,8 +5,8 @@
 
 #include "common/error.hpp"
 
-// SIMD bodies for the default chunk width (C = 8) on x86-64, selected
-// at runtime so the binary still runs on machines without AVX2/AVX-512F.
+// SIMD bodies on x86-64, selected at runtime so the binary still runs
+// on machines without AVX2/AVX-512F.
 // Only mul/add intrinsics are used — never FMA — and each SIMD lane
 // performs the scalar kernel's exact per-entry rounding sequence, so
 // these paths are bit-identical to the portable loops below (see
@@ -31,14 +31,16 @@ struct ChunkView {
   const char* blocked;
 };
 
-index_t chunk_cols(index_t w, int c, bool blocked) {
-  return blocked ? w * (c / 4) : w * c;
+constexpr int C = SellMatrix::kChunk;
+
+index_t chunk_cols(index_t w, bool blocked) {
+  return blocked ? w * (C / 4) : w * C;
 }
 
 // Scatter a chunk's C accumulators to their original rows.
-inline void store_rows(int c, const real_t* acc, const index_t* rows,
-                       real_t* y, bool add) {
-  for (int l = 0; l < c; ++l) {
+inline void store_rows(const real_t* acc, const index_t* rows, real_t* y,
+                       bool add) {
+  for (int l = 0; l < C; ++l) {
     if (rows[l] < 0) continue;
     if (add) {
       y[rows[l]] += acc[l];
@@ -48,13 +50,13 @@ inline void store_rows(int c, const real_t* acc, const index_t* rows,
   }
 }
 
-// A C = 8 chunk is node-blocked when every lane pair (2s, 2s+1) is two
+// A chunk is node-blocked when every lane pair (2s, 2s+1) is two
 // padding slots or two rows with identical columns, and those columns
 // arrive in (c, c+1) pairs at even steps: both dofs of a plane-elasticity
 // node coupled to each neighbour node's two dofs.
 bool node_blocked(const index_t* lanes, std::span<const index_t> rp,
                   std::span<const index_t> ci) {
-  for (int s = 0; s < 8; s += 2) {
+  for (int s = 0; s < C; s += 2) {
     const index_t r0 = lanes[s];
     const index_t r1 = lanes[s + 1];
     if (r0 < 0 && r1 < 0) continue;
@@ -71,24 +73,12 @@ bool node_blocked(const index_t* lanes, std::span<const index_t> rp,
   return true;
 }
 
-// One node-block chunk, portable form: lane l reads the x pair of its
-// lane pair's block c = b[t*4 + l/2] — x[c] at step 2t, then x[c+1] at
-// step 2t+1, the CSR order.
-inline void block_chunk8(index_t w, const real_t* v, const index_t* b,
-                         const real_t* x, real_t* acc) {
-  for (index_t t = 0; t < w / 2; ++t) {
-    const real_t* vt = v + static_cast<std::size_t>(t) * 16;
-    const index_t* bt = b + static_cast<std::size_t>(t) * 4;
-    for (int l = 0; l < 8; ++l) acc[l] += vt[l] * x[bt[l / 2]];
-    for (int l = 0; l < 8; ++l) acc[l] += vt[8 + l] * x[bt[l / 2] + 1];
-  }
-}
-
-// One chunk-width-templated body per kernel so the compiler sees C as a
-// constant and keeps the C accumulators in registers.  The j-loop walks
-// each lane's entries in original CSR column order; padded entries carry
+// The portable body.  The compiler sees C as a constant and keeps the C
+// accumulators in registers.  A node-block chunk's lane l reads the x
+// pair of its lane pair's block c = b[t*4 + l/2] — x[c] at step 2t, then
+// x[c+1] at step 2t+1, the CSR order; a generic chunk's j-loop walks each
+// lane's entries in original CSR column order.  Padded entries carry
 // val=0 and fold in as +0.0 times an in-range x entry.
-template <int C>
 void spmv_chunks(const ChunkView& m, const real_t* x, real_t* y, bool add) {
   const index_t* c = m.col;
   for (index_t k = 0; k < m.nchunks; ++k) {
@@ -98,37 +88,22 @@ void spmv_chunks(const ChunkView& m, const real_t* x, real_t* y, bool add) {
     const bool blocked = m.blocked[k] != 0;
     real_t acc[C];
     for (int l = 0; l < C; ++l) acc[l] = 0.0;
-    if constexpr (C == 8) {
-      if (blocked) block_chunk8(w, v, c, x, acc);
-    }
-    if (!blocked) {
+    if (blocked) {
+      for (index_t t = 0; t < w / 2; ++t) {
+        const real_t* vt = v + static_cast<std::size_t>(t) * 16;
+        const index_t* bt = c + static_cast<std::size_t>(t) * 4;
+        for (int l = 0; l < C; ++l) acc[l] += vt[l] * x[bt[l / 2]];
+        for (int l = 0; l < C; ++l) acc[l] += vt[C + l] * x[bt[l / 2] + 1];
+      }
+    } else {
       for (index_t j = 0; j < w; ++j) {
         const real_t* vj = v + static_cast<std::size_t>(j) * C;
         const index_t* cj = c + static_cast<std::size_t>(j) * C;
         for (int l = 0; l < C; ++l) acc[l] += vj[l] * x[cj[l]];
       }
     }
-    c += chunk_cols(w, C, blocked);
-    store_rows(C, acc, m.slot_row + static_cast<std::size_t>(k) * C, y, add);
-  }
-}
-
-// Generic-width fallback for chunk values outside {4, 8, 16} (never
-// node-blocked).
-void spmv_chunks_any(int c, const ChunkView& m, const real_t* x, real_t* y,
-                     bool add) {
-  Vector acc(static_cast<std::size_t>(c));
-  for (index_t k = 0; k < m.nchunks; ++k) {
-    const index_t base = m.chunk_ptr[k];
-    const index_t w = (m.chunk_ptr[k + 1] - base) / c;
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (index_t j = 0; j < w; ++j) {
-      const real_t* vj = m.val + base + static_cast<std::size_t>(j) * c;
-      const index_t* cj = m.col + base + static_cast<std::size_t>(j) * c;
-      for (int l = 0; l < c; ++l) acc[l] += vj[l] * x[cj[l]];
-    }
-    store_rows(c, acc.data(), m.slot_row + static_cast<std::size_t>(k) * c,
-               y, add);
+    c += chunk_cols(w, blocked);
+    store_rows(acc, m.slot_row + static_cast<std::size_t>(k) * C, y, add);
   }
 }
 
@@ -209,11 +184,11 @@ __attribute__((target("avx2"))) void spmv_chunks8_avx2(const ChunkView& m,
             acc1, _mm256_mul_pd(_mm256_loadu_pd(vj + 4), gather4(x, i1)));
       }
     }
-    c += chunk_cols(w, 8, blocked);
+    c += chunk_cols(w, blocked);
     alignas(32) real_t a[8];
     _mm256_store_pd(a, acc0);
     _mm256_store_pd(a + 4, acc1);
-    store_rows(8, a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
+    store_rows(a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
   }
 }
 
@@ -258,10 +233,10 @@ __attribute__((target("avx512f"))) void spmv_chunks8_avx512(
             acc, _mm512_mul_pd(_mm512_loadu_pd(vj), gather8(x, idx)));
       }
     }
-    c += chunk_cols(w, 8, blocked);
+    c += chunk_cols(w, blocked);
     alignas(64) real_t a[8];
     _mm512_store_pd(a, acc);
-    store_rows(8, a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
+    store_rows(a, m.slot_row + static_cast<std::size_t>(k) * 8, y, add);
   }
 }
 
@@ -308,46 +283,29 @@ void sell_apply(const SellMatrix& a, SellBody body, std::span<const real_t> x,
   const ChunkView m{a.nchunks_,         a.chunk_ptr_.data(),
                     a.slot_row_.data(), a.col_.data(),
                     a.val_.data(),      a.chunk_blocked_.data()};
-  switch (a.c_) {
-    case 4:
-      spmv_chunks<4>(m, x.data(), y.data(), add);
-      return;
-    case 8:
 #ifdef PFEM_SELL_X86
-      if (body == SellBody::Avx512) {
-        spmv_chunks8_avx512(m, x.data(), y.data(), add);
-        return;
-      }
-      if (body == SellBody::Avx2) {
-        spmv_chunks8_avx2(m, x.data(), y.data(), add);
-        return;
-      }
-#endif
-      spmv_chunks<8>(m, x.data(), y.data(), add);
-      return;
-    case 16:
-      spmv_chunks<16>(m, x.data(), y.data(), add);
-      return;
-    default:
-      spmv_chunks_any(a.c_, m, x.data(), y.data(), add);
+  if (body == SellBody::Avx512) {
+    spmv_chunks8_avx512(m, x.data(), y.data(), add);
+    return;
   }
+  if (body == SellBody::Avx2) {
+    spmv_chunks8_avx2(m, x.data(), y.data(), add);
+    return;
+  }
+#endif
+  spmv_chunks(m, x.data(), y.data(), add);
 }
 
 }  // namespace detail
 
-SellMatrix SellMatrix::from_csr(const CsrMatrix& a, int chunk, int sigma) {
+SellMatrix SellMatrix::from_csr(const CsrMatrix& a) {
   IndexVector all(static_cast<std::size_t>(a.rows()));
   std::iota(all.begin(), all.end(), index_t{0});
-  return from_csr_rows(a, all, chunk, sigma);
+  return from_csr_rows(a, all);
 }
 
 SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
-                                     std::span<const index_t> rows, int chunk,
-                                     int sigma) {
-  const int c = chunk > 0 ? chunk : kDefaultChunk;
-  const int sg = sigma > 0 ? std::max(sigma, c) : 8 * c;
-  PFEM_CHECK(c >= 1 && c <= 4096);
-
+                                     std::span<const index_t> rows) {
   const auto nr = static_cast<index_t>(rows.size());
   for (const index_t r : rows) PFEM_CHECK(r >= 0 && r < a.rows());
 
@@ -355,19 +313,17 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
   m.rows_ = a.rows();
   m.cols_ = a.cols();
   m.stored_rows_ = nr;
-  m.c_ = c;
-  m.sigma_ = sg;
-  m.nchunks_ = (nr + c - 1) / c;
+  m.nchunks_ = (nr + C - 1) / C;
 
-  // σ-window sort: within each window of sg subset positions, stable-sort
+  // σ-window sort: within each window of σ subset positions, stable-sort
   // by descending row length.  Stability keeps equal-length rows in the
   // caller's order, so conversion is deterministic.
   IndexVector order(static_cast<std::size_t>(nr));
   std::iota(order.begin(), order.end(), index_t{0});
   const auto rp = a.row_ptr();
   auto len = [&](index_t i) { return rp[rows[i] + 1] - rp[rows[i]]; };
-  for (index_t w0 = 0; w0 < nr; w0 += sg) {
-    const index_t w1 = std::min<index_t>(w0 + sg, nr);
+  for (index_t w0 = 0; w0 < nr; w0 += kSigma) {
+    const index_t w1 = std::min<index_t>(w0 + kSigma, nr);
     std::stable_sort(order.begin() + w0, order.begin() + w1,
                      [&](index_t i, index_t j) { return len(i) > len(j); });
   }
@@ -375,7 +331,7 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
   // Per chunk: slots, width, class (from the CSR structure) and the
   // size of its column-index run.
   const auto ci = a.col_idx();
-  const auto nslots = static_cast<std::size_t>(m.nchunks_) * c;
+  const auto nslots = static_cast<std::size_t>(m.nchunks_) * C;
   m.slot_row_.assign(nslots, index_t{-1});
   m.slot_len_.assign(nslots, index_t{0});
   m.chunk_ptr_.assign(static_cast<std::size_t>(m.nchunks_) + 1, index_t{0});
@@ -383,8 +339,8 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
   std::size_t ncols = 0;
   for (index_t k = 0; k < m.nchunks_; ++k) {
     index_t w = 0;
-    for (int l = 0; l < c; ++l) {
-      const index_t pos = k * c + l;
+    for (int l = 0; l < C; ++l) {
+      const index_t pos = k * C + l;
       if (pos >= nr) break;
       const index_t row = rows[order[pos]];
       const index_t rl = rp[row + 1] - rp[row];
@@ -392,13 +348,11 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
       m.slot_len_[static_cast<std::size_t>(pos)] = rl;
       w = std::max(w, rl);
     }
-    m.chunk_ptr_[k + 1] = m.chunk_ptr_[k] + w * c;
-    const bool blocked =
-        c == 8 &&
-        node_blocked(m.slot_row_.data() + static_cast<std::size_t>(k) * c,
-                     rp, ci);
+    m.chunk_ptr_[k + 1] = m.chunk_ptr_[k] + w * C;
+    const bool blocked = node_blocked(
+        m.slot_row_.data() + static_cast<std::size_t>(k) * C, rp, ci);
     m.chunk_blocked_[static_cast<std::size_t>(k)] = blocked ? 1 : 0;
-    ncols += static_cast<std::size_t>(chunk_cols(w, c, blocked));
+    ncols += static_cast<std::size_t>(chunk_cols(w, blocked));
   }
 
   // Fill.  Padding keeps (val 0, col 0); a node-block chunk's padded
@@ -411,24 +365,24 @@ SellMatrix SellMatrix::from_csr_rows(const CsrMatrix& a,
   std::size_t cb = 0;
   for (index_t k = 0; k < m.nchunks_; ++k) {
     const index_t base = m.chunk_ptr_[k];
-    const index_t w = (m.chunk_ptr_[k + 1] - base) / c;
+    const index_t w = (m.chunk_ptr_[k + 1] - base) / C;
     const bool blocked = m.chunk_blocked_[static_cast<std::size_t>(k)] != 0;
-    for (int l = 0; l < c; ++l) {
-      const index_t row = m.slot_row_[static_cast<std::size_t>(k) * c + l];
+    for (int l = 0; l < C; ++l) {
+      const index_t row = m.slot_row_[static_cast<std::size_t>(k) * C + l];
       if (row < 0) continue;
       const index_t rl = rp[row + 1] - rp[row];
       for (index_t j = 0; j < rl; ++j) {
-        m.val_[static_cast<std::size_t>(base + j * c + l)] = av[rp[row] + j];
+        m.val_[static_cast<std::size_t>(base + j * C + l)] = av[rp[row] + j];
         if (!blocked) {
-          m.col_[cb + static_cast<std::size_t>(j * c + l)] = ci[rp[row] + j];
+          m.col_[cb + static_cast<std::size_t>(j * C + l)] = ci[rp[row] + j];
         } else if (j % 2 == 0) {
-          m.col_[cb + static_cast<std::size_t>(j / 2 * (c / 2) + l / 2)] =
+          m.col_[cb + static_cast<std::size_t>(j / 2 * (C / 2) + l / 2)] =
               ci[rp[row] + j];
         }
       }
       nnz += rl;
     }
-    cb += static_cast<std::size_t>(chunk_cols(w, c, blocked));
+    cb += static_cast<std::size_t>(chunk_cols(w, blocked));
   }
   m.nnz_ = nnz;
   return m;
@@ -456,19 +410,19 @@ CsrMatrix SellMatrix::to_csr() const {
   const index_t* cb = col_.data();
   for (index_t k = 0; k < nchunks_; ++k) {
     const index_t base = chunk_ptr_[k];
-    const index_t w = (chunk_ptr_[k + 1] - base) / c_;
+    const index_t w = (chunk_ptr_[k + 1] - base) / C;
     const bool blocked = chunk_blocked_[static_cast<std::size_t>(k)] != 0;
-    for (int l = 0; l < c_; ++l) {
-      const auto slot = static_cast<std::size_t>(k) * c_ + l;
+    for (int l = 0; l < C; ++l) {
+      const auto slot = static_cast<std::size_t>(k) * C + l;
       const index_t row = slot_row_[slot];
       if (row < 0) continue;
       for (index_t j = 0; j < slot_len_[slot]; ++j) {
         col[row_ptr[row] + j] =
-            blocked ? cb[j / 2 * (c_ / 2) + l / 2] + j % 2 : cb[j * c_ + l];
-        val[row_ptr[row] + j] = val_[base + j * c_ + l];
+            blocked ? cb[j / 2 * (C / 2) + l / 2] + j % 2 : cb[j * C + l];
+        val[row_ptr[row] + j] = val_[base + j * C + l];
       }
     }
-    cb += chunk_cols(w, c_, blocked);
+    cb += chunk_cols(w, blocked);
   }
   return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col),
                    std::move(val));

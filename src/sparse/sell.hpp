@@ -1,4 +1,5 @@
-// SELL-C-σ sliced-ELLPACK matrix — the vectorized SpMV storage.
+// SELL-C-σ sliced-ELLPACK matrix — the vectorized SpMV storage, with
+// C = 8 and σ = 64 fixed.
 //
 // Rows are grouped into chunks of C consecutive slots; within a chunk the
 // entries are stored column-major (slot j of lane l lives at
@@ -10,7 +11,7 @@
 // bound zero padding; the slot→row permutation is stored and results are
 // scattered back, so callers never see the reordering.
 //
-// Node-block chunks (C = 8 only).  Plane-elasticity rows come in node
+// Node-block chunks.  Plane-elasticity rows come in node
 // pairs: both dofs of a node see the same columns, and each neighbour
 // node contributes two adjacent columns (c, c+1).  A chunk whose lane
 // pairs (2s, 2s+1) carry identical columns arriving in (c, c+1) pairs at
@@ -42,7 +43,7 @@ namespace pfem::sparse {
 class SellMatrix;
 
 namespace detail {
-/// The C = 8 kernel bodies sell.cpp compiles.  Auto is the runtime CPU
+/// The kernel bodies sell.cpp compiles.  Auto is the runtime CPU
 /// dispatch spmv()/spmv_add() use; the others name one body each.
 enum class SellBody : std::uint8_t { Auto, Avx512, Avx2, Portable };
 
@@ -50,9 +51,8 @@ enum class SellBody : std::uint8_t { Auto, Avx512, Avx2, Portable };
 [[nodiscard]] bool sell_body_available(SellBody body);
 
 /// Test seam: y <- A x (add = false) or y += A x (add = true) through the
-/// named C = 8 body, so every compiled body can be checked on any host
-/// that supports it.  Other chunk widths have one body and ignore `body`.
-/// Throws pfem::Error when the body is not available.
+/// named body, so every compiled body can be checked on any host that
+/// supports it.  Throws pfem::Error when the body is not available.
 void sell_apply(const SellMatrix& a, SellBody body, std::span<const real_t> x,
                 std::span<real_t> y, bool add);
 }  // namespace detail
@@ -61,27 +61,24 @@ class SellMatrix {
  public:
   SellMatrix() = default;
 
-  /// Convert a full CSR matrix.  chunk/sigma of 0 pick platform defaults
-  /// (C=8, σ=8C); chunk must be one of the vector-friendly widths the
-  /// kernel templates cover ({4, 8, 16}) or any other positive value for
-  /// the generic fallback path.
-  [[nodiscard]] static SellMatrix from_csr(const CsrMatrix& a, int chunk = 0,
-                                           int sigma = 0);
+  /// Chunk width C (rows per slice) and sort window σ (rows).
+  static constexpr int kChunk = 8;
+  static constexpr int kSigma = 8 * kChunk;
+
+  /// Convert a full CSR matrix.
+  [[nodiscard]] static SellMatrix from_csr(const CsrMatrix& a);
 
   /// Convert only the given rows of `a` (each id in [0, a.rows())); the
   /// kernels scatter results to the ORIGINAL row ids, so a row-subset
   /// block can write straight into a full-length y.  Used by the
   /// interior/interface split operator.
   [[nodiscard]] static SellMatrix from_csr_rows(const CsrMatrix& a,
-                                                std::span<const index_t> rows,
-                                                int chunk = 0, int sigma = 0);
+                                                std::span<const index_t> rows);
 
   [[nodiscard]] index_t rows() const noexcept { return rows_; }
   [[nodiscard]] index_t cols() const noexcept { return cols_; }
   [[nodiscard]] index_t nnz() const noexcept { return nnz_; }
   [[nodiscard]] index_t stored_rows() const noexcept { return stored_rows_; }
-  [[nodiscard]] int chunk() const noexcept { return c_; }
-  [[nodiscard]] int sigma() const noexcept { return sigma_; }
   [[nodiscard]] index_t num_chunks() const noexcept { return nchunks_; }
   /// Stored entries including zero padding (padding ratio diagnostics).
   [[nodiscard]] index_t padded_nnz() const noexcept {
@@ -120,9 +117,6 @@ class SellMatrix {
     return 2ull * static_cast<std::uint64_t>(nnz_);
   }
 
-  /// Platform default chunk width (rows per slice).
-  static constexpr int kDefaultChunk = 8;
-
  private:
   friend void detail::sell_apply(const SellMatrix& a, detail::SellBody body,
                                  std::span<const real_t> x,
@@ -132,8 +126,6 @@ class SellMatrix {
   index_t cols_ = 0;
   index_t nnz_ = 0;
   index_t stored_rows_ = 0;
-  int c_ = 0;
-  int sigma_ = 0;
   index_t nchunks_ = 0;
   IndexVector chunk_ptr_;  ///< nchunks_+1 value offsets (chunk k spans w*C)
   IndexVector slot_row_;   ///< nchunks_*C original row per lane, -1 = pad

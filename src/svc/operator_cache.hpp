@@ -30,7 +30,7 @@ class OperatorCache {
   /// @param capacity max number of *built* states kept (LRU-evicted);
   ///        registry entries (recipes) are not bounded.
   /// @param kernels  subdomain-operator kernel selection baked into every
-  ///        build (bit-neutral: SELL vs CSR, overlap on/off).
+  ///        build (SELL vs CSR is bit-neutral; Ebe is not).
   /// @param deflation two-level deflation knobs baked into every build;
   ///        the factorized coarse operator lives inside the built state,
   ///        so a cache hit reuses it along with the scaling and kernels.

@@ -144,10 +144,16 @@ Service::Submitted Service::submit(SolveRequest req) {
   if (job.req.rhs.empty())
     return reject_now(std::move(job), RejectReason::BadRequest,
                       "empty RHS batch");
-  for (const Vector& f : job.req.rhs)
+  for (const Vector& f : job.req.rhs) {
     if (f.size() != static_cast<std::size_t>(part->n_global))
       return reject_now(std::move(job), RejectReason::BadRequest,
                         "RHS length does not match the operator's dof count");
+    // The solvers' own input check, run before the request is queued.
+    if (std::string err = core::solve_input_error(job.req.opts, f);
+        !err.empty())
+      return reject_now(std::move(job), RejectReason::BadRequest,
+                        std::move(err));
+  }
   if (job.req.deadline && *job.req.deadline <= Clock::now())
     return reject_now(std::move(job), RejectReason::DeadlineExceeded,
                       "deadline expired before admission");

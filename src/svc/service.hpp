@@ -65,9 +65,9 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64; ///< admission bound (backpressure)
   std::size_t cache_capacity = 8;  ///< built operators kept (LRU)
   std::size_t max_batch_rhs = 16;  ///< fused-RHS cap per dispatch
-  /// Subdomain-operator kernel selection baked into every cached build
-  /// (SELL-C-σ vs scalar CSR, exchange overlap).  Bit-neutral: results
-  /// are identical across settings, only the kernel speed changes.
+  /// Subdomain-operator kernel format baked into every cached build.
+  /// SELL-C-σ vs scalar CSR is bit-neutral (only the kernel speed
+  /// changes); matrix-free Ebe keeps iteration counts but not bits.
   core::KernelOptions kernels;
   /// Two-level deflation knobs baked into every cached build: when
   /// enabled, build_edd_operator assembles and factorizes the coarse

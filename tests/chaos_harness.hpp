@@ -172,8 +172,8 @@ using TransportFactory =
 
 /// Build + solve on a fresh team with `inj` armed.  Every outcome is
 /// captured; only a non-Comm exception escapes (and fails the test).
-/// `kernels` selects the rank-kernel format/overlap under chaos — the
-/// fault sites and replay contract must be kernel-independent.
+/// `kernels` selects the rank-kernel format under chaos — the fault
+/// sites and replay contract must be kernel-independent.
 /// `sc` selects the scene (null = the default cantilever).
 inline ChaosRun run_case(fault::FaultInjector& inj, double timeout_seconds,
                          const TransportFactory& transport_factory = {},

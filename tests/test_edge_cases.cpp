@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/cg.hpp"
+#include "core/diag_scaling.hpp"
+#include "core/edd_batch.hpp"
 #include "core/fgmres.hpp"
 #include "core/orthopoly.hpp"
 #include "core/precond.hpp"
@@ -202,6 +205,126 @@ TEST(ZeroRowEdge, RddThrowsBadOperator) {
   zero_dof(prob.stiffness, identity, /*dead=*/5);
   const partition::RddPartition part = exp::make_rdd(prob, 4);
   EXPECT_THROW((void)core::solve_rdd(part, prob.load), BadOperatorError);
+}
+
+// ---- An Inf stiffness entry: the norm-1 scaling 1/√‖k_i‖₁ does not
+// exist, so every setup refuses it typed — never d = 0 and a NaN
+// operator reported as converged.
+
+/// Per-rank EDD matrices of `part` with one stored entry of rank 0's
+/// first row set to +Inf.
+std::vector<sparse::CsrMatrix> inf_entry_override(
+    const partition::EddPartition& part) {
+  std::vector<sparse::CsrMatrix> mats;
+  for (const auto& sub : part.subs) mats.push_back(sub.k_loc);
+  mats.front().values()[0] = std::numeric_limits<real_t>::infinity();
+  return mats;
+}
+
+TEST(InfEntryEdge, EddThrowsBadOperator) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto mats = inf_entry_override(part);
+  EXPECT_THROW((void)core::solve_edd(part, prob.load, {}, {},
+                                     core::EddVariant::Enhanced, &mats),
+               BadOperatorError);
+}
+
+TEST(InfEntryEdge, BuildEddOperatorThrowsBadOperator) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition part = exp::make_edd(prob, 4);
+  const auto mats = inf_entry_override(part);
+  par::Team team(part.nparts());
+  EXPECT_THROW((void)core::build_edd_operator(team, part, {}, &mats),
+               BadOperatorError);
+}
+
+TEST(InfEntryEdge, RddThrowsBadOperator) {
+  fem::CantileverProblem prob = small_cantilever();
+  prob.stiffness.values()[7] = std::numeric_limits<real_t>::infinity();
+  const partition::RddPartition part = exp::make_rdd(prob, 4);
+  EXPECT_THROW((void)core::solve_rdd(part, prob.load), BadOperatorError);
+}
+
+TEST(InfEntryEdge, SequentialScalingThrowsBadOperator) {
+  sparse::CsrMatrix a = sparse::tridiag(4, 2.0, -1.0);
+  a.values()[5] = std::numeric_limits<real_t>::infinity();
+  EXPECT_THROW((void)core::norm1_scaling(a), BadOperatorError);
+}
+
+// ---- One input check for every solve (core::solve_input_error): a
+// non-finite RHS entry or tol, restart < 1 (CG excepted: it does not
+// restart) or max_iters < 1 is refused with the check's own message,
+// never reported as a converged solve.
+
+TEST(SolveInputEdge, NonFiniteRhsIsRefusedByEverySolver) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition edd = exp::make_edd(prob, 4);
+  const partition::RddPartition rdd = exp::make_rdd(prob, 4);
+  core::IdentityPrecond none;
+  par::Team team(edd.nparts());
+  const core::EddOperatorState op =
+      core::build_edd_operator(team, edd, core::PolySpec{});
+  for (const real_t bad : {std::numeric_limits<real_t>::quiet_NaN(),
+                           std::numeric_limits<real_t>::infinity()}) {
+    Vector f = prob.load;
+    f[3] = bad;
+    const std::string msg = core::solve_input_error({}, f);
+    ASSERT_NE(msg.find("RHS entry 3"), std::string::npos) << msg;
+    const auto refused = [&](const auto& solve) {
+      try {
+        solve();
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), msg);
+        return;
+      }
+      ADD_FAILURE() << "a non-finite RHS entry was accepted";
+    };
+    refused([&] { (void)core::solve_edd(edd, f, {}); });
+    refused([&] {
+      (void)core::solve_edd(edd, f, {}, {}, core::EddVariant::Basic);
+    });
+    refused([&] { (void)core::solve_edd_cg(edd, f, {}); });
+    refused([&] { (void)core::solve_rdd(rdd, f); });
+    refused([&] {
+      (void)core::solve_edd_batch(team, edd, op, std::vector<Vector>{f});
+    });
+    Vector x(f.size(), 0.0);
+    refused([&] { (void)core::fgmres(prob.stiffness, f, x, none); });
+    refused([&] { (void)core::pcg(prob.stiffness, f, x, none); });
+  }
+}
+
+TEST(SolveInputEdge, BadOptionsAreRefusedWithTheCheckMessage) {
+  const fem::CantileverProblem prob = small_cantilever();
+  const partition::EddPartition edd = exp::make_edd(prob, 2);
+  const partition::RddPartition rdd = exp::make_rdd(prob, 2);
+  core::SolveOptions bad[5];
+  bad[0].tol = -1.0;
+  bad[1].tol = std::numeric_limits<real_t>::infinity();
+  bad[2].tol = std::numeric_limits<real_t>::quiet_NaN();
+  bad[3].restart = 0;
+  bad[4].max_iters = 0;
+  for (const core::SolveOptions& o : bad) {
+    const std::string msg = core::solve_input_error(o, prob.load);
+    ASSERT_FALSE(msg.empty());
+    const auto refused = [&](const auto& solve) {
+      try {
+        solve();
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), msg);
+        return;
+      }
+      ADD_FAILURE() << "accepted: " << msg;
+    };
+    refused([&] { (void)core::solve_edd(edd, prob.load, {}, o); });
+    refused([&] { (void)core::solve_rdd(rdd, prob.load, {}, o); });
+    if (o.restart >= 1)  // CG does not restart: it skips that check
+      refused([&] { (void)core::solve_edd_cg(edd, prob.load, {}, o); });
+  }
+  // CG runs with restart = 0.
+  EXPECT_TRUE(core::solve_input_error(bad[3], prob.load, false).empty());
+  EXPECT_TRUE(core::solve_edd_cg(edd, prob.load, {}, bad[3]).converged);
 }
 
 TEST(FgmresEdge, InvalidOptionsRejected) {

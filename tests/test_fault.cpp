@@ -653,8 +653,8 @@ TEST(ChaosSweep, FamilyScenesWithDeflationConvergeOrFailTyped) {
 }
 
 // Kernel-format independence under chaos: the matrix-free Ebe kernel
-// with exchange overlap must hit the same fault sites and replay the
-// same deterministic signatures as the scalar-CSR kernel — the exchange
+// must hit the same fault sites and replay the same deterministic
+// signatures as the scalar-CSR kernel — the exchange
 // schedule (where faults bind) is a property of the discipline, not of
 // the operator storage.  8 seeds: enough to cover converged and typed
 // outcomes without doubling the sweep's runtime.
@@ -672,10 +672,8 @@ TEST(ChaosSweep, EbeKernelHitsSameFaultSitesAsCsr) {
 
   core::KernelOptions csr;
   csr.format = core::KernelOptions::Format::Csr;
-  csr.overlap = false;
   core::KernelOptions ebe;
   ebe.format = core::KernelOptions::Format::Ebe;
-  ebe.overlap = true;
 
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     watchdog.note("ebe-vs-csr seed " + std::to_string(seed));

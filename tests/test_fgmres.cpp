@@ -189,19 +189,6 @@ TEST(Fgmres, PrecondNamesAndMatvecCounts) {
   EXPECT_EQ(neu.matvecs_per_apply(), 20);
 }
 
-TEST(Fgmres, FunctionPrecondAdapter) {
-  const sparse::CsrMatrix a = sparse::tridiag(12, 2.5, -1.0);
-  Vector b(12, 1.0), x(12, 0.0);
-  FunctionPrecond scale_by_half(
-      "halver",
-      [](std::span<const real_t> v, std::span<real_t> z) {
-        for (std::size_t i = 0; i < v.size(); ++i) z[i] = 0.5 * v[i];
-      });
-  const SolveReport res = fgmres(a, b, x, scale_by_half);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(scale_by_half.name(), "halver");
-}
-
 class FgmresRestartSweep : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(FgmresRestartSweep, ConvergesForAnyRestartLength) {

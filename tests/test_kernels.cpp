@@ -1,12 +1,12 @@
 // SELL-C-σ kernel-layer property tests.
 //
 // The contract under test is *bit*-identity: the SELL layout in both
-// chunk classes (generic and node-block), every compiled C = 8 kernel
-// body, the build-time D K D scaling fold, the interior/interface row
-// split and the overlapped distributed apply must all reproduce the
+// chunk classes (generic and node-block), every compiled kernel body,
+// the build-time D K D scaling fold, the interior/interface row split
+// and the overlapped distributed apply must all reproduce the
 // scalar-CSR reference to the last ulp, across the synthetic generator
-// family, FE stiffness matrices, every vector-friendly chunk width, and
-// the empty-row / tiny-matrix edge cases.  Every comparison below is
+// family, FE stiffness matrices, and the empty-row / tiny-matrix edge
+// cases.  Every comparison below is
 // exact double equality on purpose.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 
 #include "core/cg.hpp"
 #include "core/edd_batch.hpp"
+#include "core/edd_kernels.hpp"
 #include "core/edd_solver.hpp"
 #include "core/kernels.hpp"
 #include "exp/experiments.hpp"
@@ -139,8 +140,8 @@ std::vector<CsrMatrix> matrix_family() {
   fam.push_back(sparse::convection_diffusion_2d(9, 11, 8.0, -3.0));
   fam.push_back(ragged_matrix());
   fam.push_back(sparse::tridiag(1, 3.0, 0.0));  // single row
-  fam.push_back(sparse::tridiag(3, 3.0, -1.0));  // n < every chunk width
-  fam.push_back(sparse::tridiag(8, 3.0, -1.0));  // n == default chunk
+  fam.push_back(sparse::tridiag(3, 3.0, -1.0));  // n < the chunk width
+  fam.push_back(sparse::tridiag(8, 3.0, -1.0));  // n == the chunk width
   fam.push_back(node_pair_matrix());
   fam.push_back(mesh3_stiffness());
   fam.push_back(odd_row_stiffness());
@@ -148,22 +149,17 @@ std::vector<CsrMatrix> matrix_family() {
   return fam;
 }
 
-const int kChunks[] = {4, 8, 16, 0};  // 0 = platform default
-
 TEST(SellSpmv, BitIdenticalToCsrAcrossFamilyAndChunks) {
   for (const CsrMatrix& a : matrix_family()) {
     const std::size_t n = static_cast<std::size_t>(a.rows());
     const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 17);
     Vector y_ref(n, 0.0), y(n, 0.0);
     a.spmv(x, y_ref);
-    for (const int c : kChunks) {
-      const SellMatrix s = SellMatrix::from_csr(a, c);
-      EXPECT_EQ(s.nnz(), a.nnz());
-      la::fill(y, 0.0);
-      s.spmv(x, y);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(y[i], y_ref[i]) << "row " << i << " chunk " << c;
-    }
+    const SellMatrix s = SellMatrix::from_csr(a);
+    EXPECT_EQ(s.nnz(), a.nnz());
+    s.spmv(x, y);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(y[i], y_ref[i]) << "row " << i;
   }
 }
 
@@ -174,7 +170,7 @@ TEST(SellSpmv, SpmvAddBitIdenticalToCsr) {
     Vector y_ref = test_vector(n, 29);
     Vector y = y_ref;
     a.spmv_add(x, y_ref);
-    const SellMatrix s = SellMatrix::from_csr(a, 8);
+    const SellMatrix s = SellMatrix::from_csr(a);
     s.spmv_add(x, y);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
   }
@@ -182,18 +178,16 @@ TEST(SellSpmv, SpmvAddBitIdenticalToCsr) {
 
 TEST(SellSpmv, RoundTripsToCsrExactly) {
   for (const CsrMatrix& a : matrix_family()) {
-    for (const int c : kChunks) {
-      const CsrMatrix back = SellMatrix::from_csr(a, c).to_csr();
-      ASSERT_EQ(back.rows(), a.rows());
-      ASSERT_EQ(back.cols(), a.cols());
-      ASSERT_EQ(back.nnz(), a.nnz());
-      const auto rp = a.row_ptr(), rp2 = back.row_ptr();
-      const auto ci = a.col_idx(), ci2 = back.col_idx();
-      const auto v = a.values(), v2 = back.values();
-      for (std::size_t k = 0; k < rp.size(); ++k) ASSERT_EQ(rp2[k], rp[k]);
-      for (std::size_t k = 0; k < ci.size(); ++k) ASSERT_EQ(ci2[k], ci[k]);
-      for (std::size_t k = 0; k < v.size(); ++k) ASSERT_EQ(v2[k], v[k]);
-    }
+    const CsrMatrix back = SellMatrix::from_csr(a).to_csr();
+    ASSERT_EQ(back.rows(), a.rows());
+    ASSERT_EQ(back.cols(), a.cols());
+    ASSERT_EQ(back.nnz(), a.nnz());
+    const auto rp = a.row_ptr(), rp2 = back.row_ptr();
+    const auto ci = a.col_idx(), ci2 = back.col_idx();
+    const auto v = a.values(), v2 = back.values();
+    for (std::size_t k = 0; k < rp.size(); ++k) ASSERT_EQ(rp2[k], rp[k]);
+    for (std::size_t k = 0; k < ci.size(); ++k) ASSERT_EQ(ci2[k], ci[k]);
+    for (std::size_t k = 0; k < v.size(); ++k) ASSERT_EQ(v2[k], v[k]);
   }
 }
 
@@ -206,9 +200,9 @@ TEST(SellSpmv, RowSubsetBlocksComposeToFullApply) {
     Vector y_ref(static_cast<std::size_t>(n), 0.0);
     a.spmv(x, y_ref);
 
-    const SellMatrix se = SellMatrix::from_csr_rows(a, even, 8);
-    const SellMatrix so = SellMatrix::from_csr_rows(a, odd, 8);
-    const SellMatrix s0 = SellMatrix::from_csr_rows(a, none, 8);
+    const SellMatrix se = SellMatrix::from_csr_rows(a, even);
+    const SellMatrix so = SellMatrix::from_csr_rows(a, odd);
+    const SellMatrix s0 = SellMatrix::from_csr_rows(a, none);
     EXPECT_EQ(se.nnz() + so.nnz(), a.nnz());
     EXPECT_EQ(s0.nnz(), 0);
     Vector y(static_cast<std::size_t>(n), 0.0);
@@ -222,8 +216,8 @@ TEST(SellSpmv, RowSubsetBlocksComposeToFullApply) {
     IndexVector pairs_a, pairs_b;
     for (index_t i = 0; i < n; ++i)
       ((i / 2 % 2 == 0) ? pairs_a : pairs_b).push_back(i);
-    const SellMatrix pa = SellMatrix::from_csr_rows(a, pairs_a, 8);
-    const SellMatrix pb = SellMatrix::from_csr_rows(a, pairs_b, 8);
+    const SellMatrix pa = SellMatrix::from_csr_rows(a, pairs_a);
+    const SellMatrix pb = SellMatrix::from_csr_rows(a, pairs_b);
     Vector y2(static_cast<std::size_t>(n), 0.0);
     pa.spmv(x, y2);
     pb.spmv(x, y2);
@@ -246,9 +240,6 @@ TEST(SellSpmv, NodeBlockClassFollowsMatrixStructure) {
   // One index per 2×2 block: the stored index array shrinks 4x.
   EXPECT_LT(full.apply_bytes(),
             static_cast<std::size_t>(full.padded_nnz()) * (8 + 4));
-  // Only C = 8 has the node-block class.
-  for (const int c : {4, 16})
-    EXPECT_EQ(SellMatrix::from_csr(mesh3, c).blocked_chunks(), 0) << c;
 
   const SellMatrix odd = SellMatrix::from_csr(odd_row_stiffness());
   EXPECT_GT(odd.blocked_chunks(), 0);
@@ -335,7 +326,7 @@ TEST(SellSpmv, EveryCompiledBodyBitIdenticalToCsr) {
     for (const CsrMatrix& a : matrix_family()) {
       const std::size_t n = static_cast<std::size_t>(a.rows());
       const Vector x = test_vector(static_cast<std::size_t>(a.cols()), 97);
-      const SellMatrix s = SellMatrix::from_csr(a, 8);
+      const SellMatrix s = SellMatrix::from_csr(a);
 
       Vector y_ref(n, 0.0), y(n, 0.0);
       a.spmv(x, y_ref);
@@ -356,8 +347,8 @@ TEST(SellSpmv, EveryCompiledBodyBitIdenticalToCsr) {
   EXPECT_GE(bodies, 1);  // the portable body is always compiled
 }
 
-// ---- RankKernel: every (format, overlap) combination must agree with
-// the eager-scaled CSR reference, whole-apply and split-apply alike.
+// ---- RankKernel: every assembled format must agree with the
+// eager-scaled CSR reference, whole-apply and split-apply alike.
 
 TEST(RankKernelTest, AllConfigsBitIdenticalToScaledCsr) {
   const CsrMatrix k = sparse::laplace2d(11, 9);
@@ -376,48 +367,32 @@ TEST(RankKernelTest, AllConfigsBitIdenticalToScaledCsr) {
 
   for (const auto format :
        {KernelOptions::Format::Csr, KernelOptions::Format::Sell}) {
-    for (const bool overlap : {false, true}) {
-      for (const int c : kChunks) {
-        KernelOptions ko;
-        ko.format = format;
-        ko.overlap = overlap;
-        ko.chunk = c;
-        const RankKernel a(k, Vector(d), iface, ko);
-        EXPECT_EQ(a.split(), overlap);
-        Vector y(n, 0.0);
-        a.apply(x, y);
-        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
-        if (a.split()) {
-          // The two half-applies must partition the rows: coupled then
-          // interior writes every entry exactly once.
-          Vector y2(n, -1.0e300);
-          a.apply_coupled(x, y2);
-          a.apply_interior(x, y2);
-          for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y2[i], y_ref[i]);
-        }
-      }
-    }
+    KernelOptions ko;
+    ko.format = format;
+    const RankKernel a(k, Vector(d), iface, ko);
+    Vector y(n, 0.0);
+    a.apply(x, y);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y[i], y_ref[i]);
+    // The two half-applies must partition the rows: coupled then
+    // interior writes every entry exactly once.
+    Vector y2(n, -1.0e300);
+    a.apply_coupled(x, y2);
+    a.apply_interior(x, y2);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y2[i], y_ref[i]);
   }
-
-  // No interface dofs => never split, regardless of the overlap knob.
-  const RankKernel whole(k, Vector(d), IndexVector{},
-                         KernelOptions{KernelOptions::Format::Sell, true});
-  EXPECT_FALSE(whole.split());
 }
 
-// ---- Distributed: kernel format and exchange overlap are bit-neutral
-// for every solver path, and leave the Table-1 exchange counts alone.
+// ---- Distributed: the assembled kernel formats are bit-neutral for
+// every solver path, and leave the Table-1 exchange counts alone.
 
 std::vector<KernelOptions> kernel_configs() {
   std::vector<KernelOptions> cfgs;
   for (const auto format :
-       {KernelOptions::Format::Csr, KernelOptions::Format::Sell})
-    for (const bool overlap : {false, true}) {
-      KernelOptions ko;
-      ko.format = format;
-      ko.overlap = overlap;
-      cfgs.push_back(ko);
-    }
+       {KernelOptions::Format::Csr, KernelOptions::Format::Sell}) {
+    KernelOptions ko;
+    ko.format = format;
+    cfgs.push_back(ko);
+  }
   return cfgs;
 }
 
@@ -450,7 +425,7 @@ TEST(DistKernels, SolveEddBitNeutralAcrossKernelConfigs) {
       ASSERT_EQ(runs[r].x.size(), ref.x.size());
       for (std::size_t i = 0; i < ref.x.size(); ++i)
         ASSERT_EQ(runs[r].x[i], ref.x[i]) << "dof " << i;
-      // Overlap restructures each exchange but never adds or drops one.
+      // The format never adds or drops an exchange.
       ASSERT_EQ(runs[r].rank_counters.size(), ref.rank_counters.size());
       for (std::size_t s = 0; s < ref.rank_counters.size(); ++s)
         EXPECT_EQ(runs[r].rank_counters[s].neighbor_exchanges,
@@ -639,6 +614,42 @@ TEST(EbeStore, PermutedRejectsNonPermutations) {
   EXPECT_EQ(same.num_elems(), store.num_elems());
 }
 
+// ---- A rank with no interface: every kernel is still [coupled |
+// interior], with the coupled block empty, and apply() equals the
+// scaled-CSR row loop.  One dense element makes the Ebe sweep's row
+// order coincide with CSR's, so all three formats are held to bits.
+
+TEST(RankKernelTest, NoInterfaceMeansEmptyCoupledBlock) {
+  const la::DenseMatrix ke = dense_test_matrix(10, 53);
+  const sparse::EbeStore elems = dense_single_element(ke);
+  const CsrMatrix k = csr_from_dense(ke);
+  const std::size_t n = static_cast<std::size_t>(k.rows());
+  Vector d = k.row_norms1();
+  for (real_t& v : d) v = 1.0 / std::sqrt(v);
+  CsrMatrix scaled = k;
+  scaled.scale_symmetric(d);
+  const Vector x = test_vector(n, 59);
+  Vector y_ref(n, 0.0);
+  scaled.spmv(x, y_ref);
+
+  for (const auto format : {KernelOptions::Format::Csr,
+                            KernelOptions::Format::Sell,
+                            KernelOptions::Format::Ebe}) {
+    KernelOptions ko;
+    ko.format = format;
+    const RankKernel a(k, Vector(d), IndexVector{}, ko, &elems);
+    // An empty coupled block writes (or, for Ebe, adds) nothing.
+    Vector y_c(n, -1.0e300);
+    a.apply_coupled(x, y_c);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y_c[i], -1.0e300);
+    Vector y(n, 0.0);
+    a.apply(x, y);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(y[i], y_ref[i]) << "format " << static_cast<int>(format)
+                                << " row " << i;
+  }
+}
+
 // ---- RankKernel Format::Ebe: built from a real partition's element
 // store, checked against the scalar-CSR kernel.
 
@@ -670,7 +681,6 @@ TEST(RankKernelEbe, HalvesComposeBitwiseToWholeApply) {
     const Vector d = local_scaling(sub.k_loc);
     KernelOptions ko;
     ko.format = KernelOptions::Format::Ebe;
-    ko.overlap = true;
     const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ko,
                        sub.elem_store.get());
     ASSERT_TRUE(a.additive());
@@ -693,12 +703,10 @@ TEST(RankKernelEbe, ApplyMatchesCsrWithinUlpBound) {
     const Vector d = local_scaling(sub.k_loc);
     KernelOptions csr;
     csr.format = KernelOptions::Format::Csr;
-    csr.overlap = false;
     const RankKernel ref(sub.k_loc, Vector(d), sub.interface_local_dofs,
                          csr);
     KernelOptions ebe;
     ebe.format = KernelOptions::Format::Ebe;
-    ebe.overlap = false;
     const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ebe,
                        sub.elem_store.get());
     EXPECT_EQ(a.apply_flops(), sub.elem_store->apply_flops());
@@ -724,7 +732,6 @@ TEST(RankKernelEbe, ApplyManyBitIdenticalToPerLaneApply) {
   const Vector d = local_scaling(sub.k_loc);
   KernelOptions ko;
   ko.format = KernelOptions::Format::Ebe;
-  ko.overlap = true;
   const RankKernel a(sub.k_loc, Vector(d), sub.interface_local_dofs, ko,
                      sub.elem_store.get());
   const std::size_t n = static_cast<std::size_t>(sub.n_local());
@@ -737,9 +744,12 @@ TEST(RankKernelEbe, ApplyManyBitIdenticalToPerLaneApply) {
     xp.push_back(&xs[b]);
     yp.push_back(&ys[b]);
   }
-  a.apply_many(xp, yp);
-  // The element-major sweep runs each lane through the identical
-  // per-element gather/multiply/scatter order as a standalone apply.
+  // The batched Enhanced step's order: both element-major half sweeps
+  // run each lane through the identical per-element gather/multiply/
+  // scatter order as a standalone apply.
+  for (Vector* y : yp) la::fill(*y, 0.0);
+  a.apply_coupled_many(xp, yp);
+  a.apply_interior_many(xp, yp);
   for (std::size_t b = 0; b < xs.size(); ++b) {
     Vector y_one(n, 0.0);
     a.apply(xs[b], y_one);
@@ -761,18 +771,13 @@ TEST(RankKernelEbe, TypedErrorsWithoutElementData) {
 
 // ---- Distributed Format::Ebe: the format must preserve the solver's
 // observable contract — iteration counts, exchange counters, convergence
-// — against the Csr reference, and the Enhanced discipline must be
-// bit-neutral in the overlap knob (its split replays apply()'s order).
+// — against the Csr reference, and the Enhanced discipline's overlapped
+// step must be bit-neutral (its split replays apply()'s order).
 
-std::vector<KernelOptions> ebe_configs() {
-  std::vector<KernelOptions> cfgs;
-  for (const bool overlap : {false, true}) {
-    KernelOptions ko;
-    ko.format = KernelOptions::Format::Ebe;
-    ko.overlap = overlap;
-    cfgs.push_back(ko);
-  }
-  return cfgs;
+KernelOptions ebe_kernel() {
+  KernelOptions ko;
+  ko.format = KernelOptions::Format::Ebe;
+  return ko;
 }
 
 TEST(DistKernelsEbe, SolveEddPreservesIterationsAndExchangeCounts) {
@@ -786,65 +791,62 @@ TEST(DistKernelsEbe, SolveEddPreservesIterationsAndExchangeCounts) {
     core::SolveOptions ref_opts;
     ref_opts.tol = 1e-8;
     ref_opts.kernels.format = KernelOptions::Format::Csr;
-    ref_opts.kernels.overlap = false;
     const core::DistSolve ref =
         solve_edd(fx.part, fx.prob.load, poly, ref_opts, variant);
     ASSERT_TRUE(ref.converged);
 
     const real_t xscale = la::nrm_inf(ref.x);
-    for (const KernelOptions& ko : ebe_configs()) {
-      core::SolveOptions opts;
-      opts.tol = 1e-8;
-      opts.kernels = ko;
-      const core::DistSolve run =
-          solve_edd(fx.part, fx.prob.load, poly, opts, variant);
-      ASSERT_TRUE(run.converged);
-      // The format-neutral contract: same iteration trajectory length
-      // and the Table-1 exchange counts untouched.
-      EXPECT_EQ(run.iterations, ref.iterations);
-      EXPECT_EQ(run.history.size(), ref.history.size());
-      ASSERT_EQ(run.rank_counters.size(), ref.rank_counters.size());
-      for (std::size_t s = 0; s < ref.rank_counters.size(); ++s)
-        EXPECT_EQ(run.rank_counters[s].neighbor_exchanges,
-                  ref.rank_counters[s].neighbor_exchanges)
-            << "rank " << s;
-      // Solutions agree to the reassociation ulp bound.
-      ASSERT_EQ(run.x.size(), ref.x.size());
-      for (std::size_t i = 0; i < ref.x.size(); ++i)
-        ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
-    }
+    core::SolveOptions opts;
+    opts.tol = 1e-8;
+    opts.kernels = ebe_kernel();
+    const core::DistSolve run =
+        solve_edd(fx.part, fx.prob.load, poly, opts, variant);
+    ASSERT_TRUE(run.converged);
+    // The format-neutral contract: same iteration trajectory length
+    // and the Table-1 exchange counts untouched.
+    EXPECT_EQ(run.iterations, ref.iterations);
+    EXPECT_EQ(run.history.size(), ref.history.size());
+    ASSERT_EQ(run.rank_counters.size(), ref.rank_counters.size());
+    for (std::size_t s = 0; s < ref.rank_counters.size(); ++s)
+      EXPECT_EQ(run.rank_counters[s].neighbor_exchanges,
+                ref.rank_counters[s].neighbor_exchanges)
+          << "rank " << s;
+    // Solutions agree to the reassociation ulp bound.
+    ASSERT_EQ(run.x.size(), ref.x.size());
+    for (std::size_t i = 0; i < ref.x.size(); ++i)
+      ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
   }
 }
 
 TEST(DistKernelsEbe, EnhancedOverlapIsBitNeutral) {
-  const EbeFixture fx;
-  core::PolySpec poly;
-  poly.kind = core::PolyKind::Gls;
-  poly.degree = 3;
-
-  std::vector<core::DistSolve> runs;
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    runs.push_back(solve_edd(fx.part, fx.prob.load, poly, opts,
-                             core::EddVariant::Enhanced));
-    ASSERT_TRUE(runs.back().converged);
-  }
-  // Enhanced splits coupled-then-interior — the stored element order —
-  // so turning overlap on must not move a single bit.  (Basic's split
-  // runs interior first, a different scatter-add order, so it is only
+  // Enhanced's overlapped step — coupled elements, sends, interior
+  // elements while messages fly, folds — must equal apply() followed by
+  // a plain exchange bit for bit on every rank: elements are stored
+  // [coupled | interior], apply()'s own order.  (Basic's split runs
+  // interior first, a different scatter-add order, so it is only
   // ulp-close; the iteration/exchange contract above covers it.)
-  const core::DistSolve& ref = runs.front();
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    EXPECT_EQ(runs[r].iterations, ref.iterations);
-    ASSERT_EQ(runs[r].history.size(), ref.history.size());
-    for (std::size_t i = 0; i < ref.history.size(); ++i)
-      ASSERT_EQ(runs[r].history[i], ref.history[i]) << "iteration " << i;
-    ASSERT_EQ(runs[r].x.size(), ref.x.size());
-    for (std::size_t i = 0; i < ref.x.size(); ++i)
-      ASSERT_EQ(runs[r].x[i], ref.x[i]) << "dof " << i;
-  }
+  const EbeFixture fx;
+  std::vector<std::size_t> mismatches(fx.part.subs.size(), 0);
+  par::run_spmd(fx.part.nparts(), [&](par::Comm& comm) {
+    const auto s = static_cast<std::size_t>(comm.rank());
+    const auto& sub = fx.part.subs[s];
+    const RankKernel a(sub.k_loc, local_scaling(sub.k_loc),
+                       sub.interface_local_dofs, ebe_kernel(),
+                       sub.elem_store.get());
+    core::detail::EddRank r(sub, comm);
+    const std::size_t n = static_cast<std::size_t>(sub.n_local());
+    Vector x = test_vector(n, 61 + s);
+    Vector y_split(n), y_ref(n);
+    Vector* const xs[] = {&x};
+    Vector* const ys[] = {&y_split};
+    core::detail::spmv_exchange(r, a, xs, ys);
+    a.apply(x, y_ref);
+    r.exchange(y_ref);
+    for (std::size_t i = 0; i < n; ++i)
+      mismatches[s] += y_split[i] != y_ref[i] ? 1 : 0;
+  });
+  for (std::size_t s = 0; s < mismatches.size(); ++s)
+    EXPECT_EQ(mismatches[s], 0u) << "rank " << s;
 }
 
 TEST(DistKernelsEbe, SolveEddCgPreservesConvergence) {
@@ -856,23 +858,20 @@ TEST(DistKernelsEbe, SolveEddCgPreservesConvergence) {
   core::SolveOptions ref_opts;
   ref_opts.tol = 1e-8;
   ref_opts.kernels.format = KernelOptions::Format::Csr;
-  ref_opts.kernels.overlap = false;
   const core::DistSolve ref =
       core::solve_edd_cg(fx.part, fx.prob.load, poly, ref_opts);
   ASSERT_TRUE(ref.converged);
   const real_t xscale = la::nrm_inf(ref.x);
 
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    const core::DistSolve run =
-        core::solve_edd_cg(fx.part, fx.prob.load, poly, opts);
-    ASSERT_TRUE(run.converged);
-    EXPECT_EQ(run.iterations, ref.iterations);
-    for (std::size_t i = 0; i < ref.x.size(); ++i)
-      ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
-  }
+  core::SolveOptions opts;
+  opts.tol = 1e-8;
+  opts.kernels = ebe_kernel();
+  const core::DistSolve run =
+      core::solve_edd_cg(fx.part, fx.prob.load, poly, opts);
+  ASSERT_TRUE(run.converged);
+  EXPECT_EQ(run.iterations, ref.iterations);
+  for (std::size_t i = 0; i < ref.x.size(); ++i)
+    ASSERT_NEAR(run.x[i], ref.x[i], 1e-8 * xscale) << "dof " << i;
 }
 
 TEST(DistKernelsEbe, BatchSolvePreservesConvergence) {
@@ -890,42 +889,31 @@ TEST(DistKernelsEbe, BatchSolvePreservesConvergence) {
   core::SolveOptions ref_opts;
   ref_opts.tol = 1e-8;
   ref_opts.kernels.format = KernelOptions::Format::Csr;
-  ref_opts.kernels.overlap = false;
   const core::EddOperatorState ref_op = core::build_edd_operator(
       team, fx.part, poly, nullptr, nullptr, ref_opts.kernels);
   const core::BatchSolveResult ref =
       core::solve_edd_batch(team, fx.part, ref_op, rhs, ref_opts);
   ASSERT_TRUE(ref.comm_error.empty());
 
-  std::vector<core::BatchSolveResult> runs;
-  for (const KernelOptions& ko : ebe_configs()) {
-    core::SolveOptions opts;
-    opts.tol = 1e-8;
-    opts.kernels = ko;
-    const core::EddOperatorState op =
-        core::build_edd_operator(team, fx.part, poly, nullptr, nullptr, ko);
-    runs.push_back(core::solve_edd_batch(team, fx.part, op, rhs, opts));
-    ASSERT_TRUE(runs.back().comm_error.empty());
-  }
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].items.size(), ref.items.size());
-    for (std::size_t b = 0; b < ref.items.size(); ++b) {
-      ASSERT_TRUE(runs[r].items[b].converged);
-      EXPECT_EQ(runs[r].items[b].iterations, ref.items[b].iterations)
-          << "rhs " << b;
-      real_t xscale = 1.0;
-      for (const real_t v : ref.x[b]) xscale = std::max(xscale, std::abs(v));
-      for (std::size_t i = 0; i < ref.x[b].size(); ++i)
-        ASSERT_NEAR(runs[r].x[b][i], ref.x[b][i], 1e-8 * xscale)
-            << "rhs " << b << " dof " << i;
-    }
-  }
-  // The batch split order (coupled before interior) equals the stored
-  // element order, so the Ebe batch is bit-neutral in the overlap knob.
-  for (std::size_t b = 0; b < rhs.size(); ++b)
-    for (std::size_t i = 0; i < runs[0].x[b].size(); ++i)
-      ASSERT_EQ(runs[1].x[b][i], runs[0].x[b][i])
+  core::SolveOptions opts;
+  opts.tol = 1e-8;
+  opts.kernels = ebe_kernel();
+  const core::EddOperatorState op = core::build_edd_operator(
+      team, fx.part, poly, nullptr, nullptr, opts.kernels);
+  const core::BatchSolveResult run =
+      core::solve_edd_batch(team, fx.part, op, rhs, opts);
+  ASSERT_TRUE(run.comm_error.empty());
+  ASSERT_EQ(run.items.size(), ref.items.size());
+  for (std::size_t b = 0; b < ref.items.size(); ++b) {
+    ASSERT_TRUE(run.items[b].converged);
+    EXPECT_EQ(run.items[b].iterations, ref.items[b].iterations)
+        << "rhs " << b;
+    real_t xscale = 1.0;
+    for (const real_t v : ref.x[b]) xscale = std::max(xscale, std::abs(v));
+    for (std::size_t i = 0; i < ref.x[b].size(); ++i)
+      ASSERT_NEAR(run.x[b][i], ref.x[b][i], 1e-8 * xscale)
           << "rhs " << b << " dof " << i;
+  }
 }
 
 TEST(DistKernelsEbe, LocalMatrixOverrideIsRejected) {

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -814,6 +815,30 @@ TEST(NetRemote, ExpiredRelativeDeadlineIsTypedRejection) {
   EXPECT_EQ(resp.status, proto::SolveStatus::Rejected);
   EXPECT_EQ(resp.reject_reason,
             static_cast<std::uint32_t>(svc::RejectReason::DeadlineExceeded));
+}
+
+TEST(NetRemote, InvalidSolveInputIsTypedRejection) {
+  // The service's admission check answers over the wire: a bad tol or a
+  // non-finite RHS entry comes back Rejected{BadRequest} with the
+  // solvers' own message, not as a Failed solve.
+  RemoteRig rig("badinput");
+  svc::Client client(rig.addr, "t");
+  proto::SolveRequestMsg bad_tol = basic_request(rig);
+  bad_tol.tol = -1.0;
+  proto::SolveRequestMsg nan_rhs = basic_request(rig);
+  nan_rhs.rhs[0][1] = std::numeric_limits<real_t>::quiet_NaN();
+  for (proto::SolveRequestMsg req : {bad_tol, nan_rhs}) {
+    core::SolveOptions opts;
+    opts.tol = req.tol;
+    const std::string msg = core::solve_input_error(opts, req.rhs[0]);
+    ASSERT_FALSE(msg.empty());
+    proto::SolveResponseMsg resp;
+    ASSERT_TRUE(client.solve(req, resp));
+    EXPECT_EQ(resp.status, proto::SolveStatus::Rejected) << msg;
+    EXPECT_EQ(resp.reject_reason,
+              static_cast<std::uint32_t>(svc::RejectReason::BadRequest));
+    EXPECT_EQ(resp.detail, msg);
+  }
 }
 
 TEST(NetRemote, MalformedFrameClosesConnectionWithTypedCount) {

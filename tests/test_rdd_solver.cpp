@@ -234,9 +234,8 @@ TEST(RddSolver, SetupCountersAreSubsetOfTotals) {
 }
 
 TEST(RddSolver, ResultsDoNotDependOnKernelFormat) {
-  // SELL and the overlapped exchange are bit-neutral, and Format::Ebe
-  // falls back to CSR: every combination must reproduce the CSR run
-  // exactly, counters included.
+  // SELL is bit-neutral, and Format::Ebe falls back to CSR: every
+  // format must reproduce the CSR run exactly, counters included.
   const fem::CantileverProblem prob = test_problem();
   const partition::RddPartition part = exp::make_rdd(prob, 4);
   std::vector<RddOptions> precs(5);
@@ -255,25 +254,21 @@ TEST(RddSolver, ResultsDoNotDependOnKernelFormat) {
     const DistSolve ref = solve_rdd(part, prob.load, precs[k], opts);
     ASSERT_TRUE(ref.converged) << "preconditioner " << k;
     for (const Format format : {Format::Csr, Format::Sell, Format::Ebe}) {
-      for (const bool overlap : {false, true}) {
-        SCOPED_TRACE("preconditioner " + std::to_string(k) + ", format " +
-                     std::to_string(static_cast<int>(format)) +
-                     (overlap ? ", overlap" : ""));
-        opts.kernels.format = format;
-        opts.kernels.overlap = overlap;
-        const DistSolve res = solve_rdd(part, prob.load, precs[k], opts);
-        EXPECT_EQ(res.iterations, ref.iterations);
-        EXPECT_EQ(res.history, ref.history);
-        EXPECT_EQ(res.x, ref.x);
-        ASSERT_EQ(res.rank_counters.size(), ref.rank_counters.size());
-        for (std::size_t r = 0; r < ref.rank_counters.size(); ++r) {
-          EXPECT_EQ(res.rank_counters[r].neighbor_exchanges,
-                    ref.rank_counters[r].neighbor_exchanges);
-          EXPECT_EQ(res.rank_counters[r].global_reductions,
-                    ref.rank_counters[r].global_reductions);
-          EXPECT_EQ(res.rank_counters[r].matvecs,
-                    ref.rank_counters[r].matvecs);
-        }
+      SCOPED_TRACE("preconditioner " + std::to_string(k) + ", format " +
+                   std::to_string(static_cast<int>(format)));
+      opts.kernels.format = format;
+      const DistSolve res = solve_rdd(part, prob.load, precs[k], opts);
+      EXPECT_EQ(res.iterations, ref.iterations);
+      EXPECT_EQ(res.history, ref.history);
+      EXPECT_EQ(res.x, ref.x);
+      ASSERT_EQ(res.rank_counters.size(), ref.rank_counters.size());
+      for (std::size_t r = 0; r < ref.rank_counters.size(); ++r) {
+        EXPECT_EQ(res.rank_counters[r].neighbor_exchanges,
+                  ref.rank_counters[r].neighbor_exchanges);
+        EXPECT_EQ(res.rank_counters[r].global_reductions,
+                  ref.rank_counters[r].global_reductions);
+        EXPECT_EQ(res.rank_counters[r].matvecs,
+                  ref.rank_counters[r].matvecs);
       }
     }
   }
@@ -281,37 +276,34 @@ TEST(RddSolver, ResultsDoNotDependOnKernelFormat) {
 
 TEST(RddSolver, TracedExchangesMatchCountersOnEveryRank) {
   // The one-shot runner's trace: a `solve_rdd` root span per rank and one
-  // "exchange" span per counted neighbor exchange, setup included, with
-  // the halo exchange overlapped or not and inside RAS applications.
+  // "exchange" span per counted neighbor exchange, setup included, in the
+  // overlapped halo exchange and inside RAS applications.
   const fem::CantileverProblem prob = test_problem();
   const partition::RddPartition part = exp::make_rdd(prob, 4);
   RddOptions ras;
   ras.precond = RddOptions::Precond::AdditiveSchwarz;
   for (const RddOptions& rdd : {RddOptions{}, ras}) {
-    for (const bool overlap : {false, true}) {
-      SolveOptions opts;
-      opts.tol = 1e-8;
-      opts.kernels.overlap = overlap;
-      opts.observe.trace = true;
-      opts.observe.ring_capacity = std::size_t{1} << 16;
-      const DistSolve res = solve_rdd(part, prob.load, rdd, opts);
-      ASSERT_TRUE(res.converged);
-      ASSERT_NE(res.trace, nullptr);
-      for (int r = 0; r < part.nparts(); ++r) {
-        const obs::Tracer& lane = res.trace->rank(r);
-        ASSERT_EQ(lane.dropped(), 0u);
-        std::uint64_t exchanges = 0, roots = 0;
-        for (const obs::Record& rec : lane.records()) {
-          if (rec.kind != obs::Record::Kind::Span) continue;
-          exchanges += std::string(rec.name) == "exchange";
-          roots += std::string(rec.name) == "solve_rdd";
-        }
-        EXPECT_EQ(roots, 1u) << "rank " << r;
-        EXPECT_EQ(exchanges,
-                  res.rank_counters[static_cast<std::size_t>(r)]
-                      .neighbor_exchanges)
-            << "rank " << r << (overlap ? ", overlap" : "");
+    SolveOptions opts;
+    opts.tol = 1e-8;
+    opts.observe.trace = true;
+    opts.observe.ring_capacity = std::size_t{1} << 16;
+    const DistSolve res = solve_rdd(part, prob.load, rdd, opts);
+    ASSERT_TRUE(res.converged);
+    ASSERT_NE(res.trace, nullptr);
+    for (int r = 0; r < part.nparts(); ++r) {
+      const obs::Tracer& lane = res.trace->rank(r);
+      ASSERT_EQ(lane.dropped(), 0u);
+      std::uint64_t exchanges = 0, roots = 0;
+      for (const obs::Record& rec : lane.records()) {
+        if (rec.kind != obs::Record::Kind::Span) continue;
+        exchanges += std::string(rec.name) == "exchange";
+        roots += std::string(rec.name) == "solve_rdd";
       }
+      EXPECT_EQ(roots, 1u) << "rank " << r;
+      EXPECT_EQ(exchanges,
+                res.rank_counters[static_cast<std::size_t>(r)]
+                    .neighbor_exchanges)
+          << "rank " << r;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -460,7 +461,6 @@ TEST(Service, EbeKernelFormatSolvesThroughServiceLikeCsr) {
     svc::ServiceConfig cfg;
     cfg.nranks = kRanks;
     cfg.kernels.format = core::KernelOptions::Format::Ebe;
-    cfg.kernels.overlap = true;
     svc::Service service(cfg);
     service.register_operator("op", s.part, s.poly);
     auto out = service.submit(make_request(s, "op")).outcome.get();
@@ -962,6 +962,55 @@ TEST(ServiceBadOperator, DegenerateBuildFailsTypedAndIsRequestScoped) {
   service.update_operator("dead", nullptr);
   const svc::Outcome fixed = service.submit(make_request(s, "dead")).outcome.get();
   EXPECT_TRUE(svc::ok(fixed));
+  service.shutdown(/*drain=*/true);
+}
+
+TEST(ServiceBadOperator, InfEntryBuildFailsTyped) {
+  // An Inf stiffness entry has no norm-1 scaling: the build must fail as
+  // Failed{BadOperator}, never complete as a NaN operator "converged" in
+  // 0 iterations.
+  const Scene s = make_scene(8, 4);
+  auto mats = std::make_shared<std::vector<sparse::CsrMatrix>>();
+  for (const auto& sub : s.part->subs) mats->push_back(sub.k_loc);
+  mats->back().values()[0] = std::numeric_limits<real_t>::infinity();
+  svc::ServiceConfig cfg;
+  cfg.nranks = kRanks;
+  svc::Service service(cfg);
+  service.register_operator("inf", s.part, s.poly, mats);
+  const svc::Outcome out = service.submit(make_request(s, "inf")).outcome.get();
+  ASSERT_TRUE(std::holds_alternative<svc::Failed>(out));
+  EXPECT_EQ(std::get<svc::Failed>(out).reason, svc::FailReason::BadOperator);
+  service.shutdown(/*drain=*/true);
+}
+
+TEST(ServiceAdmission, InvalidSolveInputIsRejectedBeforeQueueing) {
+  // The solvers' own input check runs at admission: a non-finite RHS
+  // entry, a bad tol or restart = 0 is Rejected{BadRequest} with the
+  // check's message — never queued, never Failed, never "converged".
+  const Scene s = make_scene(8, 4);
+  svc::ServiceConfig cfg;
+  cfg.nranks = kRanks;
+  svc::Service service(cfg);
+  service.register_operator("op", s.part, s.poly);
+  std::vector<svc::SolveRequest> bad(4, make_request(s, "op"));
+  bad[0].rhs[0][2] = std::numeric_limits<real_t>::quiet_NaN();
+  bad[1].rhs[0][2] = -std::numeric_limits<real_t>::infinity();
+  bad[2].opts.tol = -1.0;
+  bad[3].opts.restart = 0;
+  for (svc::SolveRequest& req : bad) {
+    const std::string msg = core::solve_input_error(req.opts, req.rhs[0]);
+    ASSERT_FALSE(msg.empty());
+    const svc::Outcome out = service.submit(std::move(req)).outcome.get();
+    ASSERT_TRUE(std::holds_alternative<svc::Rejected>(out)) << msg;
+    const auto& r = std::get<svc::Rejected>(out);
+    EXPECT_EQ(r.reason, svc::RejectReason::BadRequest);
+    EXPECT_EQ(r.detail, msg);
+  }
+  const auto st = service.stats();
+  EXPECT_EQ(st.rejected_other, 4u);
+  EXPECT_EQ(st.completed + st.failed, 0u);
+  EXPECT_EQ(st.cache_misses, 0u);  // nothing was built
+  EXPECT_TRUE(svc::ok(service.submit(make_request(s, "op")).outcome.get()));
   service.shutdown(/*drain=*/true);
 }
 
