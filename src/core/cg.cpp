@@ -8,6 +8,18 @@
 
 namespace pfem::core {
 
+namespace {
+
+/// CG needs pᵀAp > 0 and finite.  A non-positive value means the
+/// operator is not SPD on the Krylov space; a NaN or Inf one means the
+/// iterates overflowed.  Either way the recurrence cannot continue and
+/// the solve ends in a typed breakdown.
+[[nodiscard]] bool curvature_ok(real_t pap) {
+  return pap > 0.0 && std::isfinite(pap);
+}
+
+}  // namespace
+
 SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
                 std::span<real_t> x, Preconditioner& precond,
                 const SolveOptions& opts) {
@@ -41,8 +53,10 @@ SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
   while (result.iterations < opts.max_iters) {
     a.apply(p, ap);
     const real_t pap = la::dot(p, ap);
-    PFEM_CHECK_MSG(pap > 0.0, "PCG: operator not positive definite "
-                              "(p^T A p <= 0)");
+    if (!curvature_ok(pap)) {
+      result.breakdown = true;
+      break;
+    }
     const real_t alpha = rho / pap;
     la::axpy(alpha, p, x);
     la::axpy(-alpha, ap, r);
@@ -101,10 +115,7 @@ void pcg_rank(par::Comm& comm, const EddPartition& part,
   SolveReport& item = out.items.front();
 
   Vector b_loc(nl);
-  for (std::size_t l = 0; l < nl; ++l)
-    b_loc[l] = d[l] * (f_global[static_cast<std::size_t>(
-                           sub.local_to_global[l])] /
-                       static_cast<real_t>(sub.multiplicity[l]));
+  r.localize(f_global, d, b_loc);
   detail::PolyApplier poly(spec, op.gls.get(), op.cheb.get(), nl, 1);
   Vector x(nl, 0.0), r_loc(nl), r_glob(nl), z(nl), p(nl), ap_loc(nl);
   const Vector* const rg[] = {&r_glob};
@@ -115,6 +126,7 @@ void pcg_rank(par::Comm& comm, const EddPartition& part,
   const real_t beta0 = sqrt_nonneg(r.dot_lg(r_loc, r_glob));
 
   bool converged = false;
+  bool breakdown = false;
   index_t iterations = 0;
   real_t relres = 1.0;
 
@@ -132,7 +144,10 @@ void pcg_rank(par::Comm& comm, const EddPartition& part,
                static_cast<std::uint32_t>(iterations));
       r.spmv(a, p, ap_loc);  // Ap in local format; p is global
       const real_t pap = r.dot_lg(ap_loc, p);
-      PFEM_CHECK_MSG(pap > 0.0, "EDD-PCG: p^T A p <= 0");
+      if (!curvature_ok(pap)) {  // pap is global: every rank breaks here
+        breakdown = true;
+        break;
+      }
       const real_t alpha = rho / pap;
       la::axpy(alpha, p, x);
       // Update the residual in both formats: Ap_loc is local,
@@ -185,6 +200,7 @@ void pcg_rank(par::Comm& comm, const EddPartition& part,
 
   if (leader) {
     item.converged = converged || final_relres <= opts.tol;
+    item.breakdown = breakdown;
     item.iterations = iterations;
     item.final_relres = final_relres;
   }

@@ -22,7 +22,9 @@
 namespace pfem::core {
 
 /// Sequential PCG on A x = b (A SPD, C SPD).  The SolveOptions restart
-/// field is ignored (CG does not restart).
+/// field is ignored (CG does not restart).  Both PCG paths end in a
+/// typed breakdown (SolveReport::breakdown) when pᵀAp is not positive
+/// and finite.
 [[nodiscard]] SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
                               std::span<real_t> x, Preconditioner& precond,
                               const SolveOptions& opts = {});

@@ -30,11 +30,15 @@ struct SolveReport {
   /// that broke down short of the tolerance reports converged = false
   /// with breakdown = true.
   bool converged = false;
-  /// The Arnoldi recursion hit a (near-)zero next basis vector and the
-  /// solve stopped early.  For a consistent system this means the exact
-  /// solution was found in the Krylov space (converged will also be
-  /// true); for a rank-deficient operator it is a genuine failure and
-  /// converged stays false.
+  /// The Krylov recurrence could not continue and the solve stopped
+  /// early.  FGMRES: the Arnoldi recursion hit a (near-)zero next basis
+  /// vector.  For a consistent system this means the exact solution was
+  /// found in the Krylov space (converged will also be true); for a
+  /// rank-deficient operator it is a genuine failure and converged stays
+  /// false.  PCG: pᵀAp was not positive and finite — an operator that is
+  /// not SPD, or iterates that overflowed; final_relres is still the
+  /// true residual's (NaN after an overflow), and converged is false
+  /// unless that residual meets the tolerance.
   bool breakdown = false;
   /// ‖b‖ = 0: x = 0 is exact and final_relres is reported as 0 by
   /// convention.  Stamped so svc/loadgen statistics can keep trivial

@@ -1,7 +1,6 @@
 // The in-process channel-ring core: one persistent single-producer /
 // single-consumer ring of preallocated payload slots per ordered rank
-// pair, with wire sequence numbers, out-of-order tag stashing, and
-// spin -> yield -> condvar-park blocking.
+// pair, with wire sequence numbers and out-of-order tag stashing.
 //
 // This is the PR-1 runtime's transport, extracted so it serves two
 // masters: the in-process Transport uses it end to end (sender fills a
@@ -9,7 +8,9 @@
 // receive-side inbox (the reader thread is the producer, delivering
 // frames under their wire sequence numbers).  Keeping one RingCore
 // means the gap-detection / dedup / stash semantics the chaos suite
-// pins down are literally the same code on every wire.
+// pins down are literally the same code on every wire.  Blocked pushes
+// and takes go through net::detail::wait_until (wait.hpp) with a
+// condition-variable park.
 #pragma once
 
 #include <algorithm>
@@ -18,8 +19,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -72,10 +73,8 @@ struct RingChannel {
   std::uint64_t send_seq = 0;  ///< sender-owned: last wire seq issued
   std::uint64_t last_drained_seq = 0;  ///< consumer-owned: dedup watermark
 
-  // Parking lot.  The waiting counters gate the notify calls so the
-  // uncontended fast path never touches the mutex; the seq_cst
-  // handshake (RingSlot::full / *_waiting) makes the gate
-  // lost-wakeup-free.
+  // Parking lot of detail::CondvarPark: the waiting counters gate the
+  // notify calls so the uncontended fast path never touches the mutex.
   std::mutex m;
   std::condition_variable data_cv;   ///< consumer waits for a full slot
   std::condition_variable space_cv;  ///< producer waits for a free slot
@@ -125,15 +124,17 @@ class RingCore {
     RingSlot& slot = ch.slots[ch.head % RingChannel::kSlots];
     // Ring full: wait for the consumer to free this slot.
     if (slot.full.load(std::memory_order_seq_cst)) {
-      const auto t0 = detail::SteadyClock::now();
-      if (!wait_until(
-              [&] { return !slot.full.load(std::memory_order_seq_cst); },
-              ch.m, ch.space_cv, ch.send_waiting)) {
+      const std::optional<double> waited = detail::wait_until(
+          [&] {
+            return !slot.full.load(std::memory_order_seq_cst) || is_aborted();
+          },
+          park(ch, ch.space_cv, ch.send_waiting));
+      if (!waited) {
         ws.add_timeout();
         throw fault::CommError::timeout(err_rank, err_peer, op,
                                         timeout_seconds());
       }
-      ws.add_wait(detail::seconds_since(t0));
+      ws.add_wait(*waited);
     }
     check_abort();
     slot.tag = tag;
@@ -143,7 +144,7 @@ class RingCore {
     std::copy(data.begin(), data.end(), slot.payload.begin());
     slot.full.store(true, std::memory_order_seq_cst);
     ++ch.head;
-    notify_if_waiting(ch.m, ch.data_cv, ch.recv_waiting);
+    detail::notify_parked(ch.m, ch.data_cv, ch.recv_waiting);
   }
 
   /// Pop the oldest (src -> dst) message with a matching tag and hand
@@ -171,15 +172,17 @@ class RingCore {
       RingSlot& slot = ch.slots[ch.tail % RingChannel::kSlots];
       if (!slot.full.load(std::memory_order_seq_cst)) {
         check_abort();
-        const auto t0 = detail::SteadyClock::now();
-        if (!wait_until(
-                [&] { return slot.full.load(std::memory_order_seq_cst); },
-                ch.m, ch.data_cv, ch.recv_waiting)) {
+        const std::optional<double> waited = detail::wait_until(
+            [&] {
+              return slot.full.load(std::memory_order_seq_cst) || is_aborted();
+            },
+            park(ch, ch.data_cv, ch.recv_waiting));
+        if (!waited) {
           ws.add_timeout();
           throw fault::CommError::timeout(dst, src, fault::Op::Recv,
                                           timeout_seconds());
         }
-        ws.add_wait(detail::seconds_since(t0));
+        ws.add_wait(*waited);
         // The wake may be the abort, not data — consume if the slot
         // filled, unwind otherwise.
         if (!slot.full.load(std::memory_order_seq_cst)) check_abort();
@@ -269,51 +272,15 @@ class RingCore {
   void release_slot(RingChannel& ch, RingSlot& slot) {
     slot.full.store(false, std::memory_order_seq_cst);
     ++ch.tail;
-    notify_if_waiting(ch.m, ch.space_cv, ch.send_waiting);
+    detail::notify_parked(ch.m, ch.space_cv, ch.send_waiting);
   }
 
-  /// Publisher side of the parking-lot handshake: the waiting counter
-  /// is read after the seq_cst publish of the condition, so a waiter
-  /// that missed the publish is guaranteed to be visible here (and vice
-  /// versa) — the Dekker-style store/load pairing rules out lost
-  /// wakeups without taking the mutex on the fast path.
-  static void notify_if_waiting(std::mutex& m, std::condition_variable& cv,
-                                std::atomic<int>& waiting) {
-    if (waiting.load(std::memory_order_seq_cst) != 0) {
-      // Empty critical section: any waiter that registered but has not
-      // finished its predicate re-check under the lock is flushed out.
-      { std::lock_guard<std::mutex> lk(m); }
-      cv.notify_all();
-    }
-  }
-
-  /// Waiter side: spin on the predicate, then yield, then park.
-  /// Returns false when a timeout is armed and the park phase exceeded
-  /// it with the predicate still false.  (An abort wakes the waiter
-  /// through `done` and is never reported as a timeout.)
-  template <typename Pred>
-  [[nodiscard]] bool wait_until(Pred pred, std::mutex& m,
-                                std::condition_variable& cv,
-                                std::atomic<int>& waiting) {
-    auto done = [&] { return pred() || is_aborted(); };
-    for (int i = detail::spin_budget(); i > 0; --i) {
-      if (done()) return true;
-      detail::cpu_relax();
-    }
-    for (int i = 0; i < detail::kYieldIters; ++i) {
-      if (done()) return true;
-      std::this_thread::yield();
-    }
-    const std::int64_t tns = timeout_ns_.load(std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(m);
-    waiting.fetch_add(1, std::memory_order_seq_cst);
-    bool ok = true;
-    if (tns <= 0)
-      cv.wait(lk, done);
-    else
-      ok = cv.wait_for(lk, std::chrono::nanoseconds(tns), done);
-    waiting.fetch_sub(1, std::memory_order_relaxed);
-    return ok;
+  /// The park step of this core's waits (an abort wakes it through the
+  /// waiter's predicate and is never reported as a timeout).
+  [[nodiscard]] detail::CondvarPark park(RingChannel& ch,
+                                         std::condition_variable& cv,
+                                         std::atomic<int>& waiting) const {
+    return {ch.m, cv, waiting, timeout_ns_.load(std::memory_order_relaxed)};
   }
 
   int size_;

@@ -6,9 +6,10 @@
 // the same handshake the in-process ring uses, minus the condition
 // variables, which cannot live in anonymous shared memory).  Everything
 // single-sided stays process-local: the sender's head/send_seq, the
-// receiver's tail/watermark/stash.  Blocked ranks spin, yield, then
-// poll with short sleeps; an armed timeout turns a dead peer into a
-// typed CommError exactly like the other transports.
+// receiver's tail/watermark/stash.  Blocked ranks wait through the one
+// net::detail::wait_until (wait.hpp), whose park step here polls with
+// short sleeps; an armed timeout turns a dead peer into a typed
+// CommError exactly like the other transports.
 //
 // The dedup-watermark / gap-detection / stash logic deliberately
 // mirrors RingCore::take line for line (see ring.hpp) — the slot
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "net/wait.hpp"
@@ -272,38 +274,27 @@ class ShmTransport final : public Transport {
     if (is_aborted()) throw Aborted{};
   }
 
-  /// Spin, yield, then poll with short sleeps (no cross-process
+  /// detail::wait_until with a sleep-poll park step (no cross-process
   /// condvars).  Returns false on an armed-timeout expiry; throws
   /// Aborted on teardown.  Wait time is charged to ws.
   template <typename Pred>
   [[nodiscard]] bool poll_wait(Pred pred, const WaitStats& ws) const {
-    auto done = [&] { return pred() || is_aborted(); };
-    const auto t0 = detail::SteadyClock::now();
-    for (int i = detail::spin_budget(); i > 0; --i) {
-      if (done()) {
-        ws.add_wait(detail::seconds_since(t0));
-        check_abort();
-        return true;
-      }
-      detail::cpu_relax();
-    }
-    for (int i = 0; i < detail::kYieldIters; ++i) {
-      if (done()) {
-        ws.add_wait(detail::seconds_since(t0));
-        check_abort();
-        return true;
-      }
-      std::this_thread::yield();
-    }
     const std::int64_t tns = timeout_ns_.load(std::memory_order_relaxed);
-    const auto deadline = tns > 0
-                              ? t0 + std::chrono::nanoseconds(tns)
-                              : detail::SteadyClock::time_point::max();
-    while (!done()) {
-      if (detail::SteadyClock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ws.add_wait(detail::seconds_since(t0));
+    const std::optional<double> waited = detail::wait_until(
+        [&] { return pred() || is_aborted(); },
+        [tns](auto& done) {
+          const auto deadline =
+              tns > 0
+                  ? detail::SteadyClock::now() + std::chrono::nanoseconds(tns)
+                  : detail::SteadyClock::time_point::max();
+          while (!done()) {
+            if (detail::SteadyClock::now() >= deadline) return false;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+          return true;
+        });
+    if (!waited) return false;
+    ws.add_wait(*waited);
     check_abort();
     return true;
   }

@@ -8,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/error.hpp"
@@ -158,20 +159,11 @@ class TeamState {
       }
     }
     if (last) {
-      notify_if_waiting(barrier_m_, barrier_cv_, barrier_waiting_);
+      net::detail::notify_parked(barrier_m_, barrier_cv_, barrier_waiting_);
     } else {
-      auto passed = [&] {
-        return barrier_gen_.load(std::memory_order_seq_cst) != gen;
-      };
-      if (!passed() && !aborted()) {
-        const auto t0 = SteadyClock::now();
-        if (!wait_until(passed, barrier_m_, barrier_cv_, barrier_waiting_)) {
-          ++c.fault_timeouts;
-          throw CommError::timeout(rank, -1, fault::Op::Collective,
-                                   timeout_seconds());
-        }
-        c.reduce_wait_seconds += seconds_since(t0);
-      }
+      wait_collective(
+          [&] { return barrier_gen_.load(std::memory_order_seq_cst) != gen; },
+          barrier_m_, barrier_cv_, barrier_waiting_, rank, c);
     }
     check_abort();
   }
@@ -206,7 +198,7 @@ class TeamState {
         ReduceCell& cell = cell_at(partner, k);
         wait_collective(
             [&] { return cell.seq.load(std::memory_order_seq_cst) >= g; },
-            rank, c);
+            coll_m_, coll_cv_, coll_waiting_, rank, c);
         PFEM_CHECK_MSG(cell.data.size() == inout.size(),
                        "allreduce length mismatch across ranks");
         const real_t* s = cell.data.data();
@@ -227,7 +219,7 @@ class TeamState {
     } else {
       wait_collective(
           [&] { return bcast_gen_.load(std::memory_order_seq_cst) >= g; },
-          rank, c);
+          coll_m_, coll_cv_, coll_waiting_, rank, c);
       // Lengths agree by now: rank 0 folded every contribution (checking
       // sizes) or threw, which aborts the team before we get here.
       std::copy_n(bcast_.begin(), inout.size(), inout.begin());
@@ -363,71 +355,30 @@ class TeamState {
     }
   }
 
-  /// Publisher side of the parking-lot handshake: the waiting counter is
-  /// read after the seq_cst publish of the condition, so a waiter that
-  /// missed the publish is guaranteed to be visible here (and vice
-  /// versa) — the Dekker-style store/load pairing rules out lost wakeups
-  /// without taking the mutex on the fast path.
-  static void notify_if_waiting(std::mutex& m, std::condition_variable& cv,
-                                std::atomic<int>& waiting) {
-    if (waiting.load(std::memory_order_seq_cst) != 0) {
-      // Empty critical section: any waiter that registered but has not
-      // finished its predicate re-check under the lock is flushed out.
-      // notify_all runs after unlock so the woken thread never bounces
-      // off a mutex we still hold.
-      { std::lock_guard<std::mutex> lk(m); }
-      cv.notify_all();
-    }
-  }
-
-  /// Waiter side: spin on the predicate, then yield, then park.  The
-  /// waiting counter is bumped before the final predicate check inside
-  /// cv.wait.  Returns false when a comm timeout is armed and the park
-  /// phase exceeded it with the predicate still false — the caller turns
-  /// that into a typed CommError.  (An abort wakes the waiter through
-  /// `done` and is never reported as a timeout.)
+  /// Block until pred() holds (or the team aborts), charging the wait
+  /// to reduce_wait_seconds; an armed comm timeout that expires in the
+  /// park step becomes a typed CommError.
   template <typename Pred>
-  [[nodiscard]] bool wait_until(Pred pred, std::mutex& m,
-                                std::condition_variable& cv,
-                                std::atomic<int>& waiting) {
-    auto done = [&] { return pred() || aborted(); };
-    for (int i = net::detail::spin_budget(); i > 0; --i) {
-      if (done()) return true;
-      net::detail::cpu_relax();
-    }
-    for (int i = 0; i < net::detail::kYieldIters; ++i) {
-      if (done()) return true;
-      std::this_thread::yield();
-    }
-    const std::int64_t tns = timeout_ns_.load(std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(m);
-    waiting.fetch_add(1, std::memory_order_seq_cst);
-    bool ok = true;
-    if (tns <= 0)
-      cv.wait(lk, done);
-    else
-      ok = cv.wait_for(lk, std::chrono::nanoseconds(tns), done);
-    waiting.fetch_sub(1, std::memory_order_relaxed);
-    return ok;
-  }
-
-  template <typename Pred>
-  void wait_collective(Pred pred, int rank, PerfCounters& c) {
+  void wait_collective(Pred pred, std::mutex& m, std::condition_variable& cv,
+                       std::atomic<int>& waiting, int rank, PerfCounters& c) {
     auto done = [&] { return pred() || aborted(); };
     if (!done()) {
-      const auto t0 = SteadyClock::now();
-      if (!wait_until(pred, coll_m_, coll_cv_, coll_waiting_)) {
+      const std::optional<double> waited = net::detail::wait_until(
+          done, net::detail::CondvarPark{
+                    m, cv, waiting,
+                    timeout_ns_.load(std::memory_order_relaxed)});
+      if (!waited) {
         ++c.fault_timeouts;
         throw CommError::timeout(rank, -1, fault::Op::Collective,
                                  timeout_seconds());
       }
-      c.reduce_wait_seconds += seconds_since(t0);
+      c.reduce_wait_seconds += *waited;
     }
     check_abort();
   }
 
   void notify_collective() {
-    notify_if_waiting(coll_m_, coll_cv_, coll_waiting_);
+    net::detail::notify_parked(coll_m_, coll_cv_, coll_waiting_);
   }
 
   std::shared_ptr<net::Transport> transport_;

@@ -14,8 +14,11 @@
 // Transport: one persistent single-producer/single-consumer channel per
 // ordered rank pair, with a fixed ring of preallocated payload slots.
 // Steady state a message costs two memcpys (sender -> slot -> receiver)
-// and zero heap allocations; blocked ranks spin briefly, then park on a
-// condition variable with a predicate (no timed polling).
+// and zero heap allocations.  Every blocked channel and collective wait
+// runs net::detail::wait_until (net/wait.hpp): about a microsecond of
+// spinning, yields until the wait is 50 µs old, then a park on a
+// condition variable with a predicate (no timed polling), so a rank
+// whose partner was descheduled hands its core over within microseconds.
 //
 // Determinism: allreduce combines contributions along a fixed binary
 // tournament tree (pair order determined by rank indices alone, never by

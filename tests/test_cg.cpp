@@ -82,11 +82,16 @@ TEST(Pcg, PolynomialPreconditionerCutsIterations) {
     EXPECT_NEAR(x2[i], x1[i], 1e-5 * (1.0 + std::abs(x1[i])));
 }
 
-TEST(Pcg, ThrowsOnIndefiniteOperator) {
+TEST(Pcg, IndefiniteOperatorEndsInTypedBreakdown) {
+  // The second search direction has pᵀAp = -22.5: CG cannot continue.
   const sparse::CsrMatrix a = sparse::diagonal_matrix({1.0, -1.0, 2.0});
   Vector b{1, 1, 1}, x(3, 0.0);
   IdentityPrecond none;
-  EXPECT_THROW((void)pcg(a, b, x, none), Error);
+  const SolveReport res = pcg(a, b, x, none);
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_GT(res.final_relres, 0.1);
 }
 
 TEST(Pcg, ZeroRhs) {
@@ -150,6 +155,9 @@ TEST(EddCg, ExchangesPerIterationAreDegreePlusOne) {
   EXPECT_EQ(d.neighbor_exchanges, 7u);  // m inside P(A), 1 for r_glob
   EXPECT_EQ(d.matvecs, 7u);
   EXPECT_EQ(d.global_reductions, 3u);   // pap, ||r||, rho
+  // Whole-run flops of rank 0, localizing f (2 per local entry, as in
+  // every EDD solve) included.
+  EXPECT_EQ(a.rank_counters[0].flops, 32100u);
 }
 
 TEST(EddCg, ChebyshevPreconditionerWorksToo) {

@@ -327,6 +327,57 @@ TEST(SolveInputEdge, BadOptionsAreRefusedWithTheCheckMessage) {
   EXPECT_TRUE(core::solve_edd_cg(edd, prob.load, {}, bad[3]).converged);
 }
 
+// ---- PCG ends in a typed breakdown, never an untyped check, when
+// pᵀAp is not positive and finite.  A finite RHS entry of 1e300 passes
+// the input check but overflows the iterates on the first iteration.
+
+/// The 16x6 cantilever and its load with one entry raised to 1e300.
+struct OverflowScene {
+  fem::CantileverProblem prob;
+  Vector f;
+};
+
+OverflowScene overflow_scene() {
+  fem::CantileverSpec spec;
+  spec.nx = 16;
+  spec.ny = 6;
+  OverflowScene sc{fem::make_cantilever(spec), {}};
+  sc.f = sc.prob.load;
+  sc.f[3] = 1e300;
+  return sc;
+}
+
+TEST(PcgBreakdownEdge, SequentialOverflowEndsInTypedBreakdown) {
+  const OverflowScene sc = overflow_scene();
+  const core::ScaledSystem s = core::scale_system(sc.prob.stiffness, sc.f);
+  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
+                       core::GlsPolynomial(core::default_theta_after_scaling(),
+                                           7));
+  Vector x(s.b.size(), 0.0);
+  const core::SolveOptions opts;
+  core::SolveReport res;
+  ASSERT_NO_THROW(res = core::pcg(s.a, s.b, x, gls, opts));
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);
+  EXPECT_FALSE(res.final_relres <= opts.tol);  // true residual: NaN here
+  EXPECT_LT(res.iterations, opts.max_iters);
+}
+
+TEST(PcgBreakdownEdge, EddOverflowEndsInTypedBreakdown) {
+  const OverflowScene sc = overflow_scene();
+  const partition::EddPartition part = exp::make_edd(sc.prob, 4);
+  core::PolySpec poly;
+  poly.degree = 7;
+  const core::SolveOptions opts;
+  core::DistSolve res;
+  ASSERT_NO_THROW(res = core::solve_edd_cg(part, sc.f, poly, opts));
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_FALSE(res.converged);
+  EXPECT_FALSE(res.final_relres <= opts.tol);
+  EXPECT_LT(res.iterations, opts.max_iters);
+  EXPECT_TRUE(res.comm_error.empty());
+}
+
 TEST(FgmresEdge, InvalidOptionsRejected) {
   const sparse::CsrMatrix a = sparse::tridiag(4, 2.0, -1.0);
   Vector b(4, 1.0), x(4, 0.0);

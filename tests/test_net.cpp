@@ -22,11 +22,15 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/edd_batch.hpp"
@@ -39,6 +43,7 @@
 #include "net/sockets.hpp"
 #include "net/spawn.hpp"
 #include "net/transport.hpp"
+#include "net/wait.hpp"
 #include "par/comm.hpp"
 #include "svc/remote.hpp"
 #include "svc/service.hpp"
@@ -426,6 +431,86 @@ TEST_P(TransportContract, AbortUnwindsBlockedTake) {
   EXPECT_THROW(t->take(1, 0, 0, s, ws), net::Aborted);
 }
 
+/// Release points of a blocked take: while the receiver still spins,
+/// after its spin has run out (it is yielding), and after it has parked.
+const std::chrono::microseconds kReleaseDelays[] = {
+    std::chrono::microseconds(0),
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        net::detail::kYieldUntil / 2),
+    std::chrono::microseconds(2000)};
+
+/// Busy-wait `d`: sleep_for would add the timer slack (about 50 µs)
+/// and overshoot the yield phase.
+void hold_for(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+/// Run take(1 <- 0, tag) on its own thread.  `started` goes up just
+/// before the take; `err` stays empty when it delivered into `sink`.
+std::thread take_async(net::Transport& t, int tag, CaptureSink& sink,
+                       std::atomic<bool>& started, std::exception_ptr& err) {
+  return std::thread([&t, tag, &sink, &started, &err] {
+    started.store(true);
+    try {
+      t.take(1, 0, tag, sink, net::WaitStats{});
+    } catch (...) {
+      err = std::current_exception();
+    }
+  });
+}
+
+TEST_P(TransportContract, TakeReleasedAtEveryWaitPhaseGetsItsMessage) {
+  auto t = make(2);
+  real_t k = 0.0;
+  for (const auto delay : kReleaseDelays) {
+    SCOPED_TRACE(delay.count());
+    const Vector msg{k, 0.5};
+    k += 1.0;
+    CaptureSink s;
+    std::atomic<bool> started{false};
+    std::exception_ptr err;
+    std::thread receiver = take_async(*t, 4, s, started, err);
+    while (!started.load()) {
+    }
+    hold_for(delay);
+    t->push(0, 1, 4, msg, false, net::WaitStats{});
+    receiver.join();
+    EXPECT_FALSE(err);
+    EXPECT_EQ(s.data, msg);
+  }
+}
+
+TEST_P(TransportContract, AbortWakesAParkedTake) {
+  auto t = make(2);
+  CaptureSink s;
+  std::atomic<bool> started{false};
+  std::exception_ptr err;
+  std::thread receiver = take_async(*t, 0, s, started, err);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  t->abort();
+  receiver.join();
+  ASSERT_TRUE(err);
+  EXPECT_THROW(std::rethrow_exception(err), net::Aborted);
+}
+
+TEST_P(TransportContract, ArmedTimeoutEndsAWaitWithTypedTimeout) {
+  auto t = make(2);
+  t->set_timeout(0.02);
+  CaptureSink s;
+  std::uint64_t timeouts = 0;
+  try {
+    t->take(1, 0, 0, s, net::WaitStats{nullptr, &timeouts});
+    FAIL() << "expected par::CommError";
+  } catch (const par::CommError& e) {
+    EXPECT_EQ(e.kind(), fault::CommErrorKind::Timeout);
+    EXPECT_EQ(e.rank(), 1);
+    EXPECT_EQ(e.peer(), 0);
+  }
+  EXPECT_EQ(timeouts, 1u);
+}
+
 TEST_P(TransportContract, LoopbackTopologyReportsSingleProcess) {
   auto t = make(3);
   EXPECT_EQ(t->nranks(), 3);
@@ -564,6 +649,7 @@ TEST(NetParity, EddBatchSolveIsBitIdenticalAcrossTransports) {
 // 5. genuinely multi-process teams (forked; skipped under ASan/TSan)
 // ---------------------------------------------------------------------------
 
+#ifndef PFEM_NO_FORK_TESTS
 /// Plain pipe I/O (sockets.hpp's read_full/write_full are
 /// socket-only: recv/send fail with ENOTSOCK on a pipe fd).
 bool pipe_write(int fd, const void* buf, std::size_t n) {
@@ -615,6 +701,7 @@ void expect_matches_reference(const SolveDigest& ref, const SolveDigest& mine,
   EXPECT_EQ(child.exchanges[0], ref.exchanges.at(2));
   EXPECT_EQ(child.exchanges[1], ref.exchanges.at(3));
 }
+#endif  // PFEM_NO_FORK_TESTS
 
 TEST(NetMultiProcess, SocketTwoProcessSolveMatchesInProcessBitForBit) {
 #ifdef PFEM_NO_FORK_TESTS

@@ -11,6 +11,7 @@
 #include "core/edd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
+#include "net/wait.hpp"
 #include "par/comm.hpp"
 #include "par/cost_model.hpp"
 
@@ -503,6 +504,77 @@ TEST(Team, RankFailureWinsOverConcurrentWork) {
     EXPECT_DOUBLE_EQ(c.allreduce_sum(1.0), 2.0);
   });
   EXPECT_EQ(counters.size(), 2u);
+}
+
+// ---- The one blocking wait (net/wait.hpp) on the collective cells;
+// test_net runs the same release points on every transport's channels.
+
+/// Release points of a blocked waiter: while it still spins, after its
+/// spin has run out (it is yielding), and after it has parked.
+const std::chrono::microseconds kReleaseDelays[] = {
+    std::chrono::microseconds(0),
+    std::chrono::duration_cast<std::chrono::microseconds>(
+        net::detail::kYieldUntil / 2),
+    std::chrono::microseconds(2000)};
+
+/// Busy-wait `d`: sleep_for would add the timer slack (about 50 µs)
+/// and overshoot the yield phase.
+void hold_for(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+TEST(Wait, CollectiveWaiterReleasedAtEveryPhaseCompletes) {
+  for (const auto delay : kReleaseDelays) {
+    SCOPED_TRACE(delay.count());
+    run_spmd(3, [&](Comm& c) {
+      // Rank 0 waits on rank 2's reduction cell, rank 1 on the
+      // broadcast; then ranks 0 and 2 wait in the barrier for rank 1.
+      if (c.rank() == 2) hold_for(delay);
+      EXPECT_DOUBLE_EQ(c.allreduce_sum(static_cast<real_t>(c.rank() + 1)),
+                       6.0);
+      if (c.rank() == 1) hold_for(delay);
+      c.barrier();
+    });
+  }
+}
+
+TEST(Wait, CancelWakesRanksParkedInCollectives) {
+  // Rank 0 parks on rank 1's reduction cell while rank 1 parks in the
+  // barrier: neither can ever be satisfied, only the abort frees them.
+  Team team(2);
+  std::atomic<int> entered{0};
+  std::thread canceller([&] {
+    while (entered.load() < 2) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    team.cancel();
+  });
+  EXPECT_THROW(team.run([&](Comm& c) {
+                 entered.fetch_add(1);
+                 if (c.rank() == 0)
+                   (void)c.allreduce_sum(1.0);
+                 else
+                   c.barrier();
+               }),
+               Cancelled);
+  canceller.join();
+}
+
+TEST(Wait, ArmedTimeoutInACollectiveIsTyped) {
+  Team team(2);
+  team.set_comm_timeout(0.05);
+  try {
+    (void)team.run([](Comm& c) {
+      if (c.rank() == 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      (void)c.allreduce_sum(1.0);  // rank 0 parks on rank 1's cell
+    });
+    FAIL() << "expected par::CommError";
+  } catch (const CommError& e) {
+    EXPECT_EQ(e.kind(), fault::CommErrorKind::Timeout);
+    EXPECT_EQ(e.rank(), 0);
+  }
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 // every shard is saturated.  Runs until SIGTERM/SIGINT (or
 // --serve-seconds) and reports routing stats (and --json=FILE).
 //
-//   pfem_router --listen=unix:/tmp/router.sock \
-//               --shards=unix:/tmp/shard0.sock,unix:/tmp/shard1.sock \
+// Usage (one command line):
+//   pfem_router --listen=unix:/tmp/router.sock
+//               --shards=unix:/tmp/shard0.sock,unix:/tmp/shard1.sock
 //               [--max-inflight=8] [--name=pfem-router]
 //               [--serve-seconds=0] [--json=FILE]
 #include <csignal>
