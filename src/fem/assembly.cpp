@@ -1,10 +1,8 @@
 #include "fem/assembly.hpp"
 
-#include <numeric>
-
 #include "common/error.hpp"
+#include "fem/ebe.hpp"
 #include "fem/elements.hpp"
-#include "sparse/coo.hpp"
 
 namespace pfem::fem {
 
@@ -50,14 +48,6 @@ HexCoords hex_coords(const Mesh& mesh, index_t e) {
   }
   return xyz;
 }
-
-index_t dofs_per_node_for(const Mesh& mesh, Operator op) {
-  return op == Operator::Poisson ? 1 : mesh.dim();
-}
-
-}  // namespace
-
-namespace {
 
 /// Per-element heterogeneity hooks of Material: the Quad4 Poisson path
 /// honours the diffusion-tensor table; Stiffness/Poisson matrices are
@@ -148,47 +138,9 @@ IndexVector element_dofs(const Mesh& mesh, const DofMap& dofs, index_t e) {
   return out;
 }
 
-namespace {
-
-/// Shared scatter loop: assemble `elems` with rows/cols mapped through
-/// `map` (identity when `map` is empty); n is the output dimension.
-sparse::CsrMatrix assemble_impl(const Mesh& mesh, const DofMap& dofs,
-                                const Material& mat, Operator op,
-                                std::span<const index_t> elems,
-                                std::span<const index_t> map, index_t n) {
-  PFEM_CHECK_MSG(dofs.dofs_per_node() == dofs_per_node_for(mesh, op),
-                 "DofMap dofs-per-node does not match operator/dimension");
-  sparse::CooBuilder coo(n, n);
-  const index_t edofs =
-      nodes_per_elem(mesh.type()) * dofs.dofs_per_node();
-  coo.reserve(elems.size() * static_cast<std::size_t>(edofs) * edofs);
-  for (index_t e : elems) {
-    const la::DenseMatrix ke = element_matrix(mesh, mat, op, e);
-    const IndexVector gd = element_dofs(mesh, dofs, e);
-    for (index_t r = 0; r < edofs; ++r) {
-      index_t gr = gd[r];
-      if (gr < 0) continue;
-      if (!map.empty()) gr = map[gr];
-      if (gr < 0) continue;
-      for (index_t c = 0; c < edofs; ++c) {
-        index_t gc = gd[c];
-        if (gc < 0) continue;
-        if (!map.empty()) gc = map[gc];
-        if (gc < 0) continue;
-        coo.add(gr, gc, ke(r, c));
-      }
-    }
-  }
-  return coo.build();
-}
-
-}  // namespace
-
 sparse::CsrMatrix assemble(const Mesh& mesh, const DofMap& dofs,
                            const Material& mat, Operator op) {
-  IndexVector all(static_cast<std::size_t>(mesh.num_elems()));
-  std::iota(all.begin(), all.end(), index_t{0});
-  return assemble_impl(mesh, dofs, mat, op, all, {}, dofs.num_free());
+  return build_ebe_store(mesh, dofs, mat, op).to_csr();
 }
 
 sparse::CsrMatrix assemble_subset(const Mesh& mesh, const DofMap& dofs,
@@ -196,9 +148,9 @@ sparse::CsrMatrix assemble_subset(const Mesh& mesh, const DofMap& dofs,
                                   std::span<const index_t> elems,
                                   std::span<const index_t> global_to_local,
                                   index_t n_local) {
-  PFEM_CHECK(global_to_local.size() ==
-             static_cast<std::size_t>(dofs.num_free()));
-  return assemble_impl(mesh, dofs, mat, op, elems, global_to_local, n_local);
+  return build_ebe_store(mesh, dofs, mat, op, elems, global_to_local,
+                         n_local)
+      .to_csr();
 }
 
 void add_point_load(const DofMap& dofs, index_t node, index_t comp,

@@ -1,5 +1,10 @@
 // Finite element assembly into CSR.
 //
+// Both entry points are fem::build_ebe_store(...).to_csr(): one pass
+// evaluates each element matrix into an element store, and the store
+// sums its blocks straight into CSR (no triplets, no global sort), each
+// entry over its elements in ascending element order.
+//
 // Two paths, mirroring the paper's Definitions 1/2:
 //  * assemble over *all* elements in the global free-dof numbering — the
 //    fully assembled K of Eq. 1 (what the sequential solver and the

@@ -24,10 +24,21 @@
 
 namespace pfem::fem {
 
-/// Build the element store of `op` over all mesh elements: per-element
-/// dense matrices with free-dof ids (-1 = fixed).  This is the global
-/// single-domain analog of the per-subdomain store build_edd_partition
-/// attaches to each EddSubdomain.
+/// Build the element store of `op` over the element subset `elems`, in
+/// that order: each element's dense matrix, evaluated once, with its
+/// dof ids mapped through `global_to_local` (size num_free; fixed dofs
+/// and dofs mapped to -1 become the constrained marker -1) into
+/// [0, n_local).  This is the library's only loop over element_matrix:
+/// assemble/assemble_subset are this store's to_csr(), and
+/// build_edd_partition keeps each part's store as its elem_store.
+[[nodiscard]] sparse::EbeStore build_ebe_store(
+    const Mesh& mesh, const DofMap& dofs, const Material& mat, Operator op,
+    std::span<const index_t> elems, std::span<const index_t> global_to_local,
+    index_t n_local);
+
+/// The store of `op` over all mesh elements in the global free-dof
+/// numbering — the single-domain analog of the per-subdomain store
+/// build_edd_partition attaches to each EddSubdomain.
 [[nodiscard]] sparse::EbeStore build_ebe_store(const Mesh& mesh,
                                                const DofMap& dofs,
                                                const Material& mat,

@@ -143,8 +143,8 @@ DecodeStatus decode_header(std::span<const unsigned char> hdr,
                            ProtoHeader& out) {
   if (hdr.size() < kProtoHeaderBytes) return DecodeStatus::Truncated;
   ByteReader r(hdr);
-  std::uint32_t magic;
-  std::uint16_t version;
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
   (void)r.get_u32(magic);
   (void)r.get_u16(version);
   (void)r.get_u16(out.type);

@@ -1,10 +1,10 @@
 #include "partition/edd.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "common/error.hpp"
+#include "fem/ebe.hpp"
 
 namespace pfem::partition {
 
@@ -29,6 +29,7 @@ EddPartition build_edd_partition(const fem::Mesh& mesh,
   PFEM_CHECK(nparts >= 1);
   PFEM_CHECK(elem_part.size() == static_cast<std::size_t>(mesh.num_elems()));
   const index_t n_global = dofs.num_free();
+  const auto ng = static_cast<std::size_t>(n_global);
 
   EddPartition part;
   part.n_global = n_global;
@@ -41,94 +42,87 @@ EddPartition build_edd_partition(const fem::Mesh& mesh,
     part.subs[static_cast<std::size_t>(p)].elems.push_back(e);
   }
 
-  // Which parts touch each global dof.
-  std::vector<std::set<index_t>> touching(static_cast<std::size_t>(n_global));
-  for (index_t e = 0; e < mesh.num_elems(); ++e) {
-    const index_t p = elem_part[e];
-    for (index_t g : fem::element_dofs(mesh, dofs, e))
-      if (g >= 0) touching[static_cast<std::size_t>(g)].insert(p);
-  }
-
-  // Local numbering per part: sorted global dofs the part touches.
-  std::vector<IndexVector> g2l(
-      static_cast<std::size_t>(nparts),
-      IndexVector(static_cast<std::size_t>(n_global), -1));
-  for (index_t g = 0; g < n_global; ++g) {
-    for (index_t p : touching[static_cast<std::size_t>(g)]) {
+  // Local numbering per part: the sorted global dofs its elements touch
+  // (seen[g] == p: g already listed for p).  touch_ptr counts parts per
+  // dof on the way.
+  IndexVector touch_ptr(ng + 1, 0);
+  {
+    IndexVector seen(ng, -1);
+    for (index_t p = 0; p < nparts; ++p) {
       EddSubdomain& sub = part.subs[static_cast<std::size_t>(p)];
-      g2l[static_cast<std::size_t>(p)][static_cast<std::size_t>(g)] =
-          as_index(sub.local_to_global.size());
-      sub.local_to_global.push_back(g);
+      for (const index_t e : sub.elems)
+        for (const index_t node : mesh.elem_nodes(e))
+          for (index_t c = 0; c < dofs.dofs_per_node(); ++c) {
+            const index_t g = dofs.dof(node, c);
+            if (g < 0 || seen[static_cast<std::size_t>(g)] == p) continue;
+            seen[static_cast<std::size_t>(g)] = p;
+            sub.local_to_global.push_back(g);
+            ++touch_ptr[static_cast<std::size_t>(g) + 1];
+          }
+      std::sort(sub.local_to_global.begin(), sub.local_to_global.end());
     }
   }
 
-  // Interface lists: for each pair (s, t) sharing a dof, both record the
-  // shared dof in ascending global order — identical order on both ends.
-  std::map<std::pair<index_t, index_t>, IndexVector> shared;  // (s,t)->gdofs
-  for (index_t g = 0; g < n_global; ++g) {
-    const auto& parts = touching[static_cast<std::size_t>(g)];
-    if (parts.size() < 2) continue;
-    for (auto it = parts.begin(); it != parts.end(); ++it) {
-      for (auto jt = std::next(it); jt != parts.end(); ++jt) {
-        shared[{*it, *jt}].push_back(g);
+  // dof -> parts as flat arrays: the parts touching g are
+  // touch[touch_ptr[g] .. touch_ptr[g+1]), ascending (parts visited in
+  // order).
+  for (std::size_t g = 0; g < ng; ++g) touch_ptr[g + 1] += touch_ptr[g];
+  IndexVector touch(static_cast<std::size_t>(touch_ptr[ng]));
+  {
+    IndexVector next(touch_ptr.begin(), touch_ptr.end() - 1);
+    for (index_t p = 0; p < nparts; ++p)
+      for (const index_t g : part.subs[static_cast<std::size_t>(p)]
+                                 .local_to_global)
+        touch[static_cast<std::size_t>(next[static_cast<std::size_t>(g)]++)] =
+            p;
+  }
+
+  // Per part: multiplicity, interface dofs, and one exchange list per
+  // neighbor.  Local dofs are walked in ascending global order, so both
+  // ends of a pair list their shared dofs in the same order.
+  IndexVector slot(static_cast<std::size_t>(nparts), -1);  // rank -> list
+  for (index_t p = 0; p < nparts; ++p) {
+    EddSubdomain& sub = part.subs[static_cast<std::size_t>(p)];
+    auto& nbs = sub.neighbors;
+    sub.multiplicity.resize(sub.local_to_global.size());
+    for (std::size_t l = 0; l < sub.local_to_global.size(); ++l) {
+      const auto g = static_cast<std::size_t>(sub.local_to_global[l]);
+      const index_t lo = touch_ptr[g];
+      const index_t hi = touch_ptr[g + 1];
+      sub.multiplicity[l] = hi - lo;
+      if (hi - lo > 1) sub.interface_local_dofs.push_back(as_index(l));
+      for (index_t k = lo; k < hi; ++k) {
+        const index_t t = touch[static_cast<std::size_t>(k)];
+        if (t == p) continue;
+        index_t& idx = slot[static_cast<std::size_t>(t)];
+        if (idx < 0) {
+          idx = as_index(nbs.size());
+          nbs.push_back({static_cast<int>(t), {}});
+        }
+        nbs[static_cast<std::size_t>(idx)].shared_local_dofs.push_back(
+            as_index(l));
       }
     }
-  }
-  for (const auto& [key, gdofs] : shared) {
-    const auto [s, t] = key;
-    EddSubdomain& sub_s = part.subs[static_cast<std::size_t>(s)];
-    EddSubdomain& sub_t = part.subs[static_cast<std::size_t>(t)];
-    EddSubdomain::Neighbor ns{static_cast<int>(t), {}};
-    EddSubdomain::Neighbor nt{static_cast<int>(s), {}};
-    for (index_t g : gdofs) {
-      ns.shared_local_dofs.push_back(
-          g2l[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)]);
-      nt.shared_local_dofs.push_back(
-          g2l[static_cast<std::size_t>(t)][static_cast<std::size_t>(g)]);
-    }
-    sub_s.neighbors.push_back(std::move(ns));
-    sub_t.neighbors.push_back(std::move(nt));
-  }
-  for (EddSubdomain& sub : part.subs) {
-    std::sort(sub.neighbors.begin(), sub.neighbors.end(),
+    for (const auto& nb : nbs) slot[static_cast<std::size_t>(nb.rank)] = -1;
+    std::sort(nbs.begin(), nbs.end(),
               [](const auto& a, const auto& b) { return a.rank < b.rank; });
-    std::set<index_t> iface;
-    for (const auto& nb : sub.neighbors)
-      iface.insert(nb.shared_local_dofs.begin(), nb.shared_local_dofs.end());
-    sub.interface_local_dofs.assign(iface.begin(), iface.end());
   }
 
-  // Multiplicity, local matrices, and the unassembled element blocks the
-  // matrix-free Ebe kernel applies (same elements, local dof ids).
-  const index_t edofs =
-      mesh.num_elems() > 0
-          ? as_index(fem::element_dofs(mesh, dofs, 0).size())
-          : index_t{1};
-  for (int p = 0; p < nparts; ++p) {
-    EddSubdomain& sub = part.subs[static_cast<std::size_t>(p)];
-    sub.multiplicity.resize(sub.local_to_global.size());
+  // One element pass per part: the store keeps the element matrices the
+  // matrix-free Ebe kernel applies, and k_loc is the same store summed
+  // into CSR.
+  IndexVector g2l(ng, -1);
+  for (EddSubdomain& sub : part.subs) {
     for (std::size_t l = 0; l < sub.local_to_global.size(); ++l)
-      sub.multiplicity[l] = as_index(
-          touching[static_cast<std::size_t>(sub.local_to_global[l])].size());
-    sub.k_loc = fem::assemble_subset(mesh, dofs, mat, op, sub.elems,
-                                     g2l[static_cast<std::size_t>(p)],
-                                     sub.n_local());
-    IndexVector eids;
-    std::vector<real_t> evals;
-    eids.reserve(sub.elems.size() * static_cast<std::size_t>(edofs));
-    evals.reserve(sub.elems.size() * static_cast<std::size_t>(edofs) * edofs);
-    for (const index_t e : sub.elems) {
-      const IndexVector gd = fem::element_dofs(mesh, dofs, e);
-      for (const index_t g : gd)
-        eids.push_back(g >= 0 ? g2l[static_cast<std::size_t>(p)]
-                                   [static_cast<std::size_t>(g)]
-                              : index_t{-1});
-      const la::DenseMatrix ke = fem::element_matrix(mesh, mat, op, e);
-      const auto data = ke.data();
-      evals.insert(evals.end(), data.begin(), data.end());
-    }
-    sub.elem_store = std::make_shared<const sparse::EbeStore>(
-        sub.n_local(), edofs, std::move(eids), std::move(evals));
+      g2l[static_cast<std::size_t>(sub.local_to_global[l])] = as_index(l);
+    sparse::EbeStore store = fem::build_ebe_store(mesh, dofs, mat, op,
+                                                  sub.elems, g2l,
+                                                  sub.n_local());
+    sub.k_loc = store.to_csr();
+    sub.elem_store =
+        std::make_shared<const sparse::EbeStore>(std::move(store));
+    for (const index_t g : sub.local_to_global)
+      g2l[static_cast<std::size_t>(g)] = -1;
   }
   return part;
 }

@@ -28,11 +28,12 @@ struct EddSubdomain {
   sparse::CsrMatrix k_loc;      ///< K̂_loc^(s): sub-assembly on local dofs
 
   /// The same sub-assembly kept unassembled: the subdomain's element
-  /// matrices with dof ids in *local* numbering (UNSCALED, matching
-  /// k_loc's entries pre-scaling), element order = elems order.  Feeds
-  /// the matrix-free `KernelOptions::Format::Ebe` kernel; shared_ptr so
-  /// partition copies stay cheap.  Hand-built partitions may leave it
-  /// null — the Ebe kernel then fails with a typed error.
+  /// matrices with dof ids in *local* numbering (UNSCALED), element
+  /// order = elems order.  k_loc is this store's to_csr(), so each
+  /// element matrix is evaluated once per build.  Feeds the matrix-free
+  /// `KernelOptions::Format::Ebe` kernel; shared_ptr so partition copies
+  /// stay cheap.  Hand-built partitions may leave it null — the Ebe
+  /// kernel then fails with a typed error.
   std::shared_ptr<const sparse::EbeStore> elem_store;
 
   /// Exchange list with one neighboring subdomain: the local dofs shared
@@ -69,7 +70,10 @@ struct EddPartition {
 };
 
 /// Build an EDD partition.  `elem_part[e]` assigns element e to a part;
-/// `op` selects which operator is sub-assembled into k_loc.
+/// `op` selects which operator is sub-assembled into k_loc.  One element
+/// pass per part: fem::build_ebe_store over the part's elements gives
+/// elem_store, and its to_csr() gives k_loc (bit-identical to
+/// assemble_edd_local).
 [[nodiscard]] EddPartition build_edd_partition(
     const fem::Mesh& mesh, const fem::DofMap& dofs, const fem::Material& mat,
     fem::Operator op, const IndexVector& elem_part, int nparts);

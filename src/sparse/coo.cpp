@@ -1,7 +1,6 @@
 #include "sparse/coo.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "sparse/csr.hpp"
@@ -27,35 +26,44 @@ void CooBuilder::add(index_t i, index_t j, real_t v) {
 
 CsrMatrix CooBuilder::build() const {
   const std::size_t n = i_.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (i_[a] != i_[b]) return i_[a] < i_[b];
-    return j_[a] < j_[b];
-  });
+  const auto rows = static_cast<std::size_t>(rows_);
 
-  IndexVector row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
+  // Counting sort by row: order[start[r] .. start[r+1]) lists row r's
+  // triplets in insertion order.
+  std::vector<std::size_t> start(rows + 1, 0);
+  for (const index_t i : i_) ++start[static_cast<std::size_t>(i) + 1];
+  for (std::size_t r = 0; r < rows; ++r) start[r + 1] += start[r];
+  std::vector<std::size_t> order(n);
+  {
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (std::size_t k = 0; k < n; ++k)
+      order[next[static_cast<std::size_t>(i_[k])]++] = k;
+  }
+
+  // Stable per-row sort by column keeps each run of duplicates in
+  // insertion order; the run is then summed from 0.0 in that order.
+  const auto by_col = [&](std::size_t a, std::size_t b) {
+    return j_[a] < j_[b];
+  };
+  IndexVector row_ptr(rows + 1, 0);
   IndexVector col_idx;
   Vector values;
   col_idx.reserve(n);
   values.reserve(n);
-
-  std::size_t k = 0;
-  while (k < n) {
-    const index_t row = i_[order[k]];
-    const index_t col = j_[order[k]];
-    real_t sum = 0.0;
-    while (k < n && i_[order[k]] == row && j_[order[k]] == col) {
-      sum += v_[order[k]];
-      ++k;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(start[r]);
+    const auto last =
+        order.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
+    std::stable_sort(first, last, by_col);
+    for (auto k = first; k != last;) {
+      const index_t col = j_[*k];
+      real_t sum = 0.0;
+      for (; k != last && j_[*k] == col; ++k) sum += v_[*k];
+      col_idx.push_back(col);
+      values.push_back(sum);
     }
-    col_idx.push_back(col);
-    values.push_back(sum);
-    ++row_ptr[static_cast<std::size_t>(row) + 1];
+    row_ptr[r + 1] = as_index(col_idx.size());
   }
-  for (index_t r = 0; r < rows_; ++r)
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
 
   return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
                    std::move(values));

@@ -1,10 +1,11 @@
-// Coordinate-format accumulator used during finite element assembly.
+// Coordinate-format (triplet) accumulator.
 //
-// Elements scatter their local stiffness/mass entries here; `build()`
-// sorts, merges duplicates (the FE "assembly" Σ operation), and emits a
-// CSR matrix.  This is the only assembly path in the library — the EDD
-// solver uses it *per subdomain only*, which is exactly the paper's point:
-// interface entries are never merged across processors.
+// Callers that have triplets rather than element blocks — MatrixMarket
+// input, the generators, ILU(k) fill, RCM permutation and the RDD row
+// blocks — append them here; `build()` merges duplicates and emits a CSR
+// matrix.  Finite element assembly does not come through here: it goes
+// element store -> CSR (sparse::EbeStore::to_csr), with the same
+// duplicate rule.
 #pragma once
 
 #include <vector>
@@ -15,7 +16,9 @@ namespace pfem::sparse {
 
 class CsrMatrix;
 
-/// Triplet accumulator.  add() is O(1); build() is O(nnz log nnz).
+/// Triplet accumulator.  add() is O(1); build() is a counting sort by row
+/// plus a stable sort of each row by column — linear in nnz for bounded
+/// row lengths.
 class CooBuilder {
  public:
   CooBuilder(index_t rows, index_t cols);
@@ -29,7 +32,9 @@ class CooBuilder {
   /// Append one triplet; duplicates are summed at build() time.
   void add(index_t i, index_t j, real_t v);
 
-  /// Sort + merge duplicates + compress to CSR.
+  /// Compress to CSR.  Duplicates of one (i, j) are summed from 0.0 in
+  /// insertion order, so the result does not depend on how a sort
+  /// happens to break ties.
   [[nodiscard]] CsrMatrix build() const;
 
  private:

@@ -1,8 +1,10 @@
 #include "sparse/ebe_store.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
+#include "sparse/csr.hpp"
 
 namespace pfem::sparse {
 
@@ -124,6 +126,82 @@ void EbeStore::apply_add_many(index_t begin, index_t end,
         if (ids[k] >= 0) y[static_cast<std::size_t>(ids[k])] += ye[k];
     }
   }
+}
+
+CsrMatrix EbeStore::to_csr() const {
+  const auto n = static_cast<std::size_t>(n_);
+  const auto ed = static_cast<std::size_t>(edofs_);
+
+  // Row -> incident slots (slot s = e * edofs + k holds dof_ids_[s]),
+  // by a counting sort, so each row lists its elements in store order.
+  IndexVector inc_ptr(n + 1, 0);
+  for (const index_t id : dof_ids_)
+    if (id >= 0) ++inc_ptr[static_cast<std::size_t>(id) + 1];
+  for (std::size_t r = 0; r < n; ++r) inc_ptr[r + 1] += inc_ptr[r];
+  IndexVector inc(static_cast<std::size_t>(inc_ptr[n]));
+  {
+    IndexVector next(inc_ptr.begin(), inc_ptr.end() - 1);
+    for (std::size_t s = 0; s < dof_ids_.size(); ++s)
+      if (const index_t id = dof_ids_[s]; id >= 0)
+        inc[static_cast<std::size_t>(next[static_cast<std::size_t>(id)]++)] =
+            as_index(s);
+  }
+  const auto elem_ids = [&](index_t slot) {
+    return dof_ids_.data() + static_cast<std::size_t>(slot) / ed * ed;
+  };
+
+  // Pass 1: distinct columns per row (mark[c] == r: c already counted).
+  IndexVector row_ptr(n + 1, 0);
+  IndexVector mark(n, -1);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = as_index(r);
+    index_t count = 0;
+    for (index_t k = inc_ptr[r]; k < inc_ptr[r + 1]; ++k) {
+      const index_t* ids = elem_ids(inc[static_cast<std::size_t>(k)]);
+      for (std::size_t j = 0; j < ed; ++j) {
+        const index_t c = ids[j];
+        if (c < 0 || mark[static_cast<std::size_t>(c)] == row) continue;
+        mark[static_cast<std::size_t>(c)] = row;
+        ++count;
+      }
+    }
+    row_ptr[r + 1] = row_ptr[r] + count;
+  }
+
+  // Pass 2: collect each row's columns, sum its entries into a dense
+  // accumulator (element order), sort the columns, read the sums out.
+  const auto nnz = static_cast<std::size_t>(row_ptr[n]);
+  IndexVector col_idx(nnz);
+  Vector values(nnz);
+  Vector acc(n, 0.0);
+  std::fill(mark.begin(), mark.end(), index_t{-1});
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = as_index(r);
+    index_t* cols = col_idx.data() + row_ptr[r];
+    std::size_t count = 0;
+    for (index_t k = inc_ptr[r]; k < inc_ptr[r + 1]; ++k) {
+      const index_t slot = inc[static_cast<std::size_t>(k)];
+      const index_t* ids = elem_ids(slot);
+      const real_t* vals = values_.data() + static_cast<std::size_t>(slot) * ed;
+      for (std::size_t j = 0; j < ed; ++j) {
+        const index_t c = ids[j];
+        if (c < 0) continue;
+        if (mark[static_cast<std::size_t>(c)] != row) {
+          mark[static_cast<std::size_t>(c)] = row;
+          cols[count++] = c;
+        }
+        acc[static_cast<std::size_t>(c)] += vals[j];
+      }
+    }
+    std::sort(cols, cols + count);
+    real_t* out = values.data() + row_ptr[r];
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = acc[static_cast<std::size_t>(cols[i])];
+      acc[static_cast<std::size_t>(cols[i])] = 0.0;
+    }
+  }
+  return CsrMatrix(n_, n_, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 EbeStore EbeStore::permuted(std::span<const index_t> order) const {

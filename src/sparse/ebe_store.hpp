@@ -1,7 +1,10 @@
 // Element-by-element (EBE) storage: the matrix-free counterpart of a
 // sub-assembled CSR block.  A store keeps each element's dense matrix
 // plus its dof ids and applies y += Σ_e B_eᵀ (K_e (B_e x)) by
-// gather–multiply–scatter, never forming the assembled operator.
+// gather–multiply–scatter, never forming the assembled operator.  It is
+// also where every assembled finite element matrix comes from: to_csr()
+// sums the same blocks into CSR, so each element matrix is evaluated
+// once whether a caller wants the store, the CSR, or both.
 //
 // This lives in the sparse layer (not fem) on purpose: the partition and
 // kernel layers need the type, and only construction knows anything
@@ -27,10 +30,13 @@
 
 namespace pfem::sparse {
 
+class CsrMatrix;
+
 /// Largest dofs-per-element an EbeStore accepts: Hex8 elasticity needs
 /// 24; 32 leaves headroom for Quad8 3D growth while keeping the apply's
 /// gather/scatter scratch on the stack (thread-safe const apply — the
-/// TSan jobs run concurrent applies through shared kernels).
+/// TSan jobs run concurrent applies through shared kernels).  Since
+/// assembly goes through a store, the bound applies to assembly too.
 inline constexpr index_t kMaxEbeElemDofs = 32;
 
 class EbeStore {
@@ -90,6 +96,15 @@ class EbeStore {
   void apply_add_many(index_t begin, index_t end,
                       std::span<const Vector* const> xs,
                       std::span<Vector* const> ys) const;
+
+  /// Assemble into CSR: Σ_e B_eᵀ K_e B_e, constrained slots dropped.
+  /// The pattern comes from connectivity — row r holds every id that
+  /// shares an element with r, sorted — so an entry that sums to zero is
+  /// still stored.  Each entry is summed from 0.0 over its elements in
+  /// store order (within an element: row slot, then column slot), which
+  /// is the order CooBuilder::build sums the same triplets in.  No
+  /// triplet array and no global sort.
+  [[nodiscard]] CsrMatrix to_csr() const;
 
   /// Copy with elements reordered as order[0], order[1], ... (a
   /// permutation of [0, num_elems)); used to store the interface-coupled

@@ -4,13 +4,21 @@
 // (Table 2 reproduction).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fem/assembly.hpp"
 #include "fem/ebe.hpp"
 #include "fem/elements.hpp"
+#include "fem/families.hpp"
 #include "fem/problems.hpp"
 #include "fem/structured.hpp"
 #include "la/dense.hpp"
@@ -252,6 +260,175 @@ TEST(Assembly, SubsetSumsToWhole) {
   k2.spmv(x, t);
   la::axpy(1.0, t, y12);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], y12[i], 1e-10);
+}
+
+// ---- One-pass assembly contract ------------------------------------------
+//
+// assemble and assemble_subset are build_ebe_store(...).to_csr(): the
+// pattern is the connectivity's, and each entry is summed from 0.0 over
+// its elements in element order (row slot, then column slot inside an
+// element).  The reference spells that rule out with a std::map,
+// independent of the store and of CooBuilder, and the comparison is bit
+// for bit.
+
+/// Σ_e B_eᵀ K_e B_e over `elems` in the given order, dofs mapped through
+/// `map` (-1 drops a dof), each (r, c) accumulated from 0.0.
+sparse::CsrMatrix element_order_reference(const Mesh& mesh,
+                                          const DofMap& dofs,
+                                          const Material& mat, Operator op,
+                                          std::span<const index_t> elems,
+                                          std::span<const index_t> map,
+                                          index_t n) {
+  std::map<std::pair<index_t, index_t>, real_t> sum;
+  for (const index_t e : elems) {
+    const la::DenseMatrix ke = element_matrix(mesh, mat, op, e);
+    const IndexVector gd = element_dofs(mesh, dofs, e);
+    const auto local = [&](std::size_t k) {
+      return gd[k] < 0 ? index_t{-1} : map[static_cast<std::size_t>(gd[k])];
+    };
+    for (std::size_t r = 0; r < gd.size(); ++r) {
+      if (local(r) < 0) continue;
+      for (std::size_t c = 0; c < gd.size(); ++c) {
+        if (local(c) < 0) continue;
+        sum.try_emplace({local(r), local(c)}, 0.0).first->second +=
+            ke(as_index(r), as_index(c));
+      }
+    }
+  }
+  IndexVector row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  IndexVector col_idx;
+  Vector values;
+  for (const auto& [rc, v] : sum) {  // row-major: the CSR storage order
+    ++row_ptr[static_cast<std::size_t>(rc.first) + 1];
+    col_idx.push_back(rc.second);
+    values.push_back(v);
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(n); ++r)
+    row_ptr[r + 1] += row_ptr[r];
+  return sparse::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                           std::move(values));
+}
+
+void expect_same_bits(const sparse::CsrMatrix& got,
+                      const sparse::CsrMatrix& want, const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr())) << what;
+  ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx())) << what;
+  std::size_t differ = 0;
+  for (std::size_t k = 0; k < got.values().size(); ++k)
+    if (std::bit_cast<std::uint64_t>(got.values()[k]) !=
+        std::bit_cast<std::uint64_t>(want.values()[k]))
+      ++differ;
+  EXPECT_EQ(differ, 0u) << what << ": " << differ << " of " << got.nnz()
+                        << " values differ from the element-order sum";
+}
+
+struct AssemblyCase {
+  std::string name;
+  Mesh mesh;
+  DofMap dofs;
+  Material mat;
+  Operator op;
+};
+
+/// Every element type with each operator it defines.  Each case clamps
+/// the x = 0 edge and scales a third of the elements by 1e6 (Mass
+/// ignores elem_scale); the last case is hetero2d's per-element
+/// diffusion tensors on a misaligned checkerboard.
+std::vector<AssemblyCase> assembly_cases() {
+  struct Shape {
+    std::string name;
+    Mesh mesh;
+    std::vector<Operator> ops;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"Quad4", structured_quad(6, 4, 6.0, 4.0),
+                    {Operator::Stiffness, Operator::Mass, Operator::Poisson}});
+  shapes.push_back({"Tri3", structured_tri(6, 4, 6.0, 4.0),
+                    {Operator::Stiffness, Operator::Mass, Operator::Poisson}});
+  shapes.push_back({"Quad8", structured_quad8(4, 3, 4.0, 3.0),
+                    {Operator::Stiffness, Operator::Mass}});
+  shapes.push_back({"Hex8", structured_hex(3, 2, 2, 3.0, 2.0, 2.0),
+                    {Operator::Stiffness, Operator::Mass}});
+  const char* op_names[] = {"Stiffness", "Mass", "Poisson"};
+
+  std::vector<AssemblyCase> cases;
+  for (const Shape& sh : shapes) {
+    auto scale = std::make_shared<std::vector<real_t>>();
+    for (index_t e = 0; e < sh.mesh.num_elems(); ++e)
+      scale->push_back(e % 3 == 0 ? 1e6 : 1.0);
+    for (const Operator op : sh.ops) {
+      DofMap dofs(sh.mesh.num_nodes(),
+                  op == Operator::Poisson ? 1 : sh.mesh.dim());
+      for (index_t n : sh.mesh.nodes_at_x(0.0)) dofs.fix_node(n);
+      dofs.finalize();
+      Material mat;
+      mat.elem_scale = scale;
+      cases.push_back({sh.name + "/" + op_names[static_cast<int>(op)],
+                       sh.mesh, std::move(dofs), mat, op});
+    }
+  }
+  ProblemSpec spec = default_spec("hetero2d");
+  spec.jump = 1e4;
+  spec.anisotropy = 10.0;
+  spec.angle = 0.5;
+  spec.aligned = false;
+  spec.checker = 3;
+  FamilyProblem fp = make_problem(spec);
+  cases.push_back({"hetero2d/Poisson", std::move(fp.prob.mesh),
+                   std::move(fp.prob.dofs), fp.prob.material, fp.op});
+  return cases;
+}
+
+TEST(Assembly, MatchesElementOrderReferenceBitwise) {
+  for (const AssemblyCase& c : assembly_cases()) {
+    const index_t n = c.dofs.num_free();
+    IndexVector all(static_cast<std::size_t>(c.mesh.num_elems()));
+    std::iota(all.begin(), all.end(), index_t{0});
+    IndexVector identity(static_cast<std::size_t>(n));
+    std::iota(identity.begin(), identity.end(), index_t{0});
+    expect_same_bits(assemble(c.mesh, c.dofs, c.mat, c.op),
+                     element_order_reference(c.mesh, c.dofs, c.mat, c.op,
+                                             all, identity, n),
+                     c.name);
+  }
+}
+
+TEST(Assembly, SubsetMatchesReferenceUnderDroppingPermutingMap) {
+  // A map that drops every fifth free dof and shuffles the rest, over
+  // the elements minus every fourth: the dropped dofs act like fixed
+  // ones, and the local numbering decides only where entries land.
+  for (const AssemblyCase& c : assembly_cases()) {
+    const index_t n = c.dofs.num_free();
+    IndexVector order;
+    for (index_t g = 0; g < n; ++g)
+      if (g % 5 != 2) order.push_back(g);
+    Rng rng(7);
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    IndexVector map(static_cast<std::size_t>(n), -1);
+    for (std::size_t l = 0; l < order.size(); ++l)
+      map[static_cast<std::size_t>(order[l])] = as_index(l);
+    IndexVector elems;
+    for (index_t e = 0; e < c.mesh.num_elems(); ++e)
+      if (e % 4 != 1) elems.push_back(e);
+    const auto n_local = as_index(order.size());
+    expect_same_bits(
+        assemble_subset(c.mesh, c.dofs, c.mat, c.op, elems, map, n_local),
+        element_order_reference(c.mesh, c.dofs, c.mat, c.op, elems, map,
+                                n_local),
+        c.name);
+  }
+}
+
+TEST(Assembly, StiffnessAndMassShareThePattern) {
+  for (const AssemblyCase& c : assembly_cases()) {
+    if (c.op != Operator::Stiffness) continue;
+    const sparse::CsrMatrix k = assemble(c.mesh, c.dofs, c.mat, c.op);
+    const sparse::CsrMatrix m =
+        assemble(c.mesh, c.dofs, c.mat, Operator::Mass);
+    EXPECT_TRUE(std::ranges::equal(k.row_ptr(), m.row_ptr())) << c.name;
+    EXPECT_TRUE(std::ranges::equal(k.col_idx(), m.col_idx())) << c.name;
+  }
 }
 
 TEST(Assembly, LoadHelpers) {

@@ -2,12 +2,19 @@
 // (Eq. 27–32 identities), and RDD block-row splitting (Fig. 6/7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "exp/experiments.hpp"
+#include "fem/families.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
 #include "partition/edd.hpp"
@@ -282,6 +289,166 @@ TEST_P(RddPartitionTest, InteriorBoundarySplitCounts) {
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, RddPartitionTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8));
+
+// ---- EDD setup contract ----------------------------------------------------
+//
+// build_edd_partition evaluates each element once per part: the part's
+// element store is kept as elem_store and summed into k_loc, and the
+// dof -> parts incidence lives in flat arrays.  These tests pin the
+// result against independent references: assemble_edd_local for k_loc,
+// element_matrix for the store, and a std::set brute force for the maps.
+
+struct SetupCase {
+  std::string name;
+  std::string family;
+  index_t nx;
+  index_t ny;
+  int nparts;
+};
+
+void PrintTo(const SetupCase& c, std::ostream* os) { *os << c.name; }
+
+class EddSetupTest : public ::testing::TestWithParam<SetupCase> {
+ protected:
+  void SetUp() override {
+    const SetupCase& c = GetParam();
+    fem::ProblemSpec spec = fem::default_spec(c.family);
+    if (c.nx > 0) spec.nx = c.nx;
+    if (c.ny > 0) spec.ny = c.ny;
+    fp_.emplace(fem::make_problem(spec));
+    part_ = exp::make_edd(*fp_, c.nparts);
+    ASSERT_EQ(part_.nparts(), c.nparts);
+  }
+
+  std::optional<fem::FamilyProblem> fp_;
+  EddPartition part_;
+};
+
+TEST_P(EddSetupTest, KLocEqualsAssembleEddLocalBitwise) {
+  for (int s = 0; s < part_.nparts(); ++s) {
+    const sparse::CsrMatrix& got = part_.subs[static_cast<std::size_t>(s)].k_loc;
+    const sparse::CsrMatrix want = assemble_edd_local(
+        fp_->prob.mesh, fp_->prob.dofs, fp_->prob.material, fp_->op, part_, s);
+    ASSERT_EQ(got.rows(), want.rows()) << "part " << s;
+    EXPECT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+    EXPECT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
+    EXPECT_TRUE(std::ranges::equal(
+        got.values(), want.values(), [](real_t a, real_t b) {
+          return std::bit_cast<std::uint64_t>(a) ==
+                 std::bit_cast<std::uint64_t>(b);
+        }))
+        << "part " << s;
+  }
+}
+
+TEST_P(EddSetupTest, ElemStoreHoldsEachElementMatrixInElemsOrder) {
+  const fem::Mesh& mesh = fp_->prob.mesh;
+  for (const EddSubdomain& sub : part_.subs) {
+    ASSERT_NE(sub.elem_store, nullptr);
+    const sparse::EbeStore& store = *sub.elem_store;
+    ASSERT_EQ(store.rows(), sub.n_local());
+    ASSERT_EQ(store.num_elems(), as_index(sub.elems.size()));
+    IndexVector g2l(static_cast<std::size_t>(part_.n_global), -1);
+    for (std::size_t l = 0; l < sub.local_to_global.size(); ++l)
+      g2l[static_cast<std::size_t>(sub.local_to_global[l])] = as_index(l);
+    const auto ed = static_cast<std::size_t>(store.edofs());
+    for (std::size_t i = 0; i < sub.elems.size(); ++i) {
+      const index_t e = sub.elems[i];
+      IndexVector want_ids;
+      for (const index_t g : fem::element_dofs(mesh, fp_->prob.dofs, e))
+        want_ids.push_back(g < 0 ? index_t{-1}
+                                 : g2l[static_cast<std::size_t>(g)]);
+      EXPECT_TRUE(std::ranges::equal(store.elem_dofs(as_index(i)), want_ids))
+          << "element " << e;
+      const la::DenseMatrix ke =
+          fem::element_matrix(mesh, fp_->prob.material, fp_->op, e);
+      const auto got = store.values().subspan(i * ed * ed, ed * ed);
+      EXPECT_TRUE(std::ranges::equal(
+          got, ke.data(), [](real_t a, real_t b) {
+            return std::bit_cast<std::uint64_t>(a) ==
+                   std::bit_cast<std::uint64_t>(b);
+          }))
+          << "element " << e;
+    }
+  }
+}
+
+TEST_P(EddSetupTest, DofMapsMatchBruteForceSetReference) {
+  const auto ng = static_cast<std::size_t>(part_.n_global);
+  std::vector<std::set<int>> touching(ng);
+  for (int s = 0; s < part_.nparts(); ++s)
+    for (const index_t e : part_.subs[static_cast<std::size_t>(s)].elems)
+      for (const index_t g :
+           fem::element_dofs(fp_->prob.mesh, fp_->prob.dofs, e))
+        if (g >= 0) touching[static_cast<std::size_t>(g)].insert(s);
+
+  for (int s = 0; s < part_.nparts(); ++s) {
+    const EddSubdomain& sub = part_.subs[static_cast<std::size_t>(s)];
+    IndexVector l2g, mult, iface;
+    for (std::size_t g = 0; g < ng; ++g)
+      if (touching[g].count(s) != 0) {
+        if (touching[g].size() > 1) iface.push_back(as_index(l2g.size()));
+        l2g.push_back(as_index(g));
+        mult.push_back(as_index(touching[g].size()));
+      }
+    EXPECT_EQ(sub.local_to_global, l2g) << "part " << s;
+    EXPECT_EQ(sub.multiplicity, mult) << "part " << s;
+    EXPECT_EQ(sub.interface_local_dofs, iface) << "part " << s;
+
+    std::vector<std::pair<int, IndexVector>> want;
+    for (int t = 0; t < part_.nparts(); ++t) {
+      if (t == s) continue;
+      IndexVector shared;
+      for (std::size_t l = 0; l < l2g.size(); ++l)
+        if (touching[static_cast<std::size_t>(l2g[l])].count(t) != 0)
+          shared.push_back(as_index(l));
+      if (!shared.empty()) want.emplace_back(t, std::move(shared));
+    }
+    ASSERT_EQ(sub.neighbors.size(), want.size()) << "part " << s;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(sub.neighbors[k].rank, want[k].first) << "part " << s;
+      EXPECT_EQ(sub.neighbors[k].shared_local_dofs, want[k].second)
+          << "part " << s << " neighbor " << want[k].first;
+    }
+  }
+}
+
+std::vector<SetupCase> setup_cases() {
+  std::vector<SetupCase> cases;
+  for (const int p : {1, 2, 3, 4, 8}) {
+    cases.push_back({"cantilever2d_8x4_P" + std::to_string(p),
+                     "cantilever2d", 8, 4, p});
+    cases.push_back({"brick3d_P" + std::to_string(p), "brick3d", 0, 0, p});
+  }
+  // Two elements over four parts: two parts own no element at all.
+  cases.push_back({"cantilever2d_2x1_P4", "cantilever2d", 2, 1, 4});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Meshes, EddSetupTest, ::testing::ValuesIn(setup_cases()),
+    [](const ::testing::TestParamInfo<SetupCase>& info) {
+      return info.param.name;
+    });
+
+TEST(EddSetup, TwoElementsOverFourPartsLeavesEmptyParts) {
+  fem::ProblemSpec spec = fem::default_spec("cantilever2d");
+  spec.nx = 2;
+  spec.ny = 1;
+  const fem::FamilyProblem fp = fem::make_problem(spec);
+  const EddPartition part = exp::make_edd(fp, 4);
+  int empty = 0;
+  for (const EddSubdomain& sub : part.subs)
+    if (sub.elems.empty()) {
+      ++empty;
+      EXPECT_EQ(sub.n_local(), 0);
+      EXPECT_EQ(sub.k_loc.rows(), 0);
+      EXPECT_TRUE(sub.neighbors.empty());
+      ASSERT_NE(sub.elem_store, nullptr);
+      EXPECT_EQ(sub.elem_store->num_elems(), 0);
+    }
+  EXPECT_EQ(empty, 2);
+}
 
 TEST(EddStats, InterfaceGrowsWithParts) {
   fem::CantileverSpec spec;

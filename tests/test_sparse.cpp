@@ -2,13 +2,21 @@
 // generators, and MatrixMarket I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "la/vector_ops.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/ebe_store.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/io.hpp"
 
@@ -32,6 +40,92 @@ TEST(Coo, DuplicatesAreSummed) {
   EXPECT_DOUBLE_EQ(a.at(0, 1), 4.0);
   EXPECT_DOUBLE_EQ(a.at(1, 0), -1.0);
   EXPECT_DOUBLE_EQ(a.at(1, 1), 0.0);
+}
+
+/// Values whose sum depends on the order they are added in.
+constexpr real_t kOrderSensitive[] = {1e16, 1.0, -1e16, 3.0, 0.5, -2.0};
+
+/// Count of values that differ in their bits (so -0.0 != 0.0 and a NaN
+/// equals itself).
+std::size_t bit_mismatches(std::span<const real_t> a,
+                           std::span<const real_t> b) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k]))
+      ++n;
+  return n;
+}
+
+TEST(Coo, DuplicatesSumInInsertionOrder) {
+  // 200 shuffled triplets into an 8x8 matrix, many duplicates per entry,
+  // values chosen so the sum depends on its order.  The CSR value of
+  // each entry must be the sum from 0.0 in insertion order, bit for bit.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<std::pair<index_t, index_t>> ij;
+    for (int k = 0; k < 200; ++k)
+      ij.emplace_back(rng.uniform_index(0, 7), rng.uniform_index(0, 7));
+    std::shuffle(ij.begin(), ij.end(), rng.engine());
+    CooBuilder coo(8, 8);
+    std::map<std::pair<index_t, index_t>, real_t> want;
+    for (std::size_t k = 0; k < ij.size(); ++k) {
+      const real_t v = kOrderSensitive[rng.uniform_index(0, 5)];
+      coo.add(ij[k].first, ij[k].second, v);
+      want.try_emplace(ij[k], 0.0).first->second += v;
+    }
+    const CsrMatrix a = coo.build();
+    ASSERT_EQ(a.nnz(), as_index(want.size())) << "seed " << seed;
+    Vector expected;
+    for (const auto& [rc, v] : want) {
+      ASSERT_TRUE(std::ranges::binary_search(a.row_cols(rc.first),
+                                             rc.second));
+      expected.push_back(v);
+    }
+    // map order is row-major (row, col) — the CSR storage order.
+    EXPECT_EQ(bit_mismatches(a.values(), expected), 0u) << "seed " << seed;
+  }
+}
+
+TEST(EbeStore, ToCsrMatchesCooBuilderInElementOrderBitwise) {
+  // One duplicate rule for both assembly paths: a store's to_csr() is the
+  // CSR CooBuilder builds from the same blocks fed element by element
+  // (row slot, then column slot) — pattern and every bit of every value.
+  // Random stores repeat ids inside an element, mark slots constrained
+  // (-1), and leave some rows untouched.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const index_t n = rng.uniform_index(0, 12);
+    const index_t edofs = rng.uniform_index(1, 8);
+    const index_t ne = rng.uniform_index(0, 20);
+    IndexVector ids;
+    std::vector<real_t> vals;
+    for (index_t k = 0; k < ne * edofs; ++k)
+      ids.push_back(n == 0 || rng.uniform_index(0, 4) == 0
+                        ? index_t{-1}
+                        : rng.uniform_index(0, n - 1));
+    for (index_t k = 0; k < ne * edofs * edofs; ++k)
+      vals.push_back(kOrderSensitive[rng.uniform_index(0, 5)] *
+                     rng.uniform(0.5, 2.0));
+    CooBuilder coo(n, n);
+    const auto ed = static_cast<std::size_t>(edofs);
+    for (std::size_t e = 0; e < static_cast<std::size_t>(ne); ++e)
+      for (std::size_t r = 0; r < ed; ++r)
+        for (std::size_t c = 0; c < ed; ++c)
+          if (ids[e * ed + r] >= 0 && ids[e * ed + c] >= 0)
+            coo.add(ids[e * ed + r], ids[e * ed + c],
+                    vals[(e * ed + r) * ed + c]);
+    const CsrMatrix want = coo.build();
+    const CsrMatrix got = EbeStore(n, edofs, ids, vals).to_csr();
+    ASSERT_EQ(got.rows(), n);
+    ASSERT_EQ(got.cols(), n);
+    ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()))
+        << "seed " << seed;
+    ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()))
+        << "seed " << seed;
+    EXPECT_EQ(bit_mismatches(got.values(), want.values()), 0u)
+        << "seed " << seed;
+  }
 }
 
 TEST(Coo, EmptyBuildsEmptyCsr) {

@@ -4,11 +4,17 @@
 // cancellation, shutdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/edd_batch.hpp"
 #include "core/edd_kernels.hpp"
 #include "exp/experiments.hpp"
@@ -16,6 +22,7 @@
 #include "svc/job_queue.hpp"
 #include "svc/operator_cache.hpp"
 #include "svc/service.hpp"
+#include "svc/stats.hpp"
 
 namespace pfem {
 namespace {
@@ -398,6 +405,106 @@ TEST(OperatorCache, LruEvictsBuiltStateButKeepsRecipe) {
   EXPECT_TRUE(cache.contains("b"));  // recipe survives eviction
   // Evicted-but-handed-out state stays valid through the shared_ptr.
   EXPECT_EQ(sb->a.size(), static_cast<std::size_t>(kRanks));
+}
+
+// --------------------------------------------------------- LatencyRecorder
+
+using svc::LatencyRecorder;
+using svc::LatencySnapshot;
+
+/// Exact nearest-rank percentile of a sorted sample set.
+double nearest_rank(const std::vector<double>& sorted, double p) {
+  const auto n = static_cast<double>(sorted.size());
+  const auto k = static_cast<std::size_t>(std::ceil(p * n));
+  return sorted[std::min(sorted.size() - 1, k == 0 ? 0 : k - 1)];
+}
+
+void expect_ordered(const LatencySnapshot& s) {
+  EXPECT_LE(s.p50, s.p90);
+  EXPECT_LE(s.p90, s.p99);
+  EXPECT_LE(s.p99, s.max);
+}
+
+TEST(LatencyRecorder, MillionRecordsKeepExactTotalsInFixedStorage) {
+  // All state is inline — the bucket array and three scalars — so the
+  // footprint is the same after 10^6 records as before the first.
+  static_assert(LatencyRecorder::kBuckets < 1024);
+  EXPECT_LE(sizeof(LatencyRecorder),
+            sizeof(std::mutex) +
+                (LatencyRecorder::kBuckets + 3) * sizeof(std::uint64_t));
+  LatencyRecorder rec;
+  double sum = 0.0, max = 0.0;
+  for (std::int64_t i = 0; i < 1'000'000; ++i) {
+    const double v = 1e-4 * static_cast<double>(1 + i * 7919 % 100'003);
+    rec.record(v);
+    sum += v;
+    max = std::max(max, v);
+  }
+  const LatencySnapshot s = rec.snapshot();
+  EXPECT_EQ(s.count, 1'000'000u);
+  EXPECT_EQ(s.mean, sum / 1e6);
+  EXPECT_EQ(s.max, max);
+  expect_ordered(s);
+}
+
+TEST(LatencyRecorder, PercentilesWithinOneBucketAboveNearestRank) {
+  // Bucket edge ratio 10^(1/78) < 1.03: a reported percentile is never
+  // below the exact nearest-rank sample and less than 3% above it.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    LatencyRecorder rec;
+    std::vector<double> samples;
+    for (int i = 0; i < 20'000; ++i) {
+      const double v = 1e-5 * std::pow(10.0, rng.uniform(0.0, 6.0));
+      samples.push_back(v);
+      rec.record(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const LatencySnapshot s = rec.snapshot();
+    const std::pair<double, double> got[] = {
+        {0.50, s.p50}, {0.90, s.p90}, {0.99, s.p99}};
+    for (const auto& [p, value] : got) {
+      const double exact = nearest_rank(samples, p);
+      EXPECT_GE(value, exact) << "p" << p << " seed " << seed;
+      EXPECT_LE(value, exact * 1.03) << "p" << p << " seed " << seed;
+    }
+    EXPECT_EQ(s.max, samples.back());
+    expect_ordered(s);
+  }
+}
+
+TEST(LatencyRecorder, SingleSampleReportsItselfExactly) {
+  // Inside the range, on a bucket edge, under 1 us and over 1e4 s.
+  for (const double v : {0.0123, 1e-6, 3e-9, 0.0, 2e4}) {
+    LatencyRecorder rec;
+    rec.record(v);
+    const LatencySnapshot s = rec.snapshot();
+    EXPECT_EQ(s.count, 1u);
+    EXPECT_EQ(s.mean, v);
+    EXPECT_EQ(s.p50, v);
+    EXPECT_EQ(s.p90, v);
+    EXPECT_EQ(s.p99, v);
+    EXPECT_EQ(s.max, v);
+  }
+  EXPECT_EQ(LatencyRecorder().snapshot().count, 0u);
+}
+
+TEST(LatencyRecorder, PercentilesStayOrderedUpToMax) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    LatencyRecorder rec;
+    const int n = rng.uniform_index(1, 60);
+    for (int i = 0; i < n; ++i) {
+      // Mostly in range, with repeats, underflow and overflow mixed in.
+      const int kind = rng.uniform_index(0, 9);
+      const double v = kind == 0   ? 1e-8
+                       : kind == 1 ? 5e4
+                       : kind == 2 ? 0.25
+                                   : std::pow(10.0, rng.uniform(-7.0, 5.0));
+      rec.record(v);
+    }
+    expect_ordered(rec.snapshot());
+  }
 }
 
 // ------------------------------------------------------------------ Service
