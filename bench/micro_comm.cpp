@@ -12,11 +12,11 @@
 //   allreduce   P=8, 64-double vector sum; reports per-op latency.
 //
 // A second mode (--net) runs the same three probes over the pfem::net
-// transport ladder instead — in-process ring vs shared-memory ring vs
-// socket loopback (every frame serialized through a real socketpair) —
-// so the cost of leaving the address space is a measured number, not a
-// guess.  --net-json=FILE records the sweep for run_paper_full.sh,
-// which folds it into BENCH_net.json.
+// transports instead — in-process ring vs socket loopback (every frame
+// serialized through a real socketpair) — so the cost of leaving the
+// address space is a measured number, not a guess.  --net-json=FILE
+// records the sweep for run_paper_full.sh, which folds it into
+// BENCH_net.json.
 //
 // Usage: micro_comm [--full] [--counters-json=FILE]
 //        micro_comm --net [--full] [--net-json=FILE]
@@ -38,7 +38,6 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "exp/table.hpp"
-#include "net/shm.hpp"
 #include "net/socket_transport.hpp"
 #include "net/transport.hpp"
 #include "par/comm.hpp"
@@ -304,7 +303,6 @@ int run_net_mode(int argc, char** argv) {
 
   const std::vector<std::pair<std::string, TransportFactory>> rungs = {
       {"inproc", [](int n) { return net::make_inproc_transport(n); }},
-      {"shm", [](int n) { return net::make_shm_loopback_transport(n); }},
       {"socket", [](int n) { return net::make_socket_loopback_transport(n); }},
   };
   std::vector<NetProbeResult> results;

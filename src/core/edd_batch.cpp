@@ -208,7 +208,6 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
     z[b].assign(static_cast<std::size_t>(m), Vector(nl));
   }
   std::vector<Vector> h(nb, Vector(static_cast<std::size_t>(m) + 2));
-  std::vector<Vector> h2(nb, Vector(static_cast<std::size_t>(m) + 2));
   std::vector<std::optional<la::HessenbergLsq>> lsq(nb);
   std::vector<char> done(nb, 0), frozen(nb, 0), brk(nb, 0);
   std::vector<index_t> iters(nb, 0), jcols(nb, 0);
@@ -453,7 +452,6 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
     if (cyc.empty()) continue;  // re-enter to terminate cleanly
 
     // ---- One fused Arnoldi cycle.
-    const int gs_passes = opts.reorthogonalize ? 2 : 1;
     for (index_t j = 0; j < m; ++j) {
       live.clear();
       for (const std::size_t b : cyc)
@@ -484,38 +482,30 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
       matvec();
       globalize_w();
 
-      // Gram–Schmidt, h_k = ⊕Σ ⟨ŵ, v̂_k⟩ in the cross-format inner
-      // product (Eqs. 33/34).  Basic keeps w in local format and
-      // refreshes its global copy before a re-orthogonalization pass;
-      // Enhanced updates the global copy and re-orthogonalizes with the
-      // 1/mult-weighted dot, needing no exchange.
+      // Classical Gram–Schmidt, h_k = ⊕Σ ⟨ŵ, v̂_k⟩ in the cross-format
+      // inner product (Eqs. 33/34): all j+1 dots against the same w,
+      // then the updates.  Basic updates w in local format, Enhanced
+      // its global copy.
       {
         OBS_SPAN(tr, "gram_schmidt", obs::Cat::Ortho);
-        for (int pass = 0; pass < gs_passes; ++pass) {
-          if (basic && pass > 0) globalize_w();
-          red.resize(live.size() * (jj + 1));
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            const std::size_t b = live[i];
-            for (std::size_t k = 0; k <= jj; ++k)
-              red[i * (jj + 1) + k] =
-                  basic      ? r.dot_lg_partial(v[b][k], w_glob[b])
-                  : pass == 0 ? r.dot_lg_partial(w_loc[b], v[b][k])
-                              : r.dot_gg_partial(w_glob[b], v[b][k]);
+        red.resize(live.size() * (jj + 1));
+        for (std::size_t i = 0; i < live.size(); ++i) {
+          const std::size_t b = live[i];
+          for (std::size_t k = 0; k <= jj; ++k)
+            red[i * (jj + 1) + k] =
+                basic ? r.dot_lg_partial(v[b][k], w_glob[b])
+                      : r.dot_lg_partial(w_loc[b], v[b][k]);
+        }
+        reduce();
+        for (std::size_t i = 0; i < live.size(); ++i) {
+          const std::size_t b = live[i];
+          Vector& w = basic ? w_loc[b] : w_glob[b];
+          for (std::size_t k = 0; k <= jj; ++k) {
+            h[b][k] = red[i * (jj + 1) + k];
+            la::axpy(-h[b][k], v[b][k], w);
           }
-          reduce();
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            const std::size_t b = live[i];
-            Vector& coeff = pass == 0 ? h[b] : h2[b];
-            Vector& w = basic ? w_loc[b] : w_glob[b];
-            for (std::size_t k = 0; k <= jj; ++k) {
-              coeff[k] = red[i * (jj + 1) + k];
-              la::axpy(-coeff[k], v[b][k], w);
-            }
-            r.counters().flops += 2 * nl * (jj + 1);
-            r.counters().vector_updates += jj + 1;
-            if (pass > 0)
-              for (std::size_t k = 0; k <= jj; ++k) h[b][k] += h2[b][k];
-          }
+          r.counters().flops += 2 * nl * (jj + 1);
+          r.counters().vector_updates += jj + 1;
         }
       }
 
@@ -851,7 +841,7 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                                    op.poly,          op.gls.get(),
                                    op.cheb.get(),    op.deflation,
                                    op.coarse.get()};
-          // The service path: Enhanced, every Gram–Schmidt pass folded
+          // The service path: Enhanced, each Gram–Schmidt step folded
           // into one allreduce across the whole batch.
           detail::fgmres_edd(comm, part, rop, rhs, opts, {}, out);
         },

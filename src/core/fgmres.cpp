@@ -71,7 +71,6 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
   std::vector<Vector> z(static_cast<std::size_t>(m), Vector(n));
   Vector w(n);
   Vector h(static_cast<std::size_t>(m) + 1);
-  Vector h2(static_cast<std::size_t>(m) + 1);
 
   real_t relres = 1.0;
   while (result.iterations < opts.max_iters) {
@@ -96,22 +95,14 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
                     z[static_cast<std::size_t>(j)]);
       a.apply(z[static_cast<std::size_t>(j)], w);
 
-      // Classical Gram-Schmidt (optionally a second pass, CGS2).
-      const int gs_passes = opts.reorthogonalize ? 2 : 1;
-      for (int pass = 0; pass < gs_passes; ++pass) {
-        for (index_t i = 0; i <= j; ++i)
-          h2[static_cast<std::size_t>(i)] =
-              la::dot(w, v[static_cast<std::size_t>(i)]);
-        for (index_t i = 0; i <= j; ++i)
-          la::axpy(-h2[static_cast<std::size_t>(i)],
-                   v[static_cast<std::size_t>(i)], w);
-        for (index_t i = 0; i <= j; ++i) {
-          if (pass == 0)
-            h[static_cast<std::size_t>(i)] = h2[static_cast<std::size_t>(i)];
-          else
-            h[static_cast<std::size_t>(i)] += h2[static_cast<std::size_t>(i)];
-        }
-      }
+      // Classical Gram-Schmidt: all j+1 dots against the same w, then
+      // the updates.
+      for (index_t i = 0; i <= j; ++i)
+        h[static_cast<std::size_t>(i)] =
+            la::dot(w, v[static_cast<std::size_t>(i)]);
+      for (index_t i = 0; i <= j; ++i)
+        la::axpy(-h[static_cast<std::size_t>(i)],
+                 v[static_cast<std::size_t>(i)], w);
       const real_t hnext = la::nrm2(w);
       h[static_cast<std::size_t>(j) + 1] = hnext;
 

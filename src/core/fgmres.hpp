@@ -79,11 +79,10 @@ struct RecycleOptions {
 /// (net::proto::SolveRequestMsg carries the convergence + session
 /// fields; kernel/deflation/observe stay server-side policy):
 ///
-///   convergence   restart, max_iters, tol, reorthogonalize — must
-///                 match for requests to coalesce into one fused service
-///                 batch; batched_reductions need not (the batch path
-///                 always folds each Gram–Schmidt pass into one
-///                 allreduce);
+///   convergence   restart, max_iters, tol — must match for requests
+///                 to coalesce into one fused service batch;
+///                 batched_reductions need not (the batch path always
+///                 folds each Gram–Schmidt step into one allreduce);
 ///   kernels       KernelOptions        — storage format (Csr and Sell
 ///                 bit-identical, Ebe not);
 ///   deflation     DeflationOptions     — two-level coarse correction;
@@ -94,11 +93,6 @@ struct SolveOptions {
   index_t restart = 25;     ///< m̃, the Krylov subspace dimension (paper: 25)
   index_t max_iters = 10000;  ///< cap on total inner iterations
   real_t tol = 1e-6;        ///< relative residual target (paper: 1e-6)
-
-  /// Run classical Gram-Schmidt twice (CGS2).  The paper uses plain CGS;
-  /// CGS2 restores orthogonality at tight tolerances for ~2x the
-  /// inner-product cost.  Off by default (paper-faithful).
-  bool reorthogonalize = false;
 
   /// Batch the j+1 Gram-Schmidt coefficients of an iteration into one
   /// allreduce instead of the paper's one-reduction-per-coefficient

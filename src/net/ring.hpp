@@ -161,7 +161,7 @@ class RingCore {
     RingChannel& ch = channel(src, dst);
     for (auto it = ch.stash.begin(); it != ch.stash.end(); ++it) {
       if (it->tag == tag) {
-        sink.deliver(&it->payload,
+        sink.deliver(it->payload,
                      std::span<const real_t>(it->payload.data(),
                                              it->payload.size()));
         ch.stash.erase(it);
@@ -205,7 +205,7 @@ class RingCore {
                                      slot.seq);
       ch.last_drained_seq = slot.seq;
       if (slot.tag == tag) {
-        sink.deliver(&slot.payload,
+        sink.deliver(slot.payload,
                      std::span<const real_t>(slot.payload.data(), slot.size));
         release_slot(ch, slot);
         return;

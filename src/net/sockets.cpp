@@ -155,6 +155,13 @@ int accept_conn(int listen_fd) {
       return fd;
     }
     if (errno == EINTR) continue;
+    // Out of fds or buffers, or a client that left the backlog: the
+    // pending connection waits until an ended one frees its fd.
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM || errno == ECONNABORTED) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
     return -1;  // listening socket closed/shut down: orderly stop
   }
 }

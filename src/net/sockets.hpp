@@ -29,7 +29,9 @@ namespace pfem::net {
                              double timeout_seconds = 10.0);
 
 /// Accept one connection; returns the connected fd, or -1 when the
-/// listening socket was shut down (the orderly stop path).
+/// listening socket was shut down (the orderly stop path).  Out of fds
+/// or buffers (EMFILE, ENFILE, ENOBUFS, ENOMEM) or an aborted pending
+/// connection, it retries every 10 ms.
 [[nodiscard]] int accept_conn(int listen_fd);
 
 /// A connected AF_UNIX stream pair (for in-process loopback and

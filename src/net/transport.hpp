@@ -7,18 +7,17 @@
 // ranks, and an optional wait deadline that turns a dead peer into a
 // typed fault::CommError instead of a hang.
 //
-// Three implementations:
+// Two implementations, one receive path (RingCore::take, ring.hpp):
 //
 //   in-process (inproc.cpp)        — the PR-1 SPSC channel rings, the
 //                                    zero-cost default for rank teams
 //                                    that are threads in one process;
-//   shared memory (shm.cpp)        — fixed-capacity rings in a
-//                                    MAP_SHARED region for co-located
-//                                    processes forked around it;
 //   sockets (socket_transport.cpp) — length-prefixed frames over
 //                                    stream sockets (Unix or TCP), one
 //                                    connection per process pair, for
-//                                    ranks split across address spaces.
+//                                    ranks split across address spaces
+//                                    (co-located processes included),
+//                                    delivered into a RingCore inbox.
 //
 // Fault injection stays ABOVE this seam: par::Comm consumes the seeded
 // plan and translates Drop into mark_dropped() and Duplicate into a
@@ -63,14 +62,13 @@ struct WaitStats {
   }
 };
 
-/// Receiver callback of take().  `owned` is non-null when the transport
-/// can relinquish the payload buffer (the in-process single-copy swap
-/// receive); otherwise the sink must copy out of `data` before
-/// returning (shared-memory slots, which stay mapped in the region).
-/// `data` is valid only for the duration of the call.
+/// Receiver callback of take().  `owned` is the ring's payload buffer,
+/// relinquished to the sink (which may swap it out — the single-copy
+/// receive); its first data.size() entries are the message.  Both are
+/// valid only for the duration of the call.
 class MsgSink {
  public:
-  virtual void deliver(Vector* owned, std::span<const real_t> data) = 0;
+  virtual void deliver(Vector& owned, std::span<const real_t> data) = 0;
 
  protected:
   ~MsgSink() = default;
@@ -116,8 +114,8 @@ class Transport {
   virtual void set_timeout(double seconds) noexcept = 0;
 
   /// Tear down: every blocked or future transport call in every
-  /// attached process unwinds with Aborted.  Multi-process transports
-  /// propagate the flag (shared memory word / abort frame).
+  /// attached process unwinds with Aborted.  The socket transport
+  /// propagates the flag to its peers with an Abort frame.
   virtual void abort() noexcept = 0;
   [[nodiscard]] virtual bool is_aborted() const noexcept = 0;
 

@@ -1,8 +1,6 @@
 // The one blocking wait of the transports and of the par runtime's
-// collective cells: spin, then yield, then park.  Call sites choose
-// only the park step — a condition-variable park (in-process rings,
-// reduction cells, barrier) or a sleep-poll (shared memory, whose
-// region cannot hold a condvar).
+// collective cells: spin, then yield, then park on a condition
+// variable (CondvarPark: channel rings, reduction cells, barrier).
 //
 // Both busy phases are bounded by the steady clock.  A 1 µs spin
 // catches a partner running on another core; yielding until the wait
@@ -45,27 +43,6 @@ inline constexpr std::chrono::nanoseconds kSpinTime{1'000};
 /// How old a wait may get, spin included, before it parks.
 inline constexpr std::chrono::nanoseconds kYieldUntil{50'000};
 
-/// Block until done() holds.  `park(done)` is called only once the
-/// spin and yield phases have failed; it blocks until done() holds and
-/// returns false if its armed deadline expired first.  Returns the
-/// seconds waited, or nullopt on a deadline expiry.  done() must also
-/// cover the caller's abort flag, so a teardown wakes every phase.
-template <typename Done, typename Park>
-[[nodiscard]] std::optional<double> wait_until(Done done, Park park) {
-  const auto t0 = SteadyClock::now();
-  bool caught = done();
-  while (!caught && SteadyClock::now() - t0 < kSpinTime) {
-    cpu_relax();
-    caught = done();
-  }
-  while (!caught && SteadyClock::now() - t0 < kYieldUntil) {
-    std::this_thread::yield();
-    caught = done();
-  }
-  if (!caught && !park(done)) return std::nullopt;
-  return seconds_since(t0);
-}
-
 /// The condition-variable park step.  Registering in `waiting` before
 /// the final predicate check (inside cv.wait) pairs with
 /// notify_parked's seq_cst read, so a publisher either sees the waiter
@@ -90,6 +67,28 @@ struct CondvarPark {
     return ok;
   }
 };
+
+/// Block until done() holds.  `park(done)` is called only once the
+/// spin and yield phases have failed; it blocks until done() holds and
+/// returns false if its armed deadline expired first.  Returns the
+/// seconds waited, or nullopt on a deadline expiry.  done() must also
+/// cover the caller's abort flag, so a teardown wakes every phase.
+template <typename Done>
+[[nodiscard]] std::optional<double> wait_until(Done done,
+                                               const CondvarPark& park) {
+  const auto t0 = SteadyClock::now();
+  bool caught = done();
+  while (!caught && SteadyClock::now() - t0 < kSpinTime) {
+    cpu_relax();
+    caught = done();
+  }
+  while (!caught && SteadyClock::now() - t0 < kYieldUntil) {
+    std::this_thread::yield();
+    caught = done();
+  }
+  if (!caught && !park(done)) return std::nullopt;
+  return seconds_since(t0);
+}
 
 /// Publisher side of CondvarPark: call after the seq_cst publish of
 /// the waited-for condition.

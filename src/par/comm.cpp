@@ -26,20 +26,14 @@ using net::detail::SteadyClock;
 using net::detail::seconds_since;
 
 /// Receive adapters for the transport's sink-style take().  SwapSink is
-/// the single-copy receive: when the transport relinquishes its payload
-/// buffer the sink steals it and leaves ours behind for the wire to
-/// reuse; a transport that cannot hand over storage (shared-memory
-/// slots) passes owned == nullptr and the sink copies.
+/// the single-copy receive: the sink steals the relinquished payload
+/// buffer and leaves ours behind for the wire to reuse.
 struct SwapSink final : net::MsgSink {
   Vector* out;
   explicit SwapSink(Vector* o) : out(o) {}
-  void deliver(Vector* owned, std::span<const real_t> data) override {
-    if (owned != nullptr) {
-      out->swap(*owned);
-      out->resize(data.size());
-    } else {
-      out->assign(data.begin(), data.end());
-    }
+  void deliver(Vector& owned, std::span<const real_t> data) override {
+    out->swap(owned);
+    out->resize(data.size());
   }
 };
 
@@ -48,7 +42,7 @@ struct SwapSink final : net::MsgSink {
 struct SpanSink final : net::MsgSink {
   std::span<real_t> out;
   explicit SpanSink(std::span<real_t> o) : out(o) {}
-  void deliver(Vector* /*owned*/, std::span<const real_t> data) override {
+  void deliver(Vector& /*owned*/, std::span<const real_t> data) override {
     PFEM_CHECK_MSG(data.size() == out.size(),
                    "recv into span: message length does not match the "
                    "preposted buffer");

@@ -1,4 +1,4 @@
-// Shared-memory message-passing runtime (the MPI substitute).
+// Message-passing runtime (the MPI substitute).
 //
 // The paper runs C+MPI on an IBM SP2 and an SGI Origin.  Neither machine
 // (nor MPI) is available here, so this module provides the same
@@ -157,11 +157,11 @@ class Cancelled : public Error {
 /// How a Team reaches its ranks.  The default (null transport) is the
 /// in-process wire: all ranks are threads of this process talking
 /// through the PR-1 channel rings.  A non-null transport may instead
-/// place rank blocks in other processes (shared-memory rings, socket
-/// frames); THIS Team then spawns threads only for the ranks its
-/// process hosts, and every cooperating process constructs its own Team
-/// over its own end of the same transport and calls run() with the same
-/// job.  Collectives stay deterministic and bit-identical across
+/// place rank blocks in other processes (socket frames); THIS Team
+/// then spawns threads only for the ranks its process hosts, and
+/// every cooperating process constructs its own Team over its own end
+/// of the same transport and calls run() with the same job.
+/// Collectives stay deterministic and bit-identical across
 /// transports: the runtime folds contributions in the same fixed
 /// tournament-tree order whether the stage crosses a cache line or a
 /// socket.

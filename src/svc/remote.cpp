@@ -54,10 +54,13 @@ void store_u64_le(unsigned char* p, std::uint64_t v) {
 }
 
 /// Serialized write of one encoded frame; false on a dead peer (the
-/// caller's reader will notice and unwind — no throw escapes).
-[[nodiscard]] bool write_buf(int fd, std::mutex& m,
+/// caller's reader will notice and unwind — no throw escapes) or on a
+/// connection already ended.  `fd` is read under `m`, the lock
+/// end_conn retires it under.
+[[nodiscard]] bool write_buf(const int& fd, std::mutex& m,
                              const net::ByteBuffer& buf) {
   std::lock_guard<std::mutex> lk(m);
+  if (fd < 0) return false;
   try {
     return net::write_full(fd, buf.data(), buf.size());
   } catch (const std::exception&) {
@@ -80,6 +83,35 @@ void emit_raw_frame(net::ByteBuffer& out, std::uint16_t type,
 
 void clip_detail(std::string& s) {
   if (s.size() > kMaxDetailBytes) s.resize(kMaxDetailBytes);
+}
+
+/// Close an ended connection's fd and mark it -1 (ended, ready to
+/// reap).  Holds the owner's table lock, which stop() holds while it
+/// shuts fds down, and the connection's write lock, which every writer
+/// holds while it reads fd — so nobody touches the number after the
+/// kernel hands it to a new connection.
+void end_conn(int& fd, std::mutex& table_m, std::mutex& write_m) {
+  std::scoped_lock lk(table_m, write_m);
+  net::close_fd(fd);
+  fd = -1;
+}
+
+/// Join and drop the connections end_conn retired.  Runs on the
+/// acceptor before each accept, never on a connection's own thread, so
+/// the table holds the live connections and at most a few ended ones.
+template <typename Conn>
+void reap_ended(std::mutex& table_m,
+                std::vector<std::shared_ptr<Conn>>& conns) {
+  std::vector<std::shared_ptr<Conn>> ended;
+  {
+    std::lock_guard<std::mutex> lk(table_m);
+    std::erase_if(conns, [&](const std::shared_ptr<Conn>& c) {
+      if (c->fd >= 0) return false;
+      ended.push_back(c);
+      return true;
+    });
+  }
+  for (const auto& c : ended) c->join();
 }
 
 }  // namespace
@@ -158,6 +190,11 @@ struct Server::Conn {
 
   std::thread reader;
   std::thread harvester;
+
+  void join() {
+    reader.join();
+    harvester.join();
+  }
 };
 
 Server::Server(Service& svc, const std::string& listen_addr,
@@ -171,6 +208,7 @@ Server::~Server() { stop(); }
 
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
+    reap_ended(m_, conns_);
     int fd = -1;
     try {
       fd = net::accept_conn(listen_fd_);
@@ -296,7 +334,7 @@ void Server::conn_harvester(const std::shared_ptr<Conn>& c) {
     {
       std::unique_lock<std::mutex> lk(c->m);
       c->cv.wait(lk, [&] { return c->closed || !c->q.empty(); });
-      if (c->q.empty()) return;  // closed and drained
+      if (c->q.empty()) break;  // closed and drained
       p = std::move(c->q.front());
       c->q.pop_front();
     }
@@ -309,6 +347,8 @@ void Server::conn_harvester(const std::shared_ptr<Conn>& c) {
       ++stats_.responses;
     }
   }
+  // The reader is done with the fd (it set `closed`): this is its end.
+  end_conn(c->fd, m_, c->write_m);
 }
 
 void Server::stop() {
@@ -318,17 +358,13 @@ void Server::stop() {
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lk(m_);
-    conns = conns_;
+    conns.swap(conns_);
+    for (const auto& c : conns) net::shutdown_fd(c->fd);
   }
-  for (const auto& c : conns) net::shutdown_fd(c->fd);
-  for (const auto& c : conns) {
-    if (c->reader.joinable()) c->reader.join();
-    // Joins until every submitted request resolved inside the Service —
-    // shut the Service down (or drain it) before stopping the Server if
-    // you need a bound on this wait.
-    if (c->harvester.joinable()) c->harvester.join();
-    net::close_fd(c->fd);
-  }
+  // Joins until every submitted request resolved inside the Service —
+  // shut the Service down (or drain it) before stopping the Server if
+  // you need a bound on this wait.  Each harvester closes its own fd.
+  for (const auto& c : conns) c->join();
   net::close_fd(listen_fd_);
 }
 
@@ -455,8 +491,9 @@ struct Router::Shard {
 struct Router::ClientConn {
   int fd = -1;
   std::mutex write_m;
-  std::atomic<bool> alive{true};
   std::thread reader;
+
+  void join() { reader.join(); }
 };
 
 Router::Router(const RouterConfig& cfg) : cfg_(cfg) {
@@ -517,6 +554,7 @@ std::size_t Router::pick_shard(const std::string& operator_key,
 
 void Router::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
+    reap_ended(m_, conns_);
     int fd = -1;
     try {
       fd = net::accept_conn(listen_fd_);
@@ -647,8 +685,9 @@ void Router::client_reader(const std::shared_ptr<ClientConn>& c) {
       if (!write_buf(c->fd, c->write_m, out)) break;
     }
   }
-  c->alive.store(false, std::memory_order_release);
+  // Wake a shard reader blocked writing to this client, then end it.
   net::shutdown_fd(c->fd);
+  end_conn(c->fd, m_, c->write_m);
 }
 
 void Router::shard_reader(std::size_t shard_idx) {
@@ -680,10 +719,8 @@ void Router::shard_reader(std::size_t shard_idx) {
     }
     if (!found) continue;  // client vanished and entry was reaped
     store_u64_le(body.data(), p.client_req_id);
-    if (p.conn->alive.load(std::memory_order_acquire)) {
-      emit_raw_frame(out, h.type, body);
-      (void)write_buf(p.conn->fd, p.conn->write_m, out);
-    }
+    emit_raw_frame(out, h.type, body);
+    (void)write_buf(p.conn->fd, p.conn->write_m, out);  // false once ended
   }
 }
 
@@ -694,13 +731,10 @@ void Router::stop() {
   std::vector<std::shared_ptr<ClientConn>> conns;
   {
     std::lock_guard<std::mutex> lk(m_);
-    conns = conns_;
+    conns.swap(conns_);
+    for (const auto& c : conns) net::shutdown_fd(c->fd);
   }
-  for (const auto& c : conns) net::shutdown_fd(c->fd);
-  for (const auto& c : conns) {
-    if (c->reader.joinable()) c->reader.join();
-    net::close_fd(c->fd);
-  }
+  for (const auto& c : conns) c->join();  // each reader closes its fd
   for (const auto& sh : shards_) net::shutdown_fd(sh->fd);
   for (const auto& sh : shards_) {
     if (sh->reader.joinable()) sh->reader.join();

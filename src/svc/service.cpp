@@ -18,7 +18,7 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 /// parameter matches — the batch solve runs one option set.
 bool compatible_opts(const core::SolveOptions& a, const core::SolveOptions& b) {
   return a.restart == b.restart && a.max_iters == b.max_iters &&
-         a.tol == b.tol && a.reorthogonalize == b.reorthogonalize;
+         a.tol == b.tol;
 }
 
 }  // namespace
@@ -35,7 +35,6 @@ std::unique_ptr<par::Team> Service::make_team() const {
 Service::Service(const ServiceConfig& cfg)
     : cfg_(cfg),
       cache_(cfg.cache_capacity, cfg.kernels, cfg.deflation),
-      sessions_(cfg.session_capacity, cfg.session_max_directions),
       queue_(cfg.queue_capacity) {
   PFEM_CHECK_MSG(cfg_.max_batch_rhs >= 1, "max_batch_rhs must be >= 1");
   PFEM_CHECK_MSG(cfg_.retry.max_attempts >= 1,
@@ -391,7 +390,7 @@ void Service::dispatch_batch(std::vector<PendingJob> batch) {
     opts.recycle.enabled = true;
     opts.recycle.harvest = true;
     opts.recycle.max_directions =
-        static_cast<index_t>(cfg_.session_max_directions);
+        static_cast<index_t>(kSessionMaxDirections);
     opts.recycle.in = std::move(in);
     std::scoped_lock lock(m_);
     stats_.warm_rhs += warm;

@@ -80,12 +80,6 @@ struct ServiceConfig {
   /// observe.ring_capacity sizes each lane's flight-recorder ring.  The
   /// per-request progress callback lives on each request instead.
   obs::ObserveOptions observe;
-  /// Solve sessions (svc/session.hpp): how many sessions may hold warm
-  /// state at once (LRU; the handle survives eviction and just runs
-  /// cold), and the per-RHS-lane bound on the recycled-direction ring
-  /// fed back into core::RecycleOptions::max_directions.
-  std::size_t session_capacity = 32;
-  std::size_t session_max_directions = 8;
   RetryPolicy retry;
   /// Channel-wait deadline installed on the team (and on every retry
   /// replacement); 0 disables.  With a timeout armed, a dead or stalled

@@ -16,7 +16,7 @@
 //                 └──────── evict ──────────┘        close ──▶ gone
 //
 // The *handle* lives until close_session(); the *state* (x_prev + the
-// direction ring) is LRU-bounded by `capacity` and additionally dropped
+// direction ring) is LRU-bounded by kSessionCapacity and also dropped
 // whenever the operator cache evicts the built operator the session is
 // pinned to (evict_for_operator — memory pressure stays coherent across
 // the two caches).  An evicted session silently degrades to a cold
@@ -54,16 +54,15 @@ struct SessionSnapshot {
   std::uint64_t seq = 0;  ///< completed deposits under this session
 };
 
+/// How many sessions may hold *state* at once (LRU); handles themselves
+/// live until closed, and an evicted session just runs cold.
+inline constexpr std::size_t kSessionCapacity = 32;
+/// Per-lane bound on the recycled-direction ring (oldest dropped
+/// first), fed back into core::RecycleOptions::max_directions.
+inline constexpr std::size_t kSessionMaxDirections = 8;
+
 class SessionTable {
  public:
-  /// @param capacity max number of sessions holding *state* (LRU);
-  ///        handles themselves live until closed.
-  /// @param max_directions per-lane bound on the recycled-direction ring
-  ///        (oldest dropped first), mirroring RecycleOptions.
-  SessionTable(std::size_t capacity, std::size_t max_directions)
-      : capacity_(capacity < 1 ? 1 : capacity),
-        max_directions_(max_directions) {}
-
   [[nodiscard]] SessionId open(std::string operator_key) {
     std::scoped_lock lock(m_);
     const SessionId id = next_id_++;
@@ -123,13 +122,13 @@ class SessionTable {
       lane.x0 = x[r];
       if (r < harvested.size())
         for (const Vector& dir : harvested[r]) lane.directions.push_back(dir);
-      while (lane.directions.size() > max_directions_)
+      while (lane.directions.size() > kSessionMaxDirections)
         lane.directions.erase(lane.directions.begin());
     }
     ++e.seq;
     lru_touch(id);
     std::size_t evicted = 0;
-    while (lru_.size() > capacity_) {
+    while (lru_.size() > kSessionCapacity) {
       auto victim = entries_.find(lru_.back());
       if (victim != entries_.end()) {
         victim->second.lanes.clear();
@@ -185,8 +184,6 @@ class SessionTable {
       }
   }
 
-  std::size_t capacity_;
-  std::size_t max_directions_;
   mutable std::mutex m_;
   std::unordered_map<SessionId, Entry> entries_;
   std::list<SessionId> lru_;  ///< ids with state, most recent first

@@ -163,10 +163,10 @@ struct ChaosRun {
 };
 
 /// Optional channel substrate for a chaos case: given kRanks, build the
-/// net::Transport the team should run on (shm loopback, socket
-/// loopback, ...).  Null means the default in-process rings.  Fault
-/// injection sits above the transport seam, so every substrate must
-/// satisfy the same chaos contract.
+/// net::Transport the team should run on (the socket loopback).  Null
+/// means the default in-process rings.  Fault injection sits above the
+/// transport seam, so every substrate must satisfy the same chaos
+/// contract.
 using TransportFactory =
     std::function<std::shared_ptr<net::Transport>(int nranks)>;
 

@@ -16,7 +16,6 @@
 #include "core/edd_solver.hpp"
 #include "core/rdd_solver.hpp"
 #include "fault/fault.hpp"
-#include "net/shm.hpp"
 #include "net/socket_transport.hpp"
 #include "obs/trace.hpp"
 #include "par/comm.hpp"
@@ -510,7 +509,7 @@ TEST(ServiceRetry, NoFaultsMeansNoRetriesAndZeroStampedCounters) {
 
 /// The full 64-seed sweep over one channel substrate.  Fault injection
 /// sits above the transport seam, so the identical contract must hold
-/// on in-process rings, shared-memory rings, and the socket wire.
+/// on the in-process rings and on the socket wire.
 void chaos_sweep_all_seeds(const chaos::TransportFactory& transport) {
   // One process-wide watchdog over the whole sweep: a single hung seed
   // kills the binary loudly instead of wedging CI.
@@ -576,11 +575,6 @@ void chaos_sweep_all_seeds(const chaos::TransportFactory& transport) {
 
 TEST(ChaosSweep, EverySeedConvergesOrFailsTypedAndReplaysExactly) {
   chaos_sweep_all_seeds({});
-}
-
-TEST(ChaosSweep, ShmTransportEverySeedConvergesOrFailsTyped) {
-  chaos_sweep_all_seeds(
-      [](int n) { return net::make_shm_loopback_transport(n); });
 }
 
 TEST(ChaosSweep, SocketTransportEverySeedConvergesOrFailsTyped) {

@@ -5,13 +5,14 @@
 //      bad magic/version/type, oversized, structurally broken body)
 //      maps to a typed status — never UB, never an exception.
 //   2. Transport parity: the SPMD runtime produces bit-identical
-//      results over the in-process rings, the shared-memory loopback
-//      and the socket loopback — including the full EDD batch solve,
-//      whose iteration and exchange counts must not depend on the wire.
-//   3. Multi-process: a team genuinely split across two forked
-//      processes (socket frames, shared-memory rings) reproduces the
-//      in-process solve bit for bit.  Skipped under ASan/TSan — the
-//      sanitizer runtimes do not survive fork+threads.
+//      results over the in-process rings and the socket loopback —
+//      including the full EDD batch solve, whose iteration and exchange
+//      counts must not depend on the wire.
+//   3. Multi-process: a team split across two processes' worth of
+//      socket transports runs the wire collectives and reproduces the
+//      in-process solve bit for bit — as two Teams in one process
+//      (sanitizer-clean), and across two forked processes (skipped
+//      under ASan/TSan: their runtimes do not survive fork+threads).
 //   4. The remote service: Server/Client request/response (typed
 //      rejections, deadline, solutions on request, malformed-frame
 //      close) and the Router (cache affinity, spill, typed
@@ -19,13 +20,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -38,7 +45,6 @@
 #include "fem/problems.hpp"
 #include "net/frame.hpp"
 #include "net/proto.hpp"
-#include "net/shm.hpp"
 #include "net/socket_transport.hpp"
 #include "net/sockets.hpp"
 #include "net/spawn.hpp"
@@ -352,11 +358,9 @@ TEST(NetProto, LyingCountFieldsAreOversizedNotAllocated) {
 
 struct CaptureSink : net::MsgSink {
   Vector data;
-  void deliver(Vector* owned, std::span<const real_t> d) override {
-    if (owned != nullptr)
-      data = std::move(*owned);
-    else
-      data.assign(d.begin(), d.end());
+  void deliver(Vector& owned, std::span<const real_t> d) override {
+    data = std::move(owned);
+    data.resize(d.size());
   }
 };
 
@@ -366,7 +370,6 @@ class TransportContract
   static std::shared_ptr<net::Transport> make(int n) {
     const std::string which = GetParam();
     if (which == "inproc") return net::make_inproc_transport(n);
-    if (which == "shm") return net::make_shm_loopback_transport(n);
     return net::make_socket_loopback_transport(n);
   }
 };
@@ -522,7 +525,7 @@ TEST_P(TransportContract, LoopbackTopologyReportsSingleProcess) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportContract,
-                         ::testing::Values("inproc", "shm", "socket"));
+                         ::testing::Values("inproc", "socket"));
 
 // ---------------------------------------------------------------------------
 // 4. SPMD + solve parity across transports
@@ -565,12 +568,8 @@ std::vector<real_t> spmd_digest(const TransportFactory& factory, int n) {
 TEST(NetParity, SpmdJobIsBitIdenticalAcrossTransports) {
   for (const int n : {2, 4, 5}) {  // 5: non-power-of-two tournament tree
     const std::vector<real_t> ref = spmd_digest({}, n);
-    const std::vector<real_t> shm =
-        spmd_digest([](int k) { return net::make_shm_loopback_transport(k); },
-                    n);
     const std::vector<real_t> sock = spmd_digest(
         [](int k) { return net::make_socket_loopback_transport(k); }, n);
-    EXPECT_EQ(ref, shm) << "shm loopback diverged at n=" << n;
     EXPECT_EQ(ref, sock) << "socket loopback diverged at n=" << n;
   }
 }
@@ -599,6 +598,7 @@ struct SolveDigest {
   std::int64_t iterations = 0;
   std::uint64_t relres_bits = 0;  ///< final_relres, compared bitwise
   std::vector<std::uint64_t> exchanges;  ///< per rank
+  std::vector<std::uint64_t> reductions;  ///< per rank
   Vector x;
 };
 
@@ -619,8 +619,10 @@ SolveDigest run_solve(const SolveScene& s,
   d.converged = r.items.at(0).converged;
   d.iterations = r.items.at(0).iterations;
   std::memcpy(&d.relres_bits, &r.items.at(0).final_relres, 8);
-  for (const par::PerfCounters& c : r.rank_counters)
+  for (const par::PerfCounters& c : r.rank_counters) {
     d.exchanges.push_back(c.neighbor_exchanges);
+    d.reductions.push_back(c.global_reductions);
+  }
   if (!r.x.empty()) d.x = r.x.at(0);
   return d;
 }
@@ -630,24 +632,71 @@ TEST(NetParity, EddBatchSolveIsBitIdenticalAcrossTransports) {
   const SolveScene s = make_scene(n);
   const SolveDigest ref = run_solve(s, nullptr, n);
   ASSERT_TRUE(ref.converged);
-  for (const char* which : {"shm", "socket"}) {
-    const SolveDigest got = run_solve(
-        s,
-        std::string(which) == "shm"
-            ? net::make_shm_loopback_transport(n)
-            : net::make_socket_loopback_transport(n),
-        n);
-    EXPECT_TRUE(got.converged) << which;
-    EXPECT_EQ(got.iterations, ref.iterations) << which;
-    EXPECT_EQ(got.relres_bits, ref.relres_bits) << which;
-    EXPECT_EQ(got.exchanges, ref.exchanges) << which;
-    EXPECT_EQ(got.x, ref.x) << which;  // bitwise, not approx
-  }
+  const SolveDigest got =
+      run_solve(s, net::make_socket_loopback_transport(n), n);
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.iterations, ref.iterations);
+  EXPECT_EQ(got.relres_bits, ref.relres_bits);
+  EXPECT_EQ(got.exchanges, ref.exchanges);
+  EXPECT_EQ(got.x, ref.x);  // bitwise, not approx
 }
 
 // ---------------------------------------------------------------------------
-// 5. genuinely multi-process teams (forked; skipped under ASan/TSan)
+// 5. multi-process teams: the wire collectives in one process, then forked
 // ---------------------------------------------------------------------------
+
+TEST(NetMultiProcess, SocketTwoTeamsInOneProcessMatchInProcessBitForBit) {
+  // Two Teams, each hosting half the ranks over its end of one
+  // socketpair, run the wire tournament tree and barrier from two
+  // threads of this process — no fork, so the sanitizer jobs run it.
+  const int n = 4;
+  const SolveScene s = make_scene(n);
+  const SolveDigest ref = run_solve(s, nullptr, n);
+  ASSERT_TRUE(ref.converged);
+
+  const std::array<int, 2> pair = net::stream_pair();
+  std::array<SolveDigest, 2> half;
+  std::array<std::thread, 2> procs;
+  for (int p = 0; p < 2; ++p) {
+    net::SocketTransportConfig cfg;
+    cfg.ranks_per_proc = {2, 2};
+    cfg.my_proc = p;
+    cfg.fds = p == 0 ? std::vector<int>{-1, pair[0]}
+                     : std::vector<int>{pair[1], -1};
+    procs[static_cast<std::size_t>(p)] = std::thread(
+        [&s, &half, p, t = net::make_socket_transport(cfg)]() mutable {
+          half[static_cast<std::size_t>(p)] = run_solve(s, std::move(t), n);
+        });
+  }
+  for (std::thread& t : procs) t.join();
+
+  // A global dof of x comes from the first subdomain holding it, so the
+  // half hosting that subdomain must reproduce it.
+  std::vector<std::size_t> first(ref.x.size(), s.part->subs.size());
+  for (std::size_t q = 0; q < s.part->subs.size(); ++q)
+    for (const auto g : s.part->subs[q].local_to_global)
+      first[static_cast<std::size_t>(g)] =
+          std::min(first[static_cast<std::size_t>(g)], q);
+  for (std::size_t p = 0; p < 2; ++p) {
+    SCOPED_TRACE(p);
+    const SolveDigest& d = half[p];
+    EXPECT_TRUE(d.converged);
+    EXPECT_EQ(d.iterations, ref.iterations);
+    EXPECT_EQ(d.relres_bits, ref.relres_bits);
+    ASSERT_EQ(d.exchanges.size(), 4u);
+    for (std::size_t r = 2 * p; r < 2 * p + 2; ++r) {
+      EXPECT_EQ(d.exchanges[r], ref.exchanges[r]) << "rank " << r;
+      EXPECT_EQ(d.reductions[r], ref.reductions[r]) << "rank " << r;
+    }
+    ASSERT_EQ(d.x.size(), ref.x.size());
+    for (std::size_t g = 0; g < ref.x.size(); ++g) {
+      if (first[g] / 2 != p) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d.x[g]),
+                std::bit_cast<std::uint64_t>(ref.x[g]))
+          << "dof " << g;
+    }
+  }
+}
 
 #ifndef PFEM_NO_FORK_TESTS
 /// Plain pipe I/O (sockets.hpp's read_full/write_full are
@@ -744,53 +793,6 @@ TEST(NetMultiProcess, SocketTwoProcessSolveMatchesInProcessBitForBit) {
   cfg.my_proc = 0;
   cfg.fds = {-1, pair[0]};
   const SolveDigest mine = run_solve(s, net::make_socket_transport(cfg), n);
-
-  ChildReport child;
-  ASSERT_TRUE(pipe_read(pipefd[0], &child, sizeof child));
-  ::close(pipefd[0]);
-  EXPECT_EQ(net::wait_exit(pid), 0);
-  expect_matches_reference(ref, mine, child);
-#endif
-}
-
-TEST(NetMultiProcess, ShmTwoProcessSolveMatchesInProcessBitForBit) {
-#ifdef PFEM_NO_FORK_TESTS
-  GTEST_SKIP() << "fork-based multi-process test skipped under sanitizers";
-#else
-  const int n = 4;
-  const SolveScene s = make_scene(n);
-  const SolveDigest ref = run_solve(s, nullptr, n);
-  ASSERT_TRUE(ref.converged);
-
-  // The region must exist BEFORE fork so both processes map it.
-  std::shared_ptr<net::ShmRegion> region = net::ShmRegion::create(n);
-  int pipefd[2];
-  ASSERT_EQ(::pipe(pipefd), 0);
-
-  const pid_t pid = net::fork_run([&]() -> int {
-    ::close(pipefd[0]);
-    net::ShmTransportConfig cfg;
-    cfg.ranks_per_proc = {2, 2};
-    cfg.my_proc = 1;
-    const SolveScene cs = make_scene(n);
-    const SolveDigest d =
-        run_solve(cs, net::make_shm_transport(region, cfg), n);
-    ChildReport rep;
-    rep.iterations = d.iterations;
-    rep.relres_bits = d.relres_bits;
-    rep.converged = d.converged ? 1 : 0;
-    rep.exchanges[0] = d.exchanges.at(2);
-    rep.exchanges[1] = d.exchanges.at(3);
-    const bool ok = pipe_write(pipefd[1], &rep, sizeof rep);
-    ::close(pipefd[1]);
-    return ok && d.converged ? 0 : 1;
-  });
-
-  ::close(pipefd[1]);
-  net::ShmTransportConfig cfg;
-  cfg.ranks_per_proc = {2, 2};
-  cfg.my_proc = 0;
-  const SolveDigest mine = run_solve(s, net::make_shm_transport(region, cfg), n);
 
   ChildReport child;
   ASSERT_TRUE(pipe_read(pipefd[0], &child, sizeof child));
@@ -958,6 +960,103 @@ TEST(NetRemote, MalformedFrameClosesConnectionWithTypedCount) {
   for (int i = 0; i < 100 && rig.server->stats().malformed == 0; ++i)
     ::usleep(10 * 1000);
   EXPECT_EQ(rig.server->stats().malformed, 1u);
+}
+
+/// Number of fds this process has open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+TEST(NetRemote, EndedConnectionsReleaseTheirFds) {
+  // A long-running shard or router keeps no fd for the clients it has
+  // served: each ended connection closes its own.
+  RemoteRig shard("fds_s");
+  svc::RouterConfig rc;
+  rc.listen_addr = unique_sock("fds_r");
+  rc.shard_addrs = {shard.addr};
+  svc::Router router(rc);
+  const std::size_t before = open_fds();
+  for (const std::string& addr : {shard.addr, rc.listen_addr})
+    for (int i = 0; i < 100; ++i) {
+      svc::Client client(addr, "t");
+    }
+  std::size_t after = open_fds();
+  for (int i = 0; i < 100 && after > before + 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + 8) << "fds open before the clients: " << before;
+  router.stop();
+}
+
+TEST(NetSockets, AcceptWaitsOutAFullFdTable) {
+  const std::string addr = unique_sock("emfile");
+  const int lfd = net::listen_on(addr);
+  const int cfd = ::socket(AF_UNIX, SOCK_STREAM, 0);  // before the fill
+  ASSERT_GE(cfd, 0);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  int top = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd"))
+    top = std::max(top, std::stoi(e.path().filename().string()));
+
+  // While the table is full nothing may need an fd, the sanitizer
+  // runtimes included (UBSan probes memory through a pipe).  So the
+  // thread that frees one starts before the fill and ends after it,
+  // and the full window makes only system calls.
+  std::atomic<int> phase{0};  // 1 started, 2 filled, 3 accepted, 4 unfilled
+  int spare = -1;
+  const auto wait_for_phase = [&phase](int p, int max_ms) {
+    for (int ms = 0; ms < max_ms && phase.load() < p; ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return phase.load() >= p;
+  };
+  std::thread freer([&] {
+    phase.store(1);
+    wait_for_phase(2, std::numeric_limits<int>::max());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::close(spare);  // one fd comes free while accept_conn waits
+    if (!wait_for_phase(3, 5000))
+      net::shutdown_fd(lfd);  // unblock a hung accept: the check below fails
+    wait_for_phase(4, std::numeric_limits<int>::max());
+  });
+  wait_for_phase(1, std::numeric_limits<int>::max());
+
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(top) + 8;
+  std::vector<int> fill;
+  const bool lowered = ::setrlimit(RLIMIT_NOFILE, &low) == 0;
+  for (int fd = lowered ? ::dup(lfd) : -1; fd >= 0; fd = ::dup(lfd))
+    fill.push_back(fd);
+  const bool full = lowered && errno == EMFILE && !fill.empty();
+  if (full) {
+    spare = fill.back();
+    fill.pop_back();
+  }
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  std::strncpy(sa.sun_path, addr.c_str() + 5, sizeof(sa.sun_path) - 1);
+  const bool connected =
+      ::connect(cfd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) == 0;
+  phase.store(2);
+  const int fd = full && connected ? net::accept_conn(lfd) : -1;
+  phase.store(3);
+  net::close_fd(fd);
+  for (const int f : fill) ::close(f);
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  phase.store(4);
+  freer.join();
+
+  EXPECT_TRUE(full);
+  EXPECT_TRUE(connected);
+  EXPECT_GE(fd, 0);
+  net::close_fd(cfd);
+  net::close_fd(lfd);
+  ::unlink(addr.c_str() + 5);
 }
 
 TEST(NetRemote, RouterRoutesByOperatorAffinityAndShedsWhenSaturated) {

@@ -1,16 +1,12 @@
-// Tests for the solver ablation options: CGS2 re-orthogonalization and
-// batched Gram-Schmidt reductions.
+// Tests for the solver ablation option: batched Gram-Schmidt
+// reductions.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "core/edd_solver.hpp"
 #include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
-#include "la/vector_ops.hpp"
-#include "sparse/generators.hpp"
 
 namespace pfem::core {
 namespace {
@@ -20,46 +16,6 @@ fem::CantileverProblem test_problem() {
   spec.nx = 10;
   spec.ny = 5;
   return fem::make_cantilever(spec);
-}
-
-TEST(Reorth, SequentialCgs2TightensTrueResidual) {
-  const sparse::CsrMatrix a = sparse::laplace2d(14, 14);
-  Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  SolveOptions opts;
-  opts.tol = 1e-13;
-  opts.max_iters = 5000;
-  JacobiPrecond jacobi(a);
-
-  Vector x1(b.size(), 0.0);
-  const SolveReport plain = fgmres(a, b, x1, jacobi, opts);
-  Vector x2(b.size(), 0.0);
-  SolveOptions opts2 = opts;
-  opts2.reorthogonalize = true;
-  const SolveReport cgs2 = fgmres(a, b, x2, jacobi, opts2);
-
-  // Both must reach a very small true residual; CGS2 must not be worse.
-  EXPECT_LT(cgs2.final_relres, 1e-10);
-  EXPECT_LE(cgs2.final_relres, plain.final_relres * 10.0);
-}
-
-TEST(Reorth, EddSolutionUnchanged) {
-  const fem::CantileverProblem prob = test_problem();
-  const partition::EddPartition part = exp::make_edd(prob, 4);
-  PolySpec poly;
-  poly.degree = 7;
-  SolveOptions opts;
-  opts.tol = 1e-10;
-  const DistSolve plain = solve_edd(part, prob.load, poly, opts);
-  SolveOptions opts2 = opts;
-  opts2.reorthogonalize = true;
-  for (EddVariant variant : {EddVariant::Basic, EddVariant::Enhanced}) {
-    const DistSolve re =
-        solve_edd(part, prob.load, poly, opts2, variant);
-    ASSERT_TRUE(re.converged);
-    const real_t scale = la::nrm_inf(plain.x);
-    for (std::size_t i = 0; i < plain.x.size(); ++i)
-      EXPECT_NEAR(re.x[i], plain.x[i], 1e-6 * scale);
-  }
 }
 
 TEST(Batched, EddSameSolutionFewerReductions) {
@@ -120,19 +76,6 @@ TEST(Batched, RddSameSolution) {
     EXPECT_DOUBLE_EQ(batched.x[i], paper.x[i]);
   EXPECT_LT(batched.rank_counters[0].global_reductions,
             paper.rank_counters[0].global_reductions);
-}
-
-TEST(Batched, ReorthCombinationConverges) {
-  const fem::CantileverProblem prob = test_problem();
-  const partition::EddPartition part = exp::make_edd(prob, 3);
-  PolySpec poly;
-  poly.degree = 7;
-  SolveOptions opts;
-  opts.tol = 1e-10;
-  opts.batched_reductions = true;
-  opts.reorthogonalize = true;
-  const DistSolve res = solve_edd(part, prob.load, poly, opts);
-  EXPECT_TRUE(res.converged);
 }
 
 }  // namespace

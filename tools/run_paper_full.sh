@@ -97,8 +97,8 @@ run_bench ext_3d_scaling --full --json=BENCH_3d.json
 # the misaligned checkerboard exceeds 1.5x the homogeneous deflated
 # iteration count (GLS(7), Table-2-sized mesh, P = 8).
 run_bench hetero_scaling --json=BENCH_hetero.json
-# The net sweeps: the transport ladder (in-process ring vs shm ring vs
-# socket loopback) and the sharded socket service.  svc_load --socket is
+# The net sweeps: the transport ladder (in-process ring vs socket
+# loopback) and the sharded socket service.  svc_load --socket is
 # a second acceptance gate — nonzero exit when the warm stream falls
 # below 2x cold throughput or the warm cache-hit rate below 90%.
 run_bench_as micro_comm_net micro_comm --net --full \
