@@ -10,6 +10,11 @@ namespace pfem::core {
 
 namespace {
 
+using detail::EddRank;
+using detail::sqrt_nonneg;
+using partition::EddPartition;
+using partition::EddSubdomain;
+
 /// CG needs pᵀAp > 0 and finite.  A non-positive value means the
 /// operator is not SPD on the Krylov space; a NaN or Inf one means the
 /// iterates overflowed.  Either way the recurrence cannot continue and
@@ -17,85 +22,6 @@ namespace {
 [[nodiscard]] bool curvature_ok(real_t pap) {
   return pap > 0.0 && std::isfinite(pap);
 }
-
-}  // namespace
-
-SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
-                std::span<real_t> x, Preconditioner& precond,
-                const SolveOptions& opts) {
-  const std::size_t n = b.size();
-  PFEM_CHECK(x.size() == n);
-  PFEM_CHECK(a.size() == as_index(n));
-  check_solve_input(opts, b, /*restarted=*/false);
-
-  SolveReport result;
-  // ‖b‖ = 0: x = 0 solves exactly and any relative residual is 0/0 —
-  // return it in 0 iterations instead of iterating on NaNs.
-  if (la::nrm2(b) == 0.0) {
-    la::fill(x, 0.0);
-    result.converged = true;
-    return result;
-  }
-
-  Vector r(n), z(n), p(n), ap(n);
-  a.apply(x, r);
-  la::sub(b, r, r);
-  const real_t beta0 = la::nrm2(r);
-  if (beta0 == 0.0) {
-    result.converged = true;
-    return result;
-  }
-
-  precond.apply(r, z);
-  la::copy(z, p);
-  real_t rho = la::dot(r, z);
-
-  while (result.iterations < opts.max_iters) {
-    a.apply(p, ap);
-    const real_t pap = la::dot(p, ap);
-    if (!curvature_ok(pap)) {
-      result.breakdown = true;
-      break;
-    }
-    const real_t alpha = rho / pap;
-    la::axpy(alpha, p, x);
-    la::axpy(-alpha, ap, r);
-    ++result.iterations;
-
-    const real_t relres = la::nrm2(r) / beta0;
-    result.history.push_back(relres);
-    if (relres <= opts.tol) {
-      result.converged = true;
-      break;
-    }
-
-    precond.apply(r, z);
-    const real_t rho_new = la::dot(r, z);
-    if (rho == 0.0) break;  // <r,z> underflowed to zero: stagnated search
-    const real_t beta = rho_new / rho;
-    rho = rho_new;
-    la::axpby(1.0, z, beta, p);  // p = z + beta p
-  }
-  Vector check(n);
-  a.apply(x, check);
-  la::sub(b, check, check);
-  result.final_relres = la::nrm2(check) / beta0;
-  if (result.final_relres <= opts.tol) result.converged = true;
-  return result;
-}
-
-SolveReport pcg(const sparse::CsrMatrix& a, std::span<const real_t> b,
-                std::span<real_t> x, Preconditioner& precond,
-                const SolveOptions& opts) {
-  return pcg(LinearOp::from_csr(a), b, x, precond, opts);
-}
-
-namespace {
-
-using detail::EddRank;
-using detail::sqrt_nonneg;
-using partition::EddPartition;
-using partition::EddSubdomain;
 
 /// EDD-PCG on one rank.  x, p, z in global format; the residual is kept
 /// in both formats.  Per iteration: m exchanges inside P(A), one to
@@ -214,14 +140,10 @@ DistSolve solve_edd_cg(const EddPartition& part,
                        const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   check_solve_input(opts, f_global, /*restarted=*/false);
-  // A-DEF1 is not symmetric, so PCG cannot use it; sessions recycle
-  // FGMRES directions.
+  // A-DEF1 is not symmetric, so PCG cannot use it.
   PFEM_CHECK_MSG(!opts.deflation.enabled,
                  "solve_edd_cg: deflation (A-DEF1) is not symmetric and "
                  "cannot precondition CG; use solve_edd");
-  PFEM_CHECK_MSG(!opts.recycle.enabled,
-                 "solve_edd_cg: recycling (opts.recycle) is an FGMRES "
-                 "session feature; use solve_edd");
   return detail::run_edd_one_shot(
       part, spec, local_matrices, opts, "solve_edd_cg",
       [&](par::Comm& comm, const detail::RankSetup& op,

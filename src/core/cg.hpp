@@ -1,4 +1,4 @@
-// Preconditioned conjugate gradients — sequential and EDD-distributed.
+// Preconditioned conjugate gradients, EDD-distributed.
 //
 // The paper's framework (EDD data formats + polynomial preconditioning)
 // is solver-agnostic for SPD systems; CG is the natural companion to
@@ -7,7 +7,7 @@
 // The polynomial preconditioners are SPD on the scaled system
 // (λP_m(λ) ∈ (0,2) on Θ ⊇ σ(A) ⟹ P_m(A) ≻ 0), so PCG is well posed.
 //
-// Per CG iteration the EDD variant needs m+1 nearest-neighbor exchanges
+// Per CG iteration EDD-PCG needs m+1 nearest-neighbor exchanges
 // (m inside the polynomial, 1 to globalize the updated residual) and
 // 3 global reductions (ρ, pᵀAp, ‖r‖).
 #pragma once
@@ -16,31 +16,18 @@
 
 #include "core/edd_solver.hpp"
 #include "core/fgmres.hpp"
-#include "core/operator.hpp"
-#include "core/precond.hpp"
 
 namespace pfem::core {
-
-/// Sequential PCG on A x = b (A SPD, C SPD).  The SolveOptions restart
-/// field is ignored (CG does not restart).  Both PCG paths end in a
-/// typed breakdown (SolveReport::breakdown) when pᵀAp is not positive
-/// and finite.
-[[nodiscard]] SolveReport pcg(const LinearOp& a, std::span<const real_t> b,
-                              std::span<real_t> x, Preconditioner& precond,
-                              const SolveOptions& opts = {});
-
-[[nodiscard]] SolveReport pcg(const sparse::CsrMatrix& a,
-                              std::span<const real_t> b, std::span<real_t> x,
-                              Preconditioner& precond,
-                              const SolveOptions& opts = {});
 
 /// EDD-distributed PCG with polynomial preconditioning: the same per-rank
 /// setup as solve_edd() (norm-1 scaling, kernel, polynomial), then PCG,
 /// as one job on a transient team.  Honors opts.kernels and
 /// opts.observe (trace, progress, fault injector, comm timeout — a comm
-/// failure returns a typed partial report).  opts.deflation and
-/// opts.recycle are rejected with pfem::Error: A-DEF1 is not symmetric,
-/// and sessions recycle FGMRES directions.
+/// failure returns a typed partial report).  opts.deflation is rejected
+/// with pfem::Error: A-DEF1 is not symmetric.  The SolveOptions restart
+/// field is ignored (CG does not restart).  The solve ends in a typed
+/// breakdown (SolveReport::breakdown) when pᵀAp is not positive and
+/// finite.
 [[nodiscard]] DistSolve solve_edd_cg(
     const partition::EddPartition& part, std::span<const real_t> f_global,
     const PolySpec& poly, const SolveOptions& opts = {},

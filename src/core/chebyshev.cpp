@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "la/vector_ops.hpp"
+#include "core/edd_kernels.hpp"
 
 namespace pfem::core {
 
@@ -19,29 +19,9 @@ ChebyshevPolynomial::ChebyshevPolynomial(Interval interval, int degree)
 
 void ChebyshevPolynomial::apply(const LinearOp& a, std::span<const real_t> v,
                                 std::span<real_t> z) const {
-  const std::size_t n = v.size();
-  PFEM_CHECK(z.size() == n);
-  // Chebyshev semi-iteration on A z = v from z = 0 (Saad Alg. 12.1):
-  // after m+1 updates z = p_m(A) v with m mat-vecs.
-  Vector r(v.begin(), v.end());  // r_0 = v
-  Vector d(n), ad(n);
-  real_t rho = 1.0 / sigma1_;
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = r[i] / theta_;
-    z[i] = d[i];
-  }
-  for (int k = 1; k <= m_; ++k) {
-    a.apply(d, ad);
-    for (std::size_t i = 0; i < n; ++i) r[i] -= ad[i];
-    const real_t rho_next = 1.0 / (2.0 * sigma1_ - rho);
-    const real_t c1 = rho_next * rho;
-    const real_t c2 = 2.0 * rho_next / delta_;
-    for (std::size_t i = 0; i < n; ++i) {
-      d[i] = c1 * d[i] + c2 * r[i];
-      z[i] += d[i];
-    }
-    rho = rho_next;
-  }
+  detail::PolyApplier(PolySpec{PolyKind::Chebyshev, m_}, nullptr, this,
+                      v.size(), 1)
+      .apply(a, v, z);
 }
 
 real_t ChebyshevPolynomial::eval(real_t lambda) const {

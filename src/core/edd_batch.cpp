@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -18,33 +19,30 @@ namespace detail {
 
 namespace {
 
-/// How many vectors the warm-setup phase of `opts.recycle` contributes
-/// to its ONE fused exchange for RHS b: the globalized b̂ (for ‖b̂‖),
-/// Âx̂₀ when a projection needs the warm residual, and one Âp_j per
-/// recycled direction.  0 = this RHS starts cold.
-std::size_t recycle_width(const SolveOptions& opts, std::size_t b,
+/// How many vectors the session warm-setup phase contributes to its ONE
+/// fused exchange for RHS b: the globalized b̂ (for ‖b̂‖), Âx̂₀ when a
+/// projection needs the warm residual, and one Âp_j per recycled
+/// direction.  0 = this RHS starts cold.
+std::size_t recycle_width(std::span<const RecycleIn> recycle, std::size_t b,
                           std::size_t n_global) {
-  if (!opts.recycle.enabled || opts.recycle.in == nullptr ||
-      b >= opts.recycle.in->size())
-    return 0;
-  const RecycleIn& rin = (*opts.recycle.in)[b];
+  if (b >= recycle.size()) return 0;
+  const RecycleIn& rin = recycle[b];
   if (rin.empty()) return 0;
   std::size_t k = 0;
   for (const Vector& p : rin.directions)
     if (p.size() == n_global) ++k;
-  k = std::min(k, static_cast<std::size_t>(
-                      std::max<index_t>(opts.recycle.max_directions, 0)));
+  k = std::min(k, kMaxRecycleDirections);
   const bool has_x0 = rin.x0.size() == n_global;
   return 1 + k + (k > 0 && has_x0 ? 1 : 0);
 }
 
 /// Width of the one fused warm-setup exchange over the whole batch (0 =
 /// every RHS starts cold).
-std::size_t recycle_prewidth(const SolveOptions& opts,
+std::size_t recycle_prewidth(std::span<const RecycleIn> recycle,
                              std::span<const Vector> rhs) {
   std::size_t w = 0;
   for (std::size_t b = 0; b < rhs.size(); ++b)
-    w += recycle_width(opts, b, rhs[b].size());
+    w += recycle_width(recycle, b, rhs[b].size());
   return w;
 }
 
@@ -120,13 +118,8 @@ RankSetup setup_rank(par::Comm& comm, const EddPartition& part,
     scaled->scale_symmetric(op.d);
   }
 
-  if (spec.kind == PolyKind::Gls) {
-    op.gls = std::make_shared<const GlsPolynomial>(spec.theta, spec.degree);
-    r.counters().flops += gls_build_flops(*op.gls);
-  } else if (spec.kind == PolyKind::Chebyshev) {
-    op.cheb = std::make_shared<const ChebyshevPolynomial>(spec.theta.front(),
-                                                          spec.degree);
-  }
+  std::tie(op.gls, op.cheb) = build_polynomial(spec);
+  if (op.gls) r.counters().flops += gls_build_flops(*op.gls);
 
   if (deflation.enabled) {
     OBS_SPAN(comm.tracer(), "build_coarse", obs::Cat::Setup);
@@ -145,13 +138,10 @@ RankSetup setup_rank(par::Comm& comm, const EddPartition& part,
 
 }  // namespace
 
-SolveOut::SolveOut(std::size_t nparts, std::size_t nb,
-                   const SolveOptions& opts)
+SolveOut::SolveOut(std::size_t nparts, std::size_t nb, bool harvest)
     : sol(nb, std::vector<Vector>(nparts)), items(nb) {
-  if (opts.recycle.enabled && opts.recycle.harvest)
-    kmax = static_cast<std::size_t>(
-        std::max<index_t>(opts.recycle.max_directions, 0));
-  if (kmax > 0) {
+  if (harvest) {
+    kmax = kMaxRecycleDirections;
     dirs.assign(nb, std::vector<std::vector<Vector>>(
                         kmax, std::vector<Vector>(nparts)));
     dir_count.assign(nb, 0);
@@ -175,8 +165,10 @@ std::vector<Vector> SolveOut::recycled(const EddPartition& part,
 
 template <class Rank, class Op>
 void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
-                 std::span<const Vector> rhs, const LanePrecond& precond,
-                 const SolveOptions& opts, FgmresMode mode, SolveOut& out) {
+                 std::span<const Vector> rhs,
+                 std::span<const RecycleIn> recycle,
+                 const LanePrecond& precond, const SolveOptions& opts,
+                 FgmresMode mode, SolveOut& out) {
   par::Comm& comm = r.comm();
   const int s = comm.rank();
   // Shared per-process result state is written by the LOCAL leader (rank
@@ -186,7 +178,7 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
   const int leader = comm.local_leader();
   const std::size_t nb = rhs.size();
   const bool basic = mode.basic;
-  const std::size_t prewidth = recycle_prewidth(opts, rhs);
+  const std::size_t prewidth = recycle_prewidth(recycle, rhs);
   obs::Tracer* const tr = comm.tracer();
   const std::size_t nl = r.nl();
   const index_t m = opts.restart;
@@ -259,7 +251,7 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
       comm.allreduce_sum(red);
   };
 
-  // ---- Solve-session warm setup (opts.recycle): warm-start guesses,
+  // ---- Solve-session warm setup (`recycle`): warm-start guesses,
   // recycled-direction projection, and the ‖b̂‖ convergence reference.
   // ALL the extra session traffic is ONE fused exchange plus ONE
   // allreduce for the whole batch; stateless solves (prewidth == 0) skip
@@ -271,16 +263,14 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
     OBS_SPAN(tr, "recycle_setup", obs::Cat::Setup,
              static_cast<std::uint32_t>(prewidth));
     const std::size_t ng = rhs.front().size();
-    const auto kcap = static_cast<std::size_t>(
-        std::max<index_t>(opts.recycle.max_directions, 0));
     std::vector<std::vector<Vector>> pd(nb);  // scaled directions p̂_j
     std::vector<std::vector<Vector>> cd(nb);  // Â p̂_j, globalized
     std::vector<Vector> bg(nb), ax0(nb);
     std::vector<char> has_x0(nb, 0);
     ex.clear();
     for (std::size_t b = 0; b < nb; ++b) {
-      if (recycle_width(opts, b, ng) == 0) continue;
-      const RecycleIn& rin = (*opts.recycle.in)[b];
+      if (recycle_width(recycle, b, ng) == 0) continue;
+      const RecycleIn& rin = recycle[b];
       // Warm start in the scaled variables: x̂ = D̂⁻¹u is globally
       // consistent because d̂ is consistent on shared dofs.
       if (rin.x0.size() == ng) {
@@ -294,7 +284,8 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
       std::size_t k = 0;
       for (const Vector& dir : rin.directions)
         if (dir.size() == ng) ++k;
-      std::size_t skip = k > kcap ? k - kcap : 0;  // keep the most recent
+      std::size_t skip =  // keep the most recent
+          k > kMaxRecycleDirections ? k - kMaxRecycleDirections : 0;
       for (const Vector& dir : rin.directions) {
         if (dir.size() != ng) continue;
         if (skip > 0) {
@@ -640,27 +631,29 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
 
 template void fgmres_rank(EddRank&, const RankKernel&,
                           std::span<const real_t>, std::span<const Vector>,
-                          const LanePrecond&, const SolveOptions&,
-                          FgmresMode, SolveOut&);
-template void fgmres_rank(RddRank&, const RddOp&, std::span<const real_t>,
-                          std::span<const Vector>, const LanePrecond&,
+                          std::span<const RecycleIn>, const LanePrecond&,
                           const SolveOptions&, FgmresMode, SolveOut&);
+template void fgmres_rank(RddRank&, const RddOp&, std::span<const real_t>,
+                          std::span<const Vector>, std::span<const RecycleIn>,
+                          const LanePrecond&, const SolveOptions&, FgmresMode,
+                          SolveOut&);
 
 void fgmres_edd(par::Comm& comm, const EddPartition& part, const RankOp& op,
-                std::span<const Vector> rhs, const SolveOptions& opts,
+                std::span<const Vector> rhs,
+                std::span<const RecycleIn> recycle, const SolveOptions& opts,
                 FgmresMode mode, SolveOut& out) {
   const int s = comm.rank();
   const EddSubdomain& sub = part.subs[static_cast<std::size_t>(s)];
   const std::size_t nb = rhs.size();
   // Widest fused exchange this solve will issue: the per-iteration batch
   // (nb), or the recycle warm-setup exchange when sessions are active.
-  EddRank r(sub, comm, std::max(nb, recycle_prewidth(opts, rhs)));
+  EddRank r(sub, comm, std::max(nb, recycle_prewidth(recycle, rhs)));
   PolyApplier poly(op.poly, op.gls, op.cheb, r.nl(), nb);
   std::optional<Adef1> defl;
   if (op.coarse != nullptr)
     defl.emplace(sub, s, part.nparts(), op.deflation, op.d, *op.coarse, nb);
   fgmres_rank(
-      r, op.a, op.d, rhs,
+      r, op.a, op.d, rhs, recycle,
       [&](std::span<const Vector* const> v, std::span<Vector* const> z) {
         if (defl)
           defl->apply(r, op.a, poly, v, z, mode.basic);
@@ -723,7 +716,7 @@ DistSolve run_edd_one_shot(
     const std::function<void(par::Comm&, const RankSetup&, SolveOut&)>&
         solve) {
   validate_setup(part, spec, local_matrices, opts.kernels, opts.deflation);
-  SolveOut out(part.subs.size(), 1, opts);
+  SolveOut out(part.subs.size(), 1);
   DistSolve result = run_one_shot(
       part.nparts(), opts, root, out,
       [&](par::Comm& comm, const std::function<void()>& setup_done) {
@@ -732,10 +725,7 @@ DistSolve run_edd_one_shot(
         setup_done();
         solve(comm, op, out);
       });
-  if (!result.comm_failed()) {
-    result.x = out.solution(part, 0);
-    result.recycled = out.recycled(part, 0);
-  }
+  if (!result.comm_failed()) result.x = out.solution(part, 0);
   return result;
 }
 
@@ -785,7 +775,8 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                                  const partition::EddPartition& part,
                                  const EddOperatorState& op,
                                  std::span<const Vector> rhs,
-                                 const SolveOptions& opts, obs::Trace* trace) {
+                                 const SolveOptions& opts, obs::Trace* trace,
+                                 std::span<const RecycleIn> recycle) {
   PFEM_CHECK_MSG(!rhs.empty(), "solve_edd_batch: empty RHS batch");
   PFEM_CHECK_MSG(team.size() == part.nparts(),
                  "solve_edd_batch: team size " << team.size()
@@ -800,24 +791,21 @@ BatchSolveResult solve_edd_batch(par::Team& team,
     check_solve_input(opts, f);
   }
   const std::size_t nb = rhs.size();
-  if (opts.recycle.enabled && opts.recycle.in != nullptr) {
-    // Session inputs are physical global vectors, same shape as the
-    // solutions this solver returns; anything else is a caller bug.
-    const auto& in = *opts.recycle.in;
-    for (std::size_t b = 0; b < std::min(in.size(), nb); ++b) {
+  // Session inputs are physical global vectors, same shape as the
+  // solutions this solver returns; anything else is a caller bug.
+  for (std::size_t b = 0; b < std::min(recycle.size(), nb); ++b) {
+    PFEM_CHECK_MSG(
+        recycle[b].x0.empty() ||
+            recycle[b].x0.size() == static_cast<std::size_t>(part.n_global),
+        "solve_edd_batch: recycle x0 length mismatch for RHS " << b);
+    for (const Vector& dir : recycle[b].directions)
       PFEM_CHECK_MSG(
-          in[b].x0.empty() ||
-              in[b].x0.size() == static_cast<std::size_t>(part.n_global),
-          "solve_edd_batch: recycle x0 length mismatch for RHS " << b);
-      for (const Vector& dir : in[b].directions)
-        PFEM_CHECK_MSG(
-            dir.size() == static_cast<std::size_t>(part.n_global),
-            "solve_edd_batch: recycle direction length mismatch for RHS "
-                << b);
-    }
+          dir.size() == static_cast<std::size_t>(part.n_global),
+          "solve_edd_batch: recycle direction length mismatch for RHS "
+              << b);
   }
 
-  detail::SolveOut out(part.subs.size(), nb, opts);
+  detail::SolveOut out(part.subs.size(), nb, !recycle.empty());
 
   // An external trace (the service's) wins; otherwise honor the per-call
   // observe knob with a trace owned by this result.
@@ -843,7 +831,7 @@ BatchSolveResult solve_edd_batch(par::Team& team,
                                    op.coarse.get()};
           // The service path: Enhanced, each Gram–Schmidt step folded
           // into one allreduce across the whole batch.
-          detail::fgmres_edd(comm, part, rop, rhs, opts, {}, out);
+          detail::fgmres_edd(comm, part, rop, rhs, recycle, opts, {}, out);
         },
         trace);
   } catch (const par::CommError& e) {

@@ -86,6 +86,28 @@ struct EddOperatorState {
     obs::Trace* trace = nullptr, const KernelOptions& kernels = {},
     const DeflationOptions& deflation = {});
 
+/// One RHS's solve-session state.  Vectors are in the PHYSICAL global
+/// format — exactly the shape solvers return in DistSolve::x /
+/// BatchSolveResult::x — so a caller can feed one solve's output
+/// straight into the next solve's RecycleIn.
+struct RecycleIn {
+  /// Warm-start guess x₀ (empty = start cold from zero).
+  Vector x0;
+  /// Recycled search directions: the residual is projected out of
+  /// span(directions) before iterating (small dense normal-equations
+  /// solve, replicated on every rank).  Typically previous solves'
+  /// solution increments / Arnoldi-cycle updates.
+  std::vector<Vector> directions;
+
+  [[nodiscard]] bool empty() const noexcept {
+    return x0.empty() && directions.empty();
+  }
+};
+
+/// Cap on recycled directions per RHS: the most recent ones are used,
+/// and harvested, up to this many.
+inline constexpr std::size_t kMaxRecycleDirections = 8;
+
 /// Per-RHS outcome of a batch solve — the same unified report shape as
 /// every other solver path (with per-iteration residual history, written
 /// by rank 0).
@@ -95,10 +117,10 @@ struct BatchSolveResult {
   std::vector<Vector> x;  ///< per-RHS global solutions (scaling undone)
   std::vector<BatchItemResult> items;
   /// Per-RHS harvested recycle directions (physical global format,
-  /// oldest → newest, at most opts.recycle.max_directions each): the
+  /// oldest → newest, at most kMaxRecycleDirections each): the
   /// restart-cycle solution increments Δx of this solve, ready to be fed
-  /// into the next solve's RecycleIn::directions.  Empty unless
-  /// opts.recycle.enabled && opts.recycle.harvest.
+  /// into the next solve's RecycleIn::directions.  Empty unless the
+  /// solve was given recycle lanes.
   std::vector<std::vector<Vector>> recycled;
   std::vector<par::PerfCounters> rank_counters;
   double wall_seconds = 0.0;
@@ -126,9 +148,21 @@ struct BatchSolveResult {
 /// record spans into it (a service passes its own long-lived trace);
 /// otherwise, when opts.observe.trace is set, a per-call trace is
 /// created and returned in BatchSolveResult::trace.
+///
+/// Solve sessions: a non-empty `recycle` holds per-RHS state,
+/// index-aligned with `rhs` (a missing or empty lane starts cold).  Each
+/// warm RHS (a) starts from RecycleIn::x0 instead of zero, (b) projects
+/// its initial residual onto RecycleIn::directions, and (c) measures
+/// convergence against ‖b̂‖ instead of ‖r₀‖, so warm and cold solves
+/// chase the SAME absolute target (a cold start has r₀ = b̂).  All of
+/// that is one extra fused exchange and one allreduce for the whole
+/// batch.  Every RHS's cycle updates are harvested into
+/// BatchSolveResult::recycled.  An empty `recycle` runs the stateless
+/// solve, exchange count for exchange count (the Table-1 contract).
 [[nodiscard]] BatchSolveResult solve_edd_batch(
     par::Team& team, const partition::EddPartition& part,
     const EddOperatorState& op, std::span<const Vector> rhs,
-    const SolveOptions& opts = {}, obs::Trace* trace = nullptr);
+    const SolveOptions& opts = {}, obs::Trace* trace = nullptr,
+    std::span<const RecycleIn> recycle = {});
 
 }  // namespace pfem::core

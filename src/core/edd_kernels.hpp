@@ -16,11 +16,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/chebyshev.hpp"
 #include "core/deflation.hpp"
+#include "core/edd_batch.hpp"
 #include "core/edd_solver.hpp"
 #include "core/gls_poly.hpp"
 #include "core/kernels.hpp"
@@ -500,11 +502,29 @@ inline void exchange_spmv(RddRank& r, const RddOp& a,
          static_cast<std::uint64_t>(g.basis().num_nodes());
 }
 
-/// The distributed polynomial preconditioner z = P_m(Â) v (Algorithm 7,
-/// generalized to Neumann, GLS and Chebyshev), for any number of lanes
-/// and in either rank space: the recursions advance in lockstep, so each
-/// of the m steps does one SpMV per lane but (EDD) ONE fused neighbor
-/// exchange in total.  Two vector formats, one recursion:
+/// Each rank's own polynomial build (no communication, the paper's
+/// point): the recursion data `spec` needs, null for kinds that need
+/// none.
+[[nodiscard]] inline std::pair<std::shared_ptr<const GlsPolynomial>,
+                               std::shared_ptr<const ChebyshevPolynomial>>
+build_polynomial(const PolySpec& spec) {
+  if (spec.kind == PolyKind::Gls)
+    return {std::make_shared<const GlsPolynomial>(spec.theta, spec.degree),
+            nullptr};
+  if (spec.kind == PolyKind::Chebyshev)
+    return {nullptr, std::make_shared<const ChebyshevPolynomial>(
+                         spec.theta.front(), spec.degree)};
+  return {};
+}
+
+/// The polynomial preconditioner z = P_m(Â) v (Algorithm 7, generalized
+/// to Neumann, GLS and Chebyshev): the one vector-space implementation
+/// of the three recursions.  NeumannPolynomial, GlsPolynomial and
+/// ChebyshevPolynomial::apply run it at width 1 with a LinearOp as the
+/// step.  The distributed solvers run it for any number of lanes and in
+/// either rank space: the recursions advance in lockstep, so each of the
+/// m steps does one SpMV per lane but (EDD) ONE fused neighbor exchange
+/// in total.  Two vector formats, one recursion:
 ///   global (Algorithms 6 and 8, and EDD-PCG) — v, z and the state are
 ///     globally consistent; each step's SpMV output is globalized;
 ///   local  (Algorithm 5 line 12) — v, z and the state are in local
@@ -525,53 +545,88 @@ class PolyApplier {
     if (spec.kind != PolyKind::Neumann) wc_.assign(width, Vector(nl));
     ins_.reserve(width);
     outs_.reserve(width);
+    vs_.reserve(width);
+    zs_.reserve(width);
   }
 
-  /// vin[i] -> zout[i]; scratch lane i serves input i.
+  /// z <- P_m(A) v at width 1, with `a` as the step: the sequential
+  /// applies.  A LinearOp carries no counters, so none are charged.
+  void apply(const LinearOp& a, std::span<const real_t> v,
+             std::span<real_t> z) {
+    PFEM_CHECK(v.size() == nl_ && z.size() == nl_);
+    par::PerfCounters uncounted;
+    const std::span<const real_t> vs[] = {v};
+    const std::span<real_t> zs[] = {z};
+    run(vs, zs, uncounted,
+        [&](std::vector<Vector>& in, std::vector<Vector>& out) {
+          a.apply(in[0], out[0]);
+        });
+  }
+
+  /// vin[i] -> zout[i] in a rank space, in the local or the global
+  /// format; scratch lane i serves input i.
   template <class Rank, class Op>
   void apply(Rank& r, const Op& a, std::span<const Vector* const> vin,
              std::span<Vector* const> zout, bool local) {
     OBS_SPAN(r.comm().tracer(), "poly_apply", obs::Cat::Precond);
     const std::size_t nb = vin.size();
-    const std::size_t n = nl_;
+    vs_.clear();
+    zs_.clear();
+    for (std::size_t i = 0; i < nb; ++i) {
+      vs_.emplace_back(*vin[i]);
+      zs_.emplace_back(*zout[i]);
+    }
     // out_i = Â in_i for every lane, in this application's format.
-    const auto step = [&](std::vector<Vector>& in, std::vector<Vector>& out) {
-      ins_.clear();
-      outs_.clear();
-      if (local && wd_.size() < nb) wd_.resize(nb, Vector(n));
-      for (std::size_t i = 0; i < nb; ++i) {
-        if (local) la::copy(in[i], wd_[i]);
-        ins_.push_back(local ? &wd_[i] : &in[i]);
-        outs_.push_back(&out[i]);
-      }
-      if (local)
-        exchange_spmv(r, a, ins_, outs_);
-      else
-        spmv_exchange(r, a, ins_, outs_);
-    };
+    run(vs_, zs_, r.counters(),
+        [&](std::vector<Vector>& in, std::vector<Vector>& out) {
+          ins_.clear();
+          outs_.clear();
+          if (local && wd_.size() < nb) wd_.resize(nb, Vector(nl_));
+          for (std::size_t i = 0; i < nb; ++i) {
+            if (local) la::copy(in[i], wd_[i]);
+            ins_.push_back(local ? &wd_[i] : &in[i]);
+            outs_.push_back(&out[i]);
+          }
+          if (local)
+            exchange_spmv(r, a, ins_, outs_);
+          else
+            spmv_exchange(r, a, ins_, outs_);
+        });
+  }
+
+ private:
+  /// The three recursions over the lanes vin -> zout.  step(in, out)
+  /// sets out[i] = Â in[i] for the first vin.size() lanes of the state;
+  /// `c` is charged the vector work.
+  template <class Step>
+  void run(std::span<const std::span<const real_t>> vin,
+           std::span<const std::span<real_t>> zout, par::PerfCounters& c,
+           const Step& step) {
+    const std::size_t nb = vin.size();
+    const std::size_t n = nl_;
     switch (spec_.kind) {
       case PolyKind::None:
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], *zout[i]);
+        for (std::size_t i = 0; i < nb; ++i) la::copy(vin[i], zout[i]);
         return;
       case PolyKind::Neumann: {
         // w_k = v + (I − ωÂ) w_{k−1}; wa = w, wb = Âw.
-        for (std::size_t i = 0; i < nb; ++i) la::copy(*vin[i], wa_[i]);
+        for (std::size_t i = 0; i < nb; ++i) la::copy(vin[i], wa_[i]);
         for (int k = 0; k < spec_.degree; ++k) {
           step(wa_, wb_);
           for (std::size_t i = 0; i < nb; ++i) {
-            const Vector& v = *vin[i];
+            const std::span<const real_t> v = vin[i];
             Vector& w = wa_[i];
             const Vector& aw = wb_[i];
             for (std::size_t l = 0; l < n; ++l)
               w[l] = v[l] + w[l] - spec_.omega * aw[l];
-            r.counters().flops += 3 * n;
-            r.counters().vector_updates += 1;
+            c.flops += 3 * n;
+            c.vector_updates += 1;
           }
         }
         for (std::size_t i = 0; i < nb; ++i) {
-          Vector& z = *zout[i];
+          const std::span<real_t> z = zout[i];
           for (std::size_t l = 0; l < n; ++l) z[l] = spec_.omega * wa_[i][l];
-          r.counters().flops += n;
+          c.flops += n;
         }
         return;
       }
@@ -582,15 +637,14 @@ class PolyApplier {
         const auto mu = gls_->mu();
         const real_t inv0 = 1.0 / basis.sqrt_beta(0);
         for (std::size_t i = 0; i < nb; ++i) {
-          la::fill(wa_[i], 0.0);
           Vector& u = wb_[i];
-          Vector& z = *zout[i];
-          const Vector& v = *vin[i];
+          const std::span<real_t> z = zout[i];
+          const std::span<const real_t> v = vin[i];
           for (std::size_t l = 0; l < n; ++l) {
             u[l] = inv0 * v[l];
             z[l] = mu[0] * u[l];
           }
-          r.counters().flops += 2 * n;
+          c.flops += 2 * n;
         }
         for (int s = 0; s < spec_.degree; ++s) {
           step(wb_, wc_);
@@ -600,19 +654,22 @@ class PolyApplier {
           const real_t mu_next = mu[static_cast<std::size_t>(s) + 1];
           for (std::size_t i = 0; i < nb; ++i) {
             Vector& u_prev = wa_[i];
-            Vector& u = wb_[i];
+            const Vector& u = wb_[i];
             const Vector& au = wc_[i];
-            Vector& z = *zout[i];
+            const std::span<real_t> z = zout[i];
+            // u_{s+1} overwrites u_prev (dead once t is formed) and then
+            // swaps into u: one write stream less than copying u into
+            // u_prev elementwise.
             for (std::size_t l = 0; l < n; ++l) {
               const real_t t =
                   (au[l] - as * u[l] - (s > 0 ? sb_s * u_prev[l] : 0.0)) /
                   sb_n;
-              u_prev[l] = u[l];
-              u[l] = t;
+              u_prev[l] = t;
               z[l] += mu_next * t;
             }
-            r.counters().flops += 7 * n;
-            r.counters().vector_updates += 1;
+            std::swap(wa_[i], wb_[i]);
+            c.flops += 7 * n;
+            c.vector_updates += 1;
           }
         }
         return;
@@ -629,13 +686,13 @@ class PolyApplier {
         for (std::size_t i = 0; i < nb; ++i) {
           Vector& res = wa_[i];
           Vector& d = wb_[i];
-          Vector& z = *zout[i];
-          la::copy(*vin[i], res);
+          const std::span<real_t> z = zout[i];
+          la::copy(vin[i], res);
           for (std::size_t l = 0; l < n; ++l) {
             d[l] = res[l] / theta;
             z[l] = d[l];
           }
-          r.counters().flops += 2 * n;
+          c.flops += 2 * n;
         }
         for (int k = 1; k <= spec_.degree; ++k) {
           step(wb_, wc_);
@@ -646,14 +703,14 @@ class PolyApplier {
             Vector& res = wa_[i];
             Vector& d = wb_[i];
             const Vector& ad = wc_[i];
-            Vector& z = *zout[i];
+            const std::span<real_t> z = zout[i];
             for (std::size_t l = 0; l < n; ++l) {
               res[l] -= ad[l];
               d[l] = c1 * d[l] + c2 * res[l];
               z[l] += d[l];
             }
-            r.counters().flops += 6 * n;
-            r.counters().vector_updates += 1;
+            c.flops += 6 * n;
+            c.vector_updates += 1;
           }
           rho = rho_next;
         }
@@ -662,7 +719,6 @@ class PolyApplier {
     }
   }
 
- private:
   PolySpec spec_;
   const GlsPolynomial* gls_;
   const ChebyshevPolynomial* cheb_;
@@ -670,6 +726,8 @@ class PolyApplier {
   std::vector<Vector> wa_, wb_, wc_;  // per-lane recursion state
   std::vector<Vector> wd_;  // local format: the copy each step globalizes
   std::vector<Vector*> ins_, outs_;  // one step's lane views
+  std::vector<std::span<const real_t>> vs_;  // one application's lanes
+  std::vector<std::span<real_t>> zs_;
 };
 
 /// Z's per-dof weights 1/d̂: the scaled operator's near-null basis (see
@@ -803,7 +861,8 @@ struct RankOp {
 /// leader from allreduced scalars, so every process holds the same
 /// reports.
 struct SolveOut {
-  SolveOut(std::size_t nparts, std::size_t nb, const SolveOptions& opts);
+  /// `harvest` turns on the recycle-direction ring below.
+  SolveOut(std::size_t nparts, std::size_t nb, bool harvest = false);
 
   std::vector<std::vector<Vector>> sol;  ///< [rhs][rank] u, global format
   std::vector<SolveReport> items;        ///< [rhs], local leader writes
@@ -853,18 +912,22 @@ using LanePrecond = std::function<void(std::span<const Vector* const>,
 /// the batch's Gram–Schmidt coefficients and norms fold into shared
 /// allreduces.  Every branch depends only on allreduced scalars, so all
 /// ranks take identical decisions and each RHS's arithmetic is exactly
-/// that of a width-1 run.
+/// that of a width-1 run.  `recycle` is solve_edd_batch's per-RHS
+/// session state (global format: the Enhanced discipline only).
 template <class Rank, class Op>
 void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
-                 std::span<const Vector> rhs, const LanePrecond& precond,
-                 const SolveOptions& opts, FgmresMode mode, SolveOut& out);
+                 std::span<const Vector> rhs,
+                 std::span<const RecycleIn> recycle,
+                 const LanePrecond& precond, const SolveOptions& opts,
+                 FgmresMode mode, SolveOut& out);
 
 /// fgmres_rank on one rank's EDD operator: the EDD rank (its exchange
 /// buffers sized for the batch and any session warm-up), and the
 /// polynomial M, wrapped by A-DEF1 when the operator carries a coarse
 /// space.
 void fgmres_edd(par::Comm& comm, const EddPartition& part, const RankOp& op,
-                std::span<const Vector> rhs, const SolveOptions& opts,
+                std::span<const Vector> rhs,
+                std::span<const RecycleIn> recycle, const SolveOptions& opts,
                 FgmresMode mode, SolveOut& out);
 
 /// One rank's part of a one-shot job: its setup, then `setup_done()`,

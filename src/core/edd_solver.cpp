@@ -46,11 +46,6 @@ DistSolve solve_edd(const partition::EddPartition& part,
                     const std::vector<sparse::CsrMatrix>* local_matrices) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   check_solve_input(opts, f_global);
-  // Solve sessions warm-start and project in the global format of the
-  // Enhanced discipline; Algorithm 5 keeps x in local format.
-  PFEM_CHECK_MSG(!(variant == EddVariant::Basic && opts.recycle.enabled),
-                 "solve_edd: recycling (opts.recycle) runs the Enhanced "
-                 "discipline only; EddVariant::Basic cannot use it");
   // Algorithm 5 or 6, with the paper's one allreduce per Gram–Schmidt
   // coefficient unless batched_reductions folds them.
   const detail::FgmresMode mode{variant == EddVariant::Basic,
@@ -65,7 +60,7 @@ DistSolve solve_edd(const partition::EddPartition& part,
                                  spec,          op.gls.get(),
                                  op.cheb.get(), opts.deflation,
                                  op.coarse.get()};
-        detail::fgmres_edd(comm, part, rop, rhs, opts, mode, out);
+        detail::fgmres_edd(comm, part, rop, rhs, {}, opts, mode, out);
       });
 }
 

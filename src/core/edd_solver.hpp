@@ -62,7 +62,6 @@ void validate_poly_spec(const PolySpec& spec);
 /// width-1 job on a transient team.  `variant` picks Algorithm 5 or 6;
 /// opts.batched_reductions folds the paper's one allreduce per
 /// Gram–Schmidt coefficient into one per pass (identical bits).
-/// opts.recycle requires EddVariant::Enhanced (pfem::Error otherwise).
 ///
 /// @param local_matrices optional override of part.subs[s].k_loc (same
 ///        dof layout), e.g. the dynamic effective stiffness K + a0*M.

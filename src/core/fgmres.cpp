@@ -40,9 +40,6 @@ SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
   PFEM_CHECK(x.size() == n);
   PFEM_CHECK(a.size() == as_index(n));
   check_solve_input(opts, b);
-  PFEM_CHECK_MSG(!opts.recycle.enabled,
-                 "fgmres: recycling (opts.recycle) is a distributed session "
-                 "feature; use solve_edd or solve_edd_batch");
 
   SolveReport result;
   const index_t m = opts.restart;

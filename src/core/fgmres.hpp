@@ -8,10 +8,8 @@
 // at m̃, convergence on ‖r_i‖₂/‖r₀‖₂ ≤ tol (§6.1).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "core/deflation.hpp"
@@ -22,56 +20,6 @@
 #include "obs/trace.hpp"
 
 namespace pfem::core {
-
-/// Per-RHS warm-start / subspace-recycling input.  Vectors are in the
-/// PHYSICAL global format — exactly the shape solvers return in
-/// DistSolve::x / BatchSolveResult::x — so a caller can feed one solve's
-/// output straight into the next solve's RecycleIn.
-struct RecycleIn {
-  /// Warm-start guess x₀ (empty = start cold from zero).
-  Vector x0;
-  /// Recycled search directions: the residual is projected out of
-  /// span(directions) before iterating (small dense normal-equations
-  /// solve, replicated on every rank).  Typically previous solves'
-  /// solution increments / Arnoldi-cycle updates.
-  std::vector<Vector> directions;
-
-  [[nodiscard]] bool empty() const noexcept {
-    return x0.empty() && directions.empty();
-  }
-};
-
-/// Krylov recycling across solves (solve sessions).  Off by default;
-/// when off, every solver path is bit-identical to the pre-session code
-/// (same exchange counts, same reductions — the Table-1 contract).
-/// EDD-FGMRES only (solve_edd Enhanced, solve_edd_batch): fgmres,
-/// solve_edd_cg and solve_rdd reject it with pfem::Error.
-///
-/// When enabled, a solve (a) starts from RecycleIn::x0 instead of zero,
-/// (b) projects the initial residual onto RecycleIn::directions (one
-/// extra fused exchange + one allreduce for the whole batch), (c)
-/// measures convergence against ‖b̂‖ instead of ‖r₀‖ so warm and cold
-/// solves chase the SAME absolute target (a cold start has r₀ = b̂, so
-/// the reference is unchanged there), and (d) when `harvest` is set,
-/// returns the restart-cycle solution increments in
-/// BatchSolveResult::recycled for the caller to feed forward.
-struct RecycleOptions {
-  bool enabled = false;
-
-  /// Cap on directions used per RHS (oldest dropped first) and on
-  /// directions harvested per RHS (most recent cycles kept).
-  index_t max_directions = 8;
-
-  /// Per-RHS input state, index-aligned with the solve's RHS batch;
-  /// null, or a missing/empty entry, means that RHS starts cold.
-  /// Shared (read-only) so a service can hand session state to a fused
-  /// batch without copying.
-  std::shared_ptr<const std::vector<RecycleIn>> in;
-
-  /// Harvest this solve's cycle updates into BatchSolveResult::recycled
-  /// (physical global format, ready to become the next RecycleIn).
-  bool harvest = false;
-};
 
 /// The ONE canonical solver-option shape, used identically by the
 /// library API (fgmres / solve_edd / solve_edd_batch), the solve
@@ -86,9 +34,7 @@ struct RecycleOptions {
 ///   kernels       KernelOptions        — storage format (Csr and Sell
 ///                 bit-identical, Ebe not);
 ///   deflation     DeflationOptions     — two-level coarse correction;
-///   observe       obs::ObserveOptions  — tracing + progress callbacks;
-///   recycle       RecycleOptions       — sessions: warm starts and
-///                 subspace recycling (in/out hooks).
+///   observe       obs::ObserveOptions  — tracing + progress callbacks.
 struct SolveOptions {
   index_t restart = 25;     ///< m̃, the Krylov subspace dimension (paper: 25)
   index_t max_iters = 10000;  ///< cap on total inner iterations
@@ -122,14 +68,10 @@ struct SolveOptions {
   /// One knob struct shared by every solver entry point and the solve
   /// service, replacing per-tool flag plumbing.
   obs::ObserveOptions observe;
-
-  /// Solve sessions: warm-start x₀ and recycled-subspace in/out hooks.
-  /// Off by default (every path bit-identical to stateless solves).
-  RecycleOptions recycle;
 };
 
-/// The one input check of every solve entry point (fgmres, pcg,
-/// solve_edd, solve_edd_cg, solve_edd_batch, solve_rdd) and of the solve
+/// The one input check of every solve entry point (fgmres, solve_edd,
+/// solve_edd_cg, solve_edd_batch, solve_rdd) and of the solve
 /// service's admission: restart >= 1 (skipped when `restarted` is false:
 /// CG does not restart), max_iters >= 1, a finite tol > 0 and finite RHS
 /// entries.  Returns why the input is refused, or "" when it is valid.

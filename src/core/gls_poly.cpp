@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/edd_kernels.hpp"
 
 namespace pfem::core {
 
@@ -49,32 +50,9 @@ GlsPolynomial::GlsPolynomial(Theta theta, int degree, int points_per_interval)
 
 void GlsPolynomial::apply(const LinearOp& a, std::span<const real_t> v,
                           std::span<real_t> z) const {
-  const std::size_t n = v.size();
-  PFEM_CHECK(z.size() == n);
-  // u_i = φ_i(A) v by the three-term recursion; z accumulates Σ μ_i u_i.
-  Vector u_prev(n, 0.0);
-  Vector u(n);
-  const real_t inv0 = 1.0 / basis_.sqrt_beta(0);
-  for (std::size_t i = 0; i < n; ++i) u[i] = inv0 * v[i];
-  for (std::size_t i = 0; i < n; ++i) z[i] = mu_[0] * u[i];
-
-  Vector au(n);
-  for (int i = 0; i < m_; ++i) {
-    a.apply(u, au);
-    const real_t ai = basis_.alpha(i);
-    const real_t sb_i = basis_.sqrt_beta(i);     // pairs with u_prev (0 at i=0)
-    const real_t sb_n = basis_.sqrt_beta(i + 1);
-    const real_t mu_next = mu_[static_cast<std::size_t>(i) + 1];
-    // u_{i+1} overwrites u_prev (dead after t), then swaps into u — one
-    // write stream less than copying u into u_prev elementwise.
-    for (std::size_t k = 0; k < n; ++k) {
-      const real_t t =
-          (au[k] - ai * u[k] - (i > 0 ? sb_i * u_prev[k] : 0.0)) / sb_n;
-      u_prev[k] = t;
-      z[k] += mu_next * t;
-    }
-    std::swap(u_prev, u);
-  }
+  detail::PolyApplier(PolySpec{PolyKind::Gls, m_}, this, nullptr, v.size(),
+                      1)
+      .apply(a, v, z);
 }
 
 real_t GlsPolynomial::eval(real_t lambda) const {

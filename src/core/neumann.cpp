@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "la/vector_ops.hpp"
+#include "core/edd_kernels.hpp"
 
 namespace pfem::core {
 
@@ -16,18 +16,9 @@ NeumannPolynomial::NeumannPolynomial(int degree, real_t omega)
 
 void NeumannPolynomial::apply(const LinearOp& a, std::span<const real_t> v,
                               std::span<real_t> z) const {
-  const std::size_t n = v.size();
-  PFEM_CHECK(z.size() == n);
-  // w_0 = v;  w_k = v + G w_{k-1} = v + w_{k-1} - ω A w_{k-1};
-  // after m steps  z = ω w_m = ω Σ_{i=0}^m G^i v.
-  Vector w(v.begin(), v.end());
-  Vector aw(n);
-  for (int k = 0; k < m_; ++k) {
-    a.apply(w, aw);                       // aw = A w
-    for (std::size_t i = 0; i < n; ++i)   // w = v + w - ω aw
-      w[i] = v[i] + w[i] - omega_ * aw[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) z[i] = omega_ * w[i];
+  detail::PolyApplier(PolySpec{PolyKind::Neumann, m_, omega_}, nullptr,
+                      nullptr, v.size(), 1)
+      .apply(a, v, z);
 }
 
 real_t NeumannPolynomial::eval(real_t lambda) const {

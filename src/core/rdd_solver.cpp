@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "core/diag_scaling.hpp"
@@ -24,8 +25,8 @@ using partition::RddSubdomain;
 struct RddSetup {
   Vector d;  ///< scaling 1/√‖row‖₁ of the owned rows
   RddOp op;  ///< scaled blocks Â_loc, Â_ext
-  std::optional<GlsPolynomial> gls;
-  std::optional<ChebyshevPolynomial> cheb;
+  std::shared_ptr<const GlsPolynomial> gls;
+  std::shared_ptr<const ChebyshevPolynomial> cheb;
   /// Block-Jacobi: ILU(0) of Â_loc; restricted Schwarz: ILU(0) of the
   /// scaled overlap block.
   std::optional<sparse::Ilu0> ilu;
@@ -81,10 +82,7 @@ RddSetup rdd_setup(RddRank& r, const RddSubdomain& sub,
   // Each rank builds the polynomial redundantly (no communication).
   switch (rdd_opts.precond) {
     case RddOptions::Precond::Poly:
-      if (rdd_opts.poly.kind == PolyKind::Gls)
-        st.gls.emplace(rdd_opts.poly.theta, rdd_opts.poly.degree);
-      else if (rdd_opts.poly.kind == PolyKind::Chebyshev)
-        st.cheb.emplace(rdd_opts.poly.theta.front(), rdd_opts.poly.degree);
+      std::tie(st.gls, st.cheb) = detail::build_polynomial(rdd_opts.poly);
       break;
     case RddOptions::Precond::BlockJacobiIlu:
       st.ilu.emplace(op.loc);
@@ -110,13 +108,10 @@ DistSolve solve_rdd(const RddPartition& part,
                     const RddOptions& rdd_opts, const SolveOptions& opts) {
   PFEM_CHECK(f_global.size() == static_cast<std::size_t>(part.n_global));
   check_solve_input(opts, f_global);
-  // The coarse space and solve sessions are built on EDD operators.
+  // The coarse space is built on EDD operators.
   PFEM_CHECK_MSG(!opts.deflation.enabled,
                  "solve_rdd: deflation (A-DEF1) needs an EDD operator; "
                  "use solve_edd");
-  PFEM_CHECK_MSG(!opts.recycle.enabled,
-                 "solve_rdd: recycling (opts.recycle) is an EDD session "
-                 "feature; use solve_edd");
   if (rdd_opts.precond == RddOptions::Precond::Poly)
     validate_poly_spec(rdd_opts.poly);
   // Algorithm 8 is Algorithm 6's loop in RDD's rank space, with the
@@ -125,7 +120,7 @@ DistSolve solve_rdd(const RddPartition& part,
   const detail::FgmresMode mode{false, !opts.batched_reductions};
   const std::vector<Vector> rhs{Vector(f_global.begin(), f_global.end())};
 
-  detail::SolveOut out(part.subs.size(), 1, opts);
+  detail::SolveOut out(part.subs.size(), 1);
   DistSolve result = detail::run_one_shot(
       part.nparts(), opts, "solve_rdd", out,
       [&](par::Comm& comm, const std::function<void()>& setup_done) {
@@ -138,8 +133,7 @@ DistSolve solve_rdd(const RddPartition& part,
         const std::size_t nl = r.nl();
         std::optional<detail::PolyApplier> poly;
         if (rdd_opts.precond == RddOptions::Precond::Poly)
-          poly.emplace(rdd_opts.poly, st.gls ? &*st.gls : nullptr,
-                       st.cheb ? &*st.cheb : nullptr, nl, 1);
+          poly.emplace(rdd_opts.poly, st.gls.get(), st.cheb.get(), nl, 1);
         const bool ras =
             rdd_opts.precond == RddOptions::Precond::AdditiveSchwarz;
         Vector ovl_rhs(nl + static_cast<std::size_t>(sub.n_ext()));
@@ -168,7 +162,8 @@ DistSolve solve_rdd(const RddPartition& part,
             r.counters().flops += st.ilu->solve_flops();
           }
         };
-        detail::fgmres_rank(r, st.op, st.d, rhs, precond, opts, mode, out);
+        detail::fgmres_rank(r, st.op, st.d, rhs, {}, precond, opts, mode,
+                            out);
       });
   if (!result.comm_failed())
     result.x = partition::rdd_gather(part, out.sol.front());

@@ -35,7 +35,7 @@ struct RddOptions {
 };
 
 /// Solve A u = f on an RDD (block-row) partition.  Typed entry contract,
-/// as solve_edd's: opts.deflation and opts.recycle (EDD features) throw
+/// as solve_edd's: opts.deflation (an EDD feature) throws
 /// pfem::Error, and so does an invalid rdd_opts.poly when precond ==
 /// Poly.  KernelOptions::Format::Ebe runs the CSR kernel (RDD rows are
 /// fully assembled; there is no element sub-assembly to sweep).

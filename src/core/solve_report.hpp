@@ -72,11 +72,6 @@ struct DistSolve : SolveReport {
   /// from counters alone.
   std::vector<par::PerfCounters> setup_counters;
   double wall_seconds = 0.0;
-  /// Harvested recycle directions (physical global format, oldest →
-  /// newest) when opts.recycle.enabled && opts.recycle.harvest: the
-  /// restart-cycle solution increments, ready to feed the next solve's
-  /// RecycleIn::directions.  Empty otherwise.
-  std::vector<Vector> recycled;
   /// Span trace of the run when ObserveOptions::trace was set (one lane
   /// per rank); null otherwise.  Shared so reports stay copyable.
   std::shared_ptr<const obs::Trace> trace;

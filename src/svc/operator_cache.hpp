@@ -29,23 +29,15 @@ class OperatorCache {
  public:
   /// @param capacity max number of *built* states kept (LRU-evicted);
   ///        registry entries (recipes) are not bounded.
-  /// @param kernels  subdomain-operator kernel selection baked into every
-  ///        build (SELL vs CSR is bit-neutral; Ebe is not).
-  /// @param deflation two-level deflation knobs baked into every build;
-  ///        the factorized coarse operator lives inside the built state,
-  ///        so a cache hit reuses it along with the scaling and kernels.
-  explicit OperatorCache(std::size_t capacity,
-                         const core::KernelOptions& kernels = {},
-                         const core::DeflationOptions& deflation = {})
-      : capacity_(capacity), kernels_(kernels), deflation_(deflation) {
+  explicit OperatorCache(std::size_t capacity) : capacity_(capacity) {
     PFEM_CHECK_MSG(capacity_ >= 1, "operator cache needs capacity >= 1");
   }
 
-  /// `deflation`, when set, overrides the cache-wide deflation options
-  /// for THIS key — required for mixed-tenant registries where operators
-  /// from different problem families need different coarse-space layouts
-  /// (components, coord_dim, coefficient tables).  nullopt inherits the
-  /// cache-wide options.
+  /// `deflation`, when set, is THIS key's coarse space (operators from
+  /// different problem families need different layouts: components,
+  /// coord_dim, coefficient tables); the factorized coarse operator
+  /// lives inside the built state, so a cache hit reuses it along with
+  /// the scaling and kernels.  nullopt builds without deflation.
   void register_operator(
       const std::string& key,
       std::shared_ptr<const partition::EddPartition> part,
@@ -118,12 +110,12 @@ class OperatorCache {
       part = it->second.part;
       poly = it->second.poly;
       mats = it->second.local_matrices;
-      deflation = it->second.deflation ? *it->second.deflation : deflation_;
+      deflation = it->second.deflation.value_or(core::DeflationOptions{});
       version = it->second.version;
     }
     auto built = std::make_shared<const core::EddOperatorState>(
         core::build_edd_operator(team, *part, poly, mats ? mats.get() : nullptr,
-                                 trace, kernels_, deflation));
+                                 trace, {}, deflation));
     std::scoped_lock lock(m_);
     auto it = entries_.find(key);
     // Store only if the recipe did not change while building.
@@ -168,8 +160,7 @@ class OperatorCache {
     std::shared_ptr<const partition::EddPartition> part;
     core::PolySpec poly;
     std::shared_ptr<const std::vector<sparse::CsrMatrix>> local_matrices;
-    /// Per-key coarse-space override; nullopt inherits the cache-wide
-    /// deflation options.
+    /// Per-key coarse space; nullopt = no deflation.
     std::optional<core::DeflationOptions> deflation;
     std::shared_ptr<const core::EddOperatorState> state;  // null = not built
     std::uint64_t version = 0;
@@ -197,8 +188,6 @@ class OperatorCache {
   }
 
   std::size_t capacity_;
-  core::KernelOptions kernels_;
-  core::DeflationOptions deflation_;
   mutable std::mutex m_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< keys with built state, most recent first

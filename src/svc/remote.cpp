@@ -1,6 +1,9 @@
 #include "svc/remote.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <chrono>
 #include <functional>
 
 #include "net/sockets.hpp"
@@ -51,6 +54,44 @@ void store_u64_le(unsigned char* p, std::uint64_t v) {
     return false;
   }
   return true;
+}
+
+/// Connect to `addr` and run the Hello/HelloAck handshake as `name`,
+/// filling `ack`; returns the connected fd.  connect() succeeds on a
+/// peer's listen backlog before the peer ever accepts, so the wait for
+/// the HelloAck is bounded by what is left of `timeout_seconds`; later
+/// reads block, because a solve may run long.  Any failure throws
+/// pfem::Error "<what> with <addr> failed".
+[[nodiscard]] int handshake(const std::string& addr, const std::string& name,
+                            double timeout_seconds, const std::string& what,
+                            proto::HelloAckMsg& ack) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_seconds);
+  const int fd = net::connect_to(addr, timeout_seconds);
+  bool ok = false;
+  try {
+    net::ByteBuffer out;
+    proto::encode_hello(out, {name});
+    proto::ProtoHeader h;
+    std::vector<unsigned char> body;
+    proto::DecodeStatus st;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable{fd, POLLIN, 0};
+    ok = net::write_full(fd, out.data(), out.size()) &&
+         ::poll(&readable, 1, static_cast<int>(std::max<std::int64_t>(
+                                  left.count(), 1))) == 1 &&
+         read_frame(fd, h, body, st) &&
+         static_cast<proto::MsgType>(h.type) == proto::MsgType::HelloAck &&
+         proto::decode_hello_ack(body, ack) == proto::DecodeStatus::Ok;
+  } catch (const std::exception&) {
+    ok = false;
+  }
+  if (!ok) {
+    net::close_fd(fd);
+    throw Error(what + " with " + addr + " failed");
+  }
+  return fd;
 }
 
 /// Serialized write of one encoded frame; false on a dead peer (the
@@ -377,33 +418,11 @@ Server::Stats Server::stats() const {
 
 Client::Client(const std::string& addr, const std::string& client_name,
                double connect_timeout_seconds) {
-  fd_ = net::connect_to(addr, connect_timeout_seconds);
-  net::ByteBuffer out;
-  proto::encode_hello(out, {client_name});
-  bool ok = false;
-  try {
-    ok = net::write_full(fd_, out.data(), out.size());
-    if (ok) {
-      proto::ProtoHeader h;
-      std::vector<unsigned char> body;
-      proto::DecodeStatus st;
-      proto::HelloAckMsg ack;
-      ok = read_frame(fd_, h, body, st) &&
-           static_cast<proto::MsgType>(h.type) == proto::MsgType::HelloAck &&
-           proto::decode_hello_ack(body, ack) == proto::DecodeStatus::Ok;
-      if (ok) {
-        server_name_ = std::move(ack.server_name);
-        nranks_ = ack.nranks;
-      }
-    }
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  if (!ok) {
-    net::close_fd(fd_);
-    fd_ = -1;
-    throw Error("svc::Client: handshake with " + addr + " failed");
-  }
+  proto::HelloAckMsg ack;
+  fd_ = handshake(addr, client_name, connect_timeout_seconds,
+                  "svc::Client: handshake", ack);
+  server_name_ = std::move(ack.server_name);
+  nranks_ = ack.nranks;
 }
 
 Client::~Client() {
@@ -502,22 +521,13 @@ Router::Router(const RouterConfig& cfg) : cfg_(cfg) {
                  "max_inflight_per_shard must be positive");
   for (const std::string& addr : cfg_.shard_addrs) {
     auto sh = std::make_unique<Shard>();
-    sh->fd = net::connect_to(addr, cfg_.connect_timeout_seconds);
-    net::ByteBuffer out;
-    proto::encode_hello(out, {cfg_.name});
-    proto::ProtoHeader h;
-    std::vector<unsigned char> body;
-    proto::DecodeStatus st;
     proto::HelloAckMsg ack;
-    const bool ok =
-        net::write_full(sh->fd, out.data(), out.size()) &&
-        read_frame(sh->fd, h, body, st) &&
-        static_cast<proto::MsgType>(h.type) == proto::MsgType::HelloAck &&
-        proto::decode_hello_ack(body, ack) == proto::DecodeStatus::Ok;
-    if (!ok) {
-      net::close_fd(sh->fd);
+    try {
+      sh->fd = handshake(addr, cfg_.name, cfg_.connect_timeout_seconds,
+                         "svc::Router: shard handshake", ack);
+    } catch (const Error&) {
       for (const auto& s : shards_) net::close_fd(s->fd);
-      throw Error("svc::Router: shard handshake with " + addr + " failed");
+      throw;
     }
     sh->name = std::move(ack.server_name);
     sh->nranks = ack.nranks;

@@ -109,7 +109,8 @@ class Server {
 class Client {
  public:
   /// Connect (with startup-race retry) and run the Hello handshake.
-  /// Throws pfem::Error on connect failure or a malformed handshake.
+  /// Throws pfem::Error on connect failure, a malformed handshake, or no
+  /// HelloAck within connect_timeout_seconds of the start.
   Client(const std::string& addr, const std::string& client_name,
          double connect_timeout_seconds = 10.0);
   ~Client();
@@ -176,7 +177,8 @@ class Router {
   };
 
   /// Connects to every shard (handshaking as a client) and starts
-  /// listening.  Throws pfem::Error when a shard is unreachable.
+  /// listening.  Throws pfem::Error when a shard is unreachable or does
+  /// not answer the handshake within cfg.connect_timeout_seconds.
   explicit Router(const RouterConfig& cfg);
   ~Router();  ///< stop()
 

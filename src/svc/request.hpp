@@ -46,10 +46,8 @@ struct SolveRequest {
   /// batch; opts.observe is per-request and never blocks coalescing —
   /// observe.progress fires per iteration with *this request's* RHS
   /// index, and observe.trace requests a per-call trace only when the
-  /// service has no service-lifetime trace of its own.  opts.recycle is
-  /// service-owned on this path (like deflation, which is operator
-  /// state): the service overwrites it from the request's session —
-  /// open_session/close_session is the recycling API.
+  /// service has no service-lifetime trace of its own.  Recycling is
+  /// not an option: `session` below is the recycling API.
   core::SolveOptions opts;
   Priority priority = Priority::Normal;
   /// Absolute deadline.  Checked at admission AND at dispatch, and

@@ -34,7 +34,7 @@ std::unique_ptr<par::Team> Service::make_team() const {
 
 Service::Service(const ServiceConfig& cfg)
     : cfg_(cfg),
-      cache_(cfg.cache_capacity, cfg.kernels, cfg.deflation),
+      cache_(cfg.cache_capacity),
       queue_(cfg.queue_capacity) {
   PFEM_CHECK_MSG(cfg_.max_batch_rhs >= 1, "max_batch_rhs must be >= 1");
   PFEM_CHECK_MSG(cfg_.retry.max_attempts >= 1,
@@ -358,20 +358,17 @@ void Service::dispatch_batch(std::vector<PendingJob> batch) {
       opts.observe.progress = nullptr;
   }
 
-  // Session warm starts + recycling.  The service owns opts.recycle on
-  // this path (like deflation, which is operator state): per-request
-  // recycle settings are overwritten, sessions are the API.  With no
-  // session in the batch, recycle stays disabled and the solve — and
-  // its Table-1 exchange counts — is bit-identical to a session-less
-  // service.  With sessions present, each member's session lanes land
-  // in its flattened RHS slots and harvesting is turned on so the
-  // completed solve can deposit fresh directions back.
-  opts.recycle = core::RecycleOptions{};
+  // Session warm starts + recycling.  With no session in the batch the
+  // recycle lanes stay empty and the solve — and its Table-1 exchange
+  // counts — is bit-identical to a session-less service.  With sessions
+  // present, each member's session lanes land in its flattened RHS slots,
+  // and the solve harvests fresh directions for the deposit.
+  std::vector<core::RecycleIn> recycle;
   const bool any_session = std::any_of(
       batch.begin(), batch.end(),
       [](const PendingJob& j) { return j.req.session != kNoSession; });
   if (any_session) {
-    auto in = std::make_shared<std::vector<core::RecycleIn>>(rhs.size());
+    recycle.resize(rhs.size());
     std::size_t warm = 0;
     std::size_t off = 0;
     for (std::size_t bi = 0; bi < batch.size(); ++bi) {
@@ -381,17 +378,12 @@ void Service::dispatch_batch(std::vector<PendingJob> batch) {
           for (std::size_t r = 0;
                r < counts[bi] && r < snap->lanes.size(); ++r) {
             if (!snap->lanes[r].empty()) ++warm;
-            (*in)[off + r] = std::move(snap->lanes[r]);
+            recycle[off + r] = std::move(snap->lanes[r]);
           }
         }
       }
       off += counts[bi];
     }
-    opts.recycle.enabled = true;
-    opts.recycle.harvest = true;
-    opts.recycle.max_directions =
-        static_cast<index_t>(kSessionMaxDirections);
-    opts.recycle.in = std::move(in);
     std::scoped_lock lock(m_);
     stats_.warm_rhs += warm;
   }
@@ -492,8 +484,8 @@ void Service::dispatch_batch(std::vector<PendingJob> batch) {
 
       const auto t0 = Clock::now();
       try {
-        result =
-            core::solve_edd_batch(*team_, *part, *op, rhs, opts, trace_.get());
+        result = core::solve_edd_batch(*team_, *part, *op, rhs, opts,
+                                       trace_.get(), recycle);
       } catch (const par::Cancelled&) {
         was_cancelled = true;
       } catch (const BadOperatorError& e) {

@@ -65,16 +65,6 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64; ///< admission bound (backpressure)
   std::size_t cache_capacity = 8;  ///< built operators kept (LRU)
   std::size_t max_batch_rhs = 16;  ///< fused-RHS cap per dispatch
-  /// Subdomain-operator kernel format baked into every cached build.
-  /// SELL-C-σ vs scalar CSR is bit-neutral (only the kernel speed
-  /// changes); matrix-free Ebe keeps iteration counts but not bits.
-  core::KernelOptions kernels;
-  /// Two-level deflation knobs baked into every cached build: when
-  /// enabled, build_edd_operator assembles and factorizes the coarse
-  /// operator once and the state is cached (and LRU-evicted) together
-  /// with the scaling and kernels.  Per-request SolveOptions.deflation
-  /// is ignored on the batch path — the correction is operator state.
-  core::DeflationOptions deflation;
   /// observe.trace turns on the service-lifetime span trace (rank lanes
   /// plus a scheduler "svc" lane with queued/coalesced/dispatch spans);
   /// observe.ring_capacity sizes each lane's flight-recorder ring.  The
@@ -109,11 +99,16 @@ class Service {
 
   /// Register (or replace) an operator recipe under `key`.  Replacing
   /// invalidates any cached built state.  Partition parts must equal
-  /// the configured team size.  `deflation`, when set, overrides
-  /// cfg.deflation for this key — the mixed-tenant hook: operators from
-  /// different problem families (scalar diffusion vs 2-D/3-D elasticity)
-  /// need different coarse-space layouts, validated here against the
-  /// partition's dof count (throws pfem::BadOperatorError on mismatch).
+  /// the configured team size.  Every build uses the default kernel
+  /// format (Sell).  `deflation`, when set, gives this key a two-level
+  /// coarse space, factorized once per build and cached (and
+  /// LRU-evicted) with the scaling and kernels; per-request
+  /// SolveOptions.deflation is ignored, as the correction is operator
+  /// state.  Operators from different problem families (scalar
+  /// diffusion vs 2-D/3-D elasticity) need different coarse-space
+  /// layouts, validated here against the partition's dof count (throws
+  /// pfem::BadOperatorError on mismatch).  A key registered without
+  /// deflation has none.
   void register_operator(
       const std::string& key,
       std::shared_ptr<const partition::EddPartition> part,

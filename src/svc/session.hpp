@@ -40,7 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/fgmres.hpp"
+#include "core/edd_batch.hpp"
 #include "svc/request.hpp"
 
 namespace pfem::svc {
@@ -57,9 +57,6 @@ struct SessionSnapshot {
 /// How many sessions may hold *state* at once (LRU); handles themselves
 /// live until closed, and an evicted session just runs cold.
 inline constexpr std::size_t kSessionCapacity = 32;
-/// Per-lane bound on the recycled-direction ring (oldest dropped
-/// first), fed back into core::RecycleOptions::max_directions.
-inline constexpr std::size_t kSessionMaxDirections = 8;
 
 class SessionTable {
  public:
@@ -105,7 +102,7 @@ class SessionTable {
 
   /// Store a completed solve: per-lane solution (the next warm start)
   /// and freshly harvested directions appended to each lane's ring,
-  /// oldest dropped beyond max_directions.  `harvested` may be empty
+  /// oldest dropped beyond core::kMaxRecycleDirections.  `harvested` may be empty
   /// (recycling produced no new directions) or sized like `x`.
   /// Returns the number of sessions whose state was LRU-evicted to make
   /// room (for the service's counters).
@@ -122,7 +119,7 @@ class SessionTable {
       lane.x0 = x[r];
       if (r < harvested.size())
         for (const Vector& dir : harvested[r]) lane.directions.push_back(dir);
-      while (lane.directions.size() > kSessionMaxDirections)
+      while (lane.directions.size() > core::kMaxRecycleDirections)
         lane.directions.erase(lane.directions.begin());
     }
     ++e.seq;

@@ -1,107 +1,20 @@
-// PCG tests: sequential correctness, EDD-distributed correctness across
-// process counts, the m+1 exchange count per iteration, and the one-shot
-// runner's options (typed rejections, trace, progress, fault injection).
+// EDD-PCG tests: correctness across process counts, the m+1 exchange
+// count per iteration, and the one-shot runner's options (typed
+// rejections, trace, progress, fault injection).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
 #include "core/cg.hpp"
-#include "core/diag_scaling.hpp"
 #include "core/fgmres.hpp"
 #include "exp/experiments.hpp"
 #include "fault/fault.hpp"
 #include "fem/problems.hpp"
-#include "la/dense.hpp"
 #include "la/vector_ops.hpp"
-#include "sparse/generators.hpp"
 
 namespace pfem::core {
 namespace {
-
-Vector dense_solve(const sparse::CsrMatrix& a, const Vector& b) {
-  la::DenseMatrix ad(a.rows(), a.cols());
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j) ad(i, j) = a.at(i, j);
-  Vector x = b;
-  la::lu_solve(ad, x);
-  return x;
-}
-
-TEST(Pcg, SolvesSpdSystem) {
-  const sparse::CsrMatrix a = sparse::laplace2d(10, 10);
-  Vector b(100);
-  for (std::size_t i = 0; i < 100; ++i) b[i] = std::sin(0.17 * double(i));
-  const Vector x_ref = dense_solve(a, b);
-  Vector x(100, 0.0);
-  JacobiPrecond jacobi(a);
-  SolveOptions opts;
-  opts.tol = 1e-10;
-  opts.max_iters = 2000;
-  const SolveReport res = pcg(a, b, x, jacobi, opts);
-  EXPECT_TRUE(res.converged);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-7);
-}
-
-TEST(Pcg, ExactInNStepsForTinySystem) {
-  // CG terminates in at most n steps (exact arithmetic); a 5x5 system
-  // must be solved in <= 5 iterations to near machine precision.
-  const sparse::CsrMatrix a = sparse::tridiag(5, 3.0, -1.0);
-  Vector b{1, 2, 3, 4, 5};
-  Vector x(5, 0.0);
-  IdentityPrecond none;
-  SolveOptions opts;
-  opts.tol = 1e-12;
-  const SolveReport res = pcg(a, b, x, none, opts);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LE(res.iterations, 5);
-}
-
-TEST(Pcg, PolynomialPreconditionerCutsIterations) {
-  fem::CantileverSpec spec;
-  spec.nx = 12;
-  spec.ny = 6;
-  const fem::CantileverProblem prob = fem::make_cantilever(spec);
-  const ScaledSystem s = scale_system(prob.stiffness, prob.load);
-  SolveOptions opts;
-  opts.tol = 1e-8;
-  opts.max_iters = 20000;
-
-  Vector x1(s.b.size(), 0.0);
-  IdentityPrecond none;
-  const SolveReport plain = pcg(s.a, s.b, x1, none, opts);
-
-  Vector x2(s.b.size(), 0.0);
-  GlsPrecond gls(LinearOp::from_csr(s.a),
-                 GlsPolynomial(default_theta_after_scaling(), 7));
-  const SolveReport with_gls = pcg(s.a, s.b, x2, gls, opts);
-
-  ASSERT_TRUE(plain.converged && with_gls.converged);
-  EXPECT_LT(with_gls.iterations, plain.iterations);
-  for (std::size_t i = 0; i < x1.size(); ++i)
-    EXPECT_NEAR(x2[i], x1[i], 1e-5 * (1.0 + std::abs(x1[i])));
-}
-
-TEST(Pcg, IndefiniteOperatorEndsInTypedBreakdown) {
-  // The second search direction has pᵀAp = -22.5: CG cannot continue.
-  const sparse::CsrMatrix a = sparse::diagonal_matrix({1.0, -1.0, 2.0});
-  Vector b{1, 1, 1}, x(3, 0.0);
-  IdentityPrecond none;
-  const SolveReport res = pcg(a, b, x, none);
-  EXPECT_TRUE(res.breakdown);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.iterations, 1);
-  EXPECT_GT(res.final_relres, 0.1);
-}
-
-TEST(Pcg, ZeroRhs) {
-  const sparse::CsrMatrix a = sparse::tridiag(8, 2.0, -1.0);
-  Vector b(8, 0.0), x(8, 0.0);
-  IdentityPrecond none;
-  const SolveReport res = pcg(a, b, x, none);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.iterations, 0);
-}
 
 class EddCgTest : public ::testing::TestWithParam<int> {};
 
@@ -203,17 +116,15 @@ fem::CantileverProblem cg_problem() {
 }
 
 TEST(EddCg, RejectsDeflationAndRecyclingTyped) {
-  // A-DEF1 is not symmetric, so PCG cannot use it, and sessions recycle
-  // FGMRES directions: both must fail at entry, not be silently ignored.
+  // A-DEF1 is not symmetric, so PCG cannot use it: deflation must fail at
+  // entry, not be silently ignored.  (Recycling is no SolveOptions field:
+  // only solve_edd_batch takes session state.)
   const fem::CantileverProblem prob = cg_problem();
   const partition::EddPartition part = exp::make_edd(prob, 4);
   PolySpec poly;
   SolveOptions deflated;
   deflated.deflation.enabled = true;
   EXPECT_THROW((void)solve_edd_cg(part, prob.load, poly, deflated), Error);
-  SolveOptions recycled;
-  recycled.recycle.enabled = true;
-  EXPECT_THROW((void)solve_edd_cg(part, prob.load, poly, recycled), Error);
 }
 
 TEST(EddCg, TracedExchangesMatchCountersOnEveryRank) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/cg.hpp"
 #include "core/edd_solver.hpp"
 #include "core/fgmres.hpp"
 #include "exp/experiments.hpp"
@@ -306,6 +307,11 @@ TEST(EddSolverReport, ZeroRhsIsTrivialNotIterated) {
   EXPECT_EQ(res.restarts, 0);
   EXPECT_EQ(res.final_relres, 0.0);
   for (const real_t xi : res.x) EXPECT_EQ(xi, 0.0);
+  const DistSolve cg = solve_edd_cg(part, zero, poly);
+  EXPECT_TRUE(cg.converged && cg.trivial_rhs);
+  EXPECT_EQ(cg.iterations, 0);
+  EXPECT_EQ(cg.final_relres, 0.0);
+  for (const real_t xi : cg.x) EXPECT_EQ(xi, 0.0);
 }
 
 TEST(EddSolverReport, RankDeficientBreakdownIsNotConvergence) {
@@ -430,21 +436,6 @@ TEST(EddDeflation, PerIterationCostsExtendTable1) {
   EXPECT_EQ(enhanced.matvecs, static_cast<std::uint64_t>(m) + 2);
   EXPECT_EQ(enhanced.coarse_solves, 1u);
   EXPECT_EQ(enhanced.global_reductions, 6u);
-}
-
-TEST(EddSolver, BasicWithRecyclingIsRejected) {
-  // Sessions warm-start and project in the Enhanced discipline's global
-  // format; a Basic solve must not silently run Algorithm 6 instead.
-  const fem::CantileverProblem prob = test_problem();
-  const partition::EddPartition part = exp::make_edd(prob, 4);
-  PolySpec poly;
-  SolveOptions opts;
-  opts.recycle.enabled = true;
-  EXPECT_THROW(
-      (void)solve_edd(part, prob.load, poly, opts, EddVariant::Basic), Error);
-  const DistSolve enhanced =
-      solve_edd(part, prob.load, poly, opts, EddVariant::Enhanced);
-  EXPECT_TRUE(enhanced.converged);
 }
 
 TEST(EddSolver, SetupCountersAreSubsetOfTotals) {

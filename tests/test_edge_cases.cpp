@@ -150,8 +150,6 @@ TEST(SolverEdge, ZeroRhsConvergesInZeroIterations) {
 
   Vector x(64, 3.0);  // nonzero guess must be overwritten with the solution
   check(core::fgmres(a, b, x, none, opts), x);
-  x.assign(64, -2.0);
-  check(core::pcg(a, b, x, none, opts), x);
 }
 
 // ---- Typed failure on a degenerate operator: a zero row of the
@@ -291,7 +289,6 @@ TEST(SolveInputEdge, NonFiniteRhsIsRefusedByEverySolver) {
     });
     Vector x(f.size(), 0.0);
     refused([&] { (void)core::fgmres(prob.stiffness, f, x, none); });
-    refused([&] { (void)core::pcg(prob.stiffness, f, x, none); });
   }
 }
 
@@ -345,22 +342,6 @@ OverflowScene overflow_scene() {
   sc.f = sc.prob.load;
   sc.f[3] = 1e300;
   return sc;
-}
-
-TEST(PcgBreakdownEdge, SequentialOverflowEndsInTypedBreakdown) {
-  const OverflowScene sc = overflow_scene();
-  const core::ScaledSystem s = core::scale_system(sc.prob.stiffness, sc.f);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
-  Vector x(s.b.size(), 0.0);
-  const core::SolveOptions opts;
-  core::SolveReport res;
-  ASSERT_NO_THROW(res = core::pcg(s.a, s.b, x, gls, opts));
-  EXPECT_TRUE(res.breakdown);
-  EXPECT_FALSE(res.converged);
-  EXPECT_FALSE(res.final_relres <= opts.tol);  // true residual: NaN here
-  EXPECT_LT(res.iterations, opts.max_iters);
 }
 
 TEST(PcgBreakdownEdge, EddOverflowEndsInTypedBreakdown) {

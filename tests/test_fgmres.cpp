@@ -71,17 +71,6 @@ TEST(Fgmres, ZeroRhsConvergesImmediately) {
   EXPECT_EQ(res.iterations, 0);
 }
 
-TEST(Fgmres, RejectsRecyclingTyped) {
-  // Solve sessions run on the distributed EDD driver; the sequential
-  // solver has no recycle path and says so.
-  const sparse::CsrMatrix a = sparse::tridiag(10, 2.0, -1.0);
-  Vector b(10, 1.0), x(10, 0.0);
-  IdentityPrecond none;
-  SolveOptions opts;
-  opts.recycle.enabled = true;
-  EXPECT_THROW((void)fgmres(a, b, x, none, opts), Error);
-}
-
 TEST(Fgmres, ExactInitialGuessNoIterations) {
   const sparse::CsrMatrix a = sparse::tridiag(10, 2.0, -1.0);
   Vector x_true(10, 1.0);

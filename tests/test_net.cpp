@@ -34,6 +34,7 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -991,6 +992,45 @@ TEST(NetRemote, EndedConnectionsReleaseTheirFds) {
   }
   EXPECT_LE(after, before + 8) << "fds open before the clients: " << before;
   router.stop();
+}
+
+TEST(NetRemote, HandshakeWithAPeerThatNeverAcceptsFailsTyped) {
+  // connect() succeeds on the listen backlog, so a peer that never
+  // accepts (a shard whose fd table is full) must fail the handshake
+  // typed within the connect timeout, not block the constructor.
+  const auto fails_typed_in_time =
+      [](const char* stem,
+         const std::function<void(const std::string&)>& construct) {
+        const std::string addr = unique_sock(stem);
+        const int lfd = net::listen_on(addr);
+        const auto t0 = std::chrono::steady_clock::now();
+        auto typed = std::async(std::launch::async, [&] {
+          try {
+            construct(addr);
+          } catch (const Error&) {
+            return true;
+          }
+          return false;
+        });
+        const bool returned = typed.wait_for(std::chrono::seconds(3)) ==
+                              std::future_status::ready;
+        net::close_fd(lfd);  // ends a read still blocked on the backlog
+        const bool ok = typed.get() && returned &&
+                        std::chrono::steady_clock::now() - t0 <
+                            std::chrono::seconds(2);
+        ::unlink(addr.c_str() + 5);
+        return ok;
+      };
+  EXPECT_TRUE(fails_typed_in_time("noaccept_c", [](const std::string& addr) {
+    svc::Client client(addr, "t", 0.3);
+  }));
+  EXPECT_TRUE(fails_typed_in_time("noaccept_s", [](const std::string& addr) {
+    svc::RouterConfig rc;
+    rc.listen_addr = unique_sock("noaccept_r");
+    rc.shard_addrs = {addr};
+    rc.connect_timeout_seconds = 0.3;
+    svc::Router router(rc);
+  }));
 }
 
 TEST(NetSockets, AcceptWaitsOutAFullFdTable) {

@@ -197,16 +197,9 @@ TEST_P(FuzzSeed, RandomSpdSystemsThroughSequentialSolvers) {
   ASSERT_TRUE(core::fgmres(s.a, s.b, x1, gls, opts).converged);
   const Vector u1 = s.unscale(x1);
 
-  Vector x2(b.size(), 0.0);
-  core::JacobiPrecond jac(s.a);
-  ASSERT_TRUE(core::pcg(s.a, s.b, x2, jac, opts).converged);
-  const Vector u2 = s.unscale(x2);
-
   const real_t scale = la::nrm_inf(x_ref) + 1e-30;
-  for (std::size_t i = 0; i < b.size(); ++i) {
+  for (std::size_t i = 0; i < b.size(); ++i)
     EXPECT_NEAR(u1[i], x_ref[i], 1e-6 * scale);
-    EXPECT_NEAR(u2[i], x_ref[i], 1e-6 * scale);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,

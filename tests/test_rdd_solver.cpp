@@ -184,17 +184,14 @@ TEST(RddSolver, MoreRanksMoreMessagesPerExchange) {
 }
 
 TEST(RddSolver, RejectsDeflationAndRecyclingTyped) {
-  // The coarse space and solve sessions are EDD features: asking RDD for
-  // them is a typed error, not a silently ignored knob.
+  // The coarse space is an EDD feature: asking RDD for it is a typed
+  // error, not a silently ignored knob.  (Recycling is no SolveOptions
+  // field: only solve_edd_batch takes session state.)
   const fem::CantileverProblem prob = test_problem();
   const partition::RddPartition part = exp::make_rdd(prob, 2);
   SolveOptions deflated;
   deflated.deflation.enabled = true;
   EXPECT_THROW((void)solve_rdd(part, prob.load, RddOptions{}, deflated),
-               Error);
-  SolveOptions recycled;
-  recycled.recycle.enabled = true;
-  EXPECT_THROW((void)solve_rdd(part, prob.load, RddOptions{}, recycled),
                Error);
 }
 

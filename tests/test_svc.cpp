@@ -543,52 +543,17 @@ TEST(Service, SolvesAndCachesOperator) {
   service.shutdown();
 }
 
-TEST(Service, EbeKernelFormatSolvesThroughServiceLikeCsr) {
-  // ServiceConfig.kernels reaches the operator cache, so a service
-  // configured with the matrix-free Ebe format must converge with the
-  // same iteration count as a Csr-configured one (the format-neutral
-  // contract; solutions differ only by the element sweep's
-  // reassociation).
-  const Scene s = make_scene();
-  index_t csr_iters = 0;
-  {
-    svc::ServiceConfig cfg;
-    cfg.nranks = kRanks;
-    cfg.kernels.format = core::KernelOptions::Format::Csr;
-    svc::Service service(cfg);
-    service.register_operator("op", s.part, s.poly);
-    auto out = service.submit(make_request(s, "op")).outcome.get();
-    ASSERT_TRUE(svc::ok(out));
-    const auto& item = std::get<svc::Completed>(out).result.items[0];
-    ASSERT_TRUE(item.converged);
-    csr_iters = item.iterations;
-    service.shutdown();
-  }
-  {
-    svc::ServiceConfig cfg;
-    cfg.nranks = kRanks;
-    cfg.kernels.format = core::KernelOptions::Format::Ebe;
-    svc::Service service(cfg);
-    service.register_operator("op", s.part, s.poly);
-    auto out = service.submit(make_request(s, "op")).outcome.get();
-    ASSERT_TRUE(svc::ok(out));
-    const auto& item = std::get<svc::Completed>(out).result.items[0];
-    EXPECT_TRUE(item.converged);
-    EXPECT_EQ(item.iterations, csr_iters);
-    service.shutdown();
-  }
-}
-
 TEST(Service, DeflationConfigBakesCoarseStateIntoCachedOperator) {
-  // cfg.deflation is operator state: the coarse factorization is built
-  // once, cached with the scaled matrices, and reused on a cache hit —
-  // every deflated solve stamps coarse_solves on its counters.
+  // A key's deflation is operator state: the coarse factorization is
+  // built once, cached with the scaled matrices, and reused on a cache
+  // hit — every deflated solve stamps coarse_solves on its counters.
   const Scene s = make_scene();
   svc::ServiceConfig cfg;
   cfg.nranks = kRanks;
-  cfg.deflation.enabled = true;
   svc::Service service(cfg);
-  service.register_operator("op", s.part, s.poly);
+  core::DeflationOptions deflation;
+  deflation.enabled = true;
+  service.register_operator("op", s.part, s.poly, nullptr, deflation);
 
   auto first = service.submit(make_request(s, "op")).outcome.get();
   ASSERT_TRUE(svc::ok(first));
