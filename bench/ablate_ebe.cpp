@@ -1,17 +1,16 @@
 // Ablation: assembled CSR vs element-by-element (EBE) operator —
-// storage, flops per apply, and wall time of the mat-vec and of a full
-// GLS(7)-preconditioned FGMRES solve driven through each operator.
+// storage, flops per apply and wall time of the mat-vec, and a full
+// GLS(7)-preconditioned FGMRES solve through the element sweep.
 #include <chrono>
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
+#include "core/edd_solver.hpp"
+#include "exp/experiments.hpp"
 #include "exp/table.hpp"
 #include "fem/ebe.hpp"
 #include "fem/problems.hpp"
-#include "la/vector_ops.hpp"
 
 int main(int argc, char** argv) {
   using namespace pfem;
@@ -63,25 +62,15 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "max |y_csr - y_ebe| = " << exp::Table::sci(diff, 2) << "\n";
 
-  // End-to-end: FGMRES+GLS(7) driven through the EBE operator (no
-  // assembled matrix anywhere except the diagonal-scaling vector).
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
-  // EBE of the *scaled* operator: wrap D * K_ebe * D.
-  Vector tmp(n);
-  const core::LinearOp scaled_ebe(
-      as_index(n), [&](std::span<const real_t> in, std::span<real_t> out) {
-        for (std::size_t i = 0; i < n; ++i) tmp[i] = s.d[i] * in[i];
-        ebe.apply(tmp, out);
-        for (std::size_t i = 0; i < n; ++i) out[i] *= s.d[i];
-      });
-  core::GlsPrecond precond(
-      scaled_ebe, core::GlsPolynomial(core::default_theta_after_scaling(), 7));
-  Vector sol(n, 0.0);
+  // End-to-end: FGMRES+GLS(7) through the element sweep — solve_edd at
+  // P = 1 with the matrix-free Format::Ebe rank kernel, which applies
+  // the same element store (no assembled matrix in the iteration).
+  const partition::EddPartition part = exp::make_edd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 60000;
-  const core::SolveReport res =
-      core::fgmres(scaled_ebe, s.b, sol, precond, opts);
+  opts.kernels.format = core::KernelOptions::Format::Ebe;
+  const core::DistSolve res = core::solve_edd(part, prob.load, {}, opts);
   std::cout << "matrix-free FGMRES-GLS(7): "
             << (res.converged ? "converged" : "FAILED") << " in "
             << res.iterations << " iterations\n";

@@ -3,13 +3,13 @@
 // performance"; this bench measures what reordering is worth for the
 // methods that do depend on matrix structure: bandwidth and ILU(0)
 // quality under natural / shuffled / RCM orderings — and shows the
-// polynomial preconditioner is ordering-invariant.
+// polynomial preconditioner is ordering-invariant.  Each solve is
+// solve_rdd on a one-part partition of the (permuted) matrix.
 #include <iostream>
 #include <numeric>
 
 #include "bench_common.hpp"
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
+#include "core/rdd_solver.hpp"
 #include "exp/table.hpp"
 #include "fem/problems.hpp"
 #include "sparse/rcm.hpp"
@@ -27,25 +27,18 @@ struct Row {
 
 Row run(const std::string& name, const sparse::CsrMatrix& k,
         const Vector& f) {
-  const core::ScaledSystem s = core::scale_system(k, f);
+  const partition::RddPartition part =
+      partition::build_rdd_partition(k, IndexVector(f.size(), 0), 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 60000;
   Row row;
   row.name = name;
   row.bandwidth = sparse::bandwidth(k);
-  {
-    Vector x(s.b.size(), 0.0);
-    core::Ilu0Precond p(s.a);
-    row.ilu_iters = core::fgmres(s.a, s.b, x, p, opts).iterations;
-  }
-  {
-    Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(
-        core::LinearOp::from_csr(s.a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), 7));
-    row.gls_iters = core::fgmres(s.a, s.b, x, p, opts).iterations;
-  }
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  row.ilu_iters = core::solve_rdd(part, f, ilu, opts).iterations;
+  row.gls_iters = core::solve_rdd(part, f, {}, opts).iterations;  // GLS(7)
   return row;
 }
 

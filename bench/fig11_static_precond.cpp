@@ -1,12 +1,15 @@
 // Fig. 11: ILU(0) vs polynomial preconditioners for the *static*
-// cantilever (Mesh1 and Mesh2), single processor.  Paper's finding:
+// cantilever (Mesh1 and Mesh2), single processor: solve_rdd on a
+// one-part partition, the P = 1 case of Algorithm 8 (norm-1 scaling,
+// then FGMRES; block-Jacobi ILU(0) at P = 1 is ILU(0) of the scaled
+// matrix).  Paper's finding:
 //   GLS(7)  >  ILU(0)  >  Neumann(20)     ("converges faster than")
 // with all three far ahead of the unpreconditioned solver.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
+#include "core/rdd_solver.hpp"
+#include "exp/experiments.hpp"
 #include "exp/table.hpp"
 #include "fem/problems.hpp"
 
@@ -19,35 +22,37 @@ void run_mesh(int mesh_no) {
   exp::banner(std::cout, "Fig. 11 — static, Mesh" + std::to_string(mesh_no) +
                              " (" + std::to_string(prob.dofs.num_free()) +
                              " equations)");
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
+  const partition::RddPartition part = exp::make_rdd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 60000;
 
   exp::Table table({"preconditioner", "iterations", "mat-vecs/apply",
                     "final relres"});
-  auto run = [&](core::Preconditioner& p) {
-    Vector x(s.b.size(), 0.0);
-    const core::SolveReport res = core::fgmres(s.a, s.b, x, p, opts);
-    table.add_row({p.name(), exp::Table::integer(res.iterations),
-                   exp::Table::integer(p.matvecs_per_apply()),
+  auto run = [&](const core::RddOptions& rdd) {
+    const bool ilu = rdd.precond == core::RddOptions::Precond::BlockJacobiIlu;
+    const std::string name = ilu ? "ILU(0)" : rdd.poly.name();
+    const int matvecs =
+        ilu || rdd.poly.kind == core::PolyKind::None ? 0 : rdd.poly.degree;
+    const core::DistSolve res = core::solve_rdd(part, prob.load, rdd, opts);
+    table.add_row({name, exp::Table::integer(res.iterations),
+                   exp::Table::integer(matvecs),
                    exp::Table::sci(res.final_relres, 2)});
-    bench::print_history(p.name(), res.history);
+    bench::print_history(name, res.history);
+  };
+  auto poly = [](core::PolyKind kind, int degree) {
+    core::RddOptions rdd;
+    rdd.poly.kind = kind;
+    rdd.poly.degree = degree;
+    return rdd;
   };
 
-  core::IdentityPrecond none;
-  run(none);
-  core::Ilu0Precond ilu(s.a);
+  run(poly(core::PolyKind::None, 0));
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
   run(ilu);
-  core::IlukPrecond ilu1(s.a, 1);
-  run(ilu1);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
-  run(gls);
-  core::NeumannPrecond neumann(core::LinearOp::from_csr(s.a),
-                               core::NeumannPolynomial(20, 1.0));
-  run(neumann);
+  run(poly(core::PolyKind::Gls, 7));
+  run(poly(core::PolyKind::Neumann, 20));
   table.print(std::cout);
 }
 

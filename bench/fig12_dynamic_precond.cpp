@@ -3,11 +3,11 @@
 // [K + a0·M] u = f̂ solved per step.  The mass shift improves the
 // conditioning, so every preconditioner converges faster than in the
 // static case, with the same GLS(7) > ILU(0) > Neumann(20) ordering.
+// Single processor: each step is solve_rdd on a one-part partition of
+// the effective matrix (timeint::run_dynamic_sequential).
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
 #include "exp/table.hpp"
 #include "fem/problems.hpp"
 #include "timeint/dynamic_driver.hpp"
@@ -30,10 +30,9 @@ void run_mesh(int mesh_no) {
 
   exp::Table table({"preconditioner", "iters step1", "iters step2",
                     "iters step3", "total"});
-  auto run = [&](const std::string& name,
-                 const timeint::PrecondFactory& factory) {
+  auto run = [&](const std::string& name, const core::RddOptions& rdd) {
     const timeint::DynamicRunResult res = timeint::run_dynamic_sequential(
-        prob.stiffness, m, prob.load, opts, factory);
+        prob.stiffness, m, prob.load, opts, rdd);
     table.add_row({name,
                    exp::Table::integer(res.iterations_per_step[0]),
                    exp::Table::integer(res.iterations_per_step[1]),
@@ -41,22 +40,19 @@ void run_mesh(int mesh_no) {
                    exp::Table::integer(res.total_iterations)});
     bench::print_history(name + " (step 1)", res.first_step_history);
   };
+  auto poly = [](core::PolyKind kind, int degree) {
+    core::RddOptions rdd;
+    rdd.poly.kind = kind;
+    rdd.poly.degree = degree;
+    return rdd;
+  };
 
-  run("none", [](const sparse::CsrMatrix&) {
-    return std::make_unique<core::IdentityPrecond>();
-  });
-  run("ILU(0)", [](const sparse::CsrMatrix& a) {
-    return std::make_unique<core::Ilu0Precond>(a);
-  });
-  run("GLS(7)", [](const sparse::CsrMatrix& a) {
-    return std::make_unique<core::GlsPrecond>(
-        core::LinearOp::from_csr(a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), 7));
-  });
-  run("Neumann(20)", [](const sparse::CsrMatrix& a) {
-    return std::make_unique<core::NeumannPrecond>(
-        core::LinearOp::from_csr(a), core::NeumannPolynomial(20, 1.0));
-  });
+  run("none", poly(core::PolyKind::None, 0));
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  run("ILU(0)", ilu);
+  run("GLS(7)", poly(core::PolyKind::Gls, 7));
+  run("Neumann(20)", poly(core::PolyKind::Neumann, 20));
   table.print(std::cout);
 }
 

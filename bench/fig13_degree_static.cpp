@@ -2,12 +2,13 @@
 // Mesh1 and Mesh2.  Paper's ordering in iteration count:
 //   GLS(20) > GLS(10) > GLS(7) > GLS(3) > GLS(1)
 // (but each iteration of a higher degree costs more mat-vecs — the
-// time trade-off is what Table 3 explores).
+// time trade-off is what Table 3 explores).  Single processor:
+// solve_rdd on a one-part partition (Algorithm 8 at P = 1).
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
+#include "core/rdd_solver.hpp"
+#include "exp/experiments.hpp"
 #include "exp/table.hpp"
 #include "fem/problems.hpp"
 
@@ -19,7 +20,7 @@ void run_mesh(int mesh_no) {
   const fem::CantileverProblem prob = fem::make_table2_cantilever(mesh_no);
   exp::banner(std::cout, "Fig. 13 — static degree sweep, Mesh" +
                              std::to_string(mesh_no));
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
+  const partition::RddPartition part = exp::make_rdd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 60000;
@@ -27,16 +28,14 @@ void run_mesh(int mesh_no) {
   exp::Table table({"preconditioner", "iterations", "total mat-vecs",
                     "final relres"});
   for (int m : {1, 3, 7, 10, 20}) {
-    core::GlsPrecond p(
-        core::LinearOp::from_csr(s.a),
-        core::GlsPolynomial(core::default_theta_after_scaling(), m));
-    Vector x(s.b.size(), 0.0);
-    const core::SolveReport res = core::fgmres(s.a, s.b, x, p, opts);
-    table.add_row({p.name(), exp::Table::integer(res.iterations),
+    core::RddOptions rdd;
+    rdd.poly.degree = m;
+    const core::DistSolve res = core::solve_rdd(part, prob.load, rdd, opts);
+    table.add_row({rdd.poly.name(), exp::Table::integer(res.iterations),
                    exp::Table::integer(static_cast<long long>(res.iterations) *
                                        (m + 1)),
                    exp::Table::sci(res.final_relres, 2)});
-    bench::print_history(p.name(), res.history);
+    bench::print_history(rdd.poly.name(), res.history);
   }
   table.print(std::cout);
 }

@@ -56,14 +56,9 @@ int main(int argc, char** argv) {
       prob.dofs.dof(tip_nodes[tip_nodes.size() / 2], 0);
 
   const std::size_t n = prob.load.size();
-  Vector u(n, 0.0), v(n, 0.0), a(n, 0.0);
+  Vector u(n, 0.0), v(n, 0.0);
   // a0 from M a = f (zero initial displacement/velocity).
-  {
-    core::JacobiPrecond jac(m);
-    core::SolveOptions io;
-    io.tol = 1e-10;
-    (void)core::fgmres(m, prob.load, a, jac, io);
-  }
+  Vector a = timeint::initial_acceleration(m, prob.load);
 
   exp::Table table({"step", "t", "iterations", "tip u_x"});
   index_t total_iters = 0;

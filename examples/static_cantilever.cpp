@@ -6,9 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/diag_scaling.hpp"
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "exp/table.hpp"
@@ -28,25 +26,24 @@ int main(int argc, char** argv) {
                              std::to_string(prob.dofs.num_free()) +
                              " equations, P = " + std::to_string(nparts));
 
-  // --- Sequential preconditioner shoot-out (scaled system).
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
+  // --- Single-process preconditioner shoot-out: solve_rdd on a
+  // one-part partition (norm-1 scaling, then FGMRES).
+  const partition::RddPartition one = exp::make_rdd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 60000;
   exp::Table seq({"sequential preconditioner", "iterations"});
-  {
-    Vector x(s.b.size(), 0.0);
-    core::Ilu0Precond p(s.a);
-    seq.add_row({p.name(), exp::Table::integer(
-                               core::fgmres(s.a, s.b, x, p, opts).iterations)});
-  }
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  seq.add_row({"ILU(0)", exp::Table::integer(
+                             core::solve_rdd(one, prob.load, ilu, opts)
+                                 .iterations)});
   for (int m : {3, 7, 10}) {
-    Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           m));
-    seq.add_row({p.name(), exp::Table::integer(
-                               core::fgmres(s.a, s.b, x, p, opts).iterations)});
+    core::RddOptions gls;
+    gls.poly.degree = m;
+    seq.add_row({gls.poly.name(),
+                 exp::Table::integer(
+                     core::solve_rdd(one, prob.load, gls, opts).iterations)});
   }
   seq.print(std::cout);
 

@@ -1,6 +1,7 @@
 #include "core/edd_batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -533,7 +534,12 @@ void fgmres_rank(Rank& r, const Op& a, std::span<const real_t> d,
             opts.observe.progress(iters[b], relres[b], b);
         }
         jcols[b] = j + 1;
-        if (hnext == 0.0 || hnext <= 1e-14 * beta0[b]) {
+        // Lucky breakdown, judged against the Hessenberg column's own
+        // norm ‖Â z_j‖ = √(h_0² + … + h_j² + hnext²): like hnext it does
+        // not scale with b, so the test holds at every load magnitude.
+        real_t col2 = hnext * hnext;
+        for (std::size_t k = 0; k <= jj; ++k) col2 += h[b][k] * h[b][k];
+        if (hnext == 0.0 || hnext <= 1e-14 * std::sqrt(col2)) {
           frozen[b] = 1;
           brk[b] = 1;
           continue;

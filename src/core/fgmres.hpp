@@ -1,11 +1,9 @@
-// Sequential flexible GMRES with restart (Algorithm 1).
-//
-// Right-preconditioned flavour: the solution update uses the
-// preconditioned vectors z_j = C v_j instead of the basis v_j, which is
-// what allows the preconditioner to vary between iterations ("flexible").
-// Classical Gram–Schmidt orthogonalization (as in the paper's
-// Algorithms 5/6/8), Givens-rotation incremental least squares, restart
-// at m̃, convergence on ‖r_i‖₂/‖r₀‖₂ ≤ tol (§6.1).
+// The options every FGMRES/PCG entry point takes, and their one input
+// check.  FGMRES itself (Algorithm 1, right-preconditioned and flexible:
+// the update uses z_j = C v_j, so C may vary between iterations) is one
+// driver, detail::fgmres_rank (core/edd_kernels.hpp): solve_edd runs it
+// in EDD's rank space (Algorithms 5/6), solve_rdd in RDD's (Algorithm
+// 8), and a one-process solve is solve_rdd on a one-part partition.
 #pragma once
 
 #include <span>
@@ -14,15 +12,13 @@
 #include "common/types.hpp"
 #include "core/deflation.hpp"
 #include "core/kernels.hpp"
-#include "core/operator.hpp"
-#include "core/precond.hpp"
 #include "core/solve_report.hpp"
 #include "obs/trace.hpp"
 
 namespace pfem::core {
 
 /// The ONE canonical solver-option shape, used identically by the
-/// library API (fgmres / solve_edd / solve_edd_batch), the solve
+/// library API (solve_edd / solve_rdd / solve_edd_batch), the solve
 /// service (svc::SolveRequest::opts), and the wire protocol
 /// (net::proto::SolveRequestMsg carries the convergence + session
 /// fields; kernel/deflation/observe stay server-side policy):
@@ -56,7 +52,7 @@ struct SolveOptions {
   /// Two-level subdomain deflation around the polynomial preconditioner
   /// (EDD-FGMRES only: the coarse space is built on EDD subdomains, so
   /// solve_rdd rejects it, and so does EDD-PCG — A-DEF1 is not
-  /// symmetric; the sequential path ignores it).
+  /// symmetric).
   /// Off by default — enabling it adds one small allreduce and one
   /// mat-vec per preconditioner application and keeps iteration counts
   /// flat under weak scaling.  The warm batch path takes its deflation
@@ -70,7 +66,7 @@ struct SolveOptions {
   obs::ObserveOptions observe;
 };
 
-/// The one input check of every solve entry point (fgmres, solve_edd,
+/// The one input check of every solve entry point (solve_edd,
 /// solve_edd_cg, solve_edd_batch, solve_rdd) and of the solve
 /// service's admission: restart >= 1 (skipped when `restarted` is false:
 /// CG does not restart), max_iters >= 1, a finite tol > 0 and finite RHS
@@ -82,16 +78,5 @@ struct SolveOptions {
 /// Throws pfem::Error with solve_input_error's message, if it has one.
 void check_solve_input(const SolveOptions& opts, std::span<const real_t> rhs,
                        bool restarted = true);
-
-/// Solve A x = b with initial guess x (overwritten by the solution).
-[[nodiscard]] SolveReport fgmres(const LinearOp& a, std::span<const real_t> b,
-                                 std::span<real_t> x, Preconditioner& precond,
-                                 const SolveOptions& opts = {});
-
-/// Convenience overload for CSR systems.
-[[nodiscard]] SolveReport fgmres(const sparse::CsrMatrix& a,
-                                 std::span<const real_t> b,
-                                 std::span<real_t> x, Preconditioner& precond,
-                                 const SolveOptions& opts = {});
 
 }  // namespace pfem::core

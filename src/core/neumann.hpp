@@ -3,10 +3,10 @@
 // P_m(A) = ω (I + G + G² + ... + G^m),  G = I − ωA,
 // valid whenever ρ(G) < 1 (Theorem 2) — guaranteed with ω = 1 after the
 // norm-1 diagonal scaling maps σ(A) into (0,1).  Application is m
-// mat-vecs through the abstract LinearOp, so the same code runs
-// sequentially and on the EDD/RDD distributed operators (where each
-// mat-vec embeds one nearest-neighbor exchange, giving the paper's
-// per-iteration exchange count).
+// mat-vecs in detail::PolyApplier's recursion: here through a LinearOp
+// at width 1, and in the EDD/RDD solvers on the distributed operators
+// (where each mat-vec embeds one nearest-neighbor exchange, giving the
+// paper's per-iteration exchange count).
 #pragma once
 
 #include <span>

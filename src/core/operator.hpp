@@ -1,8 +1,9 @@
 // Abstract linear operator.
 //
 // The polynomial preconditioners apply P_m(A)v purely through mat-vec
-// products, so they are written against this minimal operator concept.
-// Sequentially the operator is a CSR SpMV; in the EDD/RDD solvers it is
+// products.  Their width-1 apply(const LinearOp&, ...) takes this
+// minimal operator, usually a CSR SpMV (probes, micro-benchmarks and
+// the polynomial tests).  The EDD/RDD solvers run the same recursion on
 // the *distributed* mat-vec (local SpMV + nearest-neighbor exchange),
 // which is precisely how the paper parallelizes preconditioning at zero
 // extra machinery.

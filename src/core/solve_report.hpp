@@ -6,7 +6,7 @@
 // Every consumer (benches, the convergence tables, the service) had to
 // know which one it was holding.  Now there is one `SolveReport` with
 // the convergence story every solve can tell — including the
-// per-iteration residual history the sequential path always recorded —
+// per-iteration residual history —
 // and one solution-carrying extension `DistSolve` for distributed
 // solves.  The old names remain as aliases so existing call sites
 // compile unchanged.

@@ -7,7 +7,7 @@
 //
 // Two paths, mirroring the paper's Definitions 1/2:
 //  * assemble over *all* elements in the global free-dof numbering — the
-//    fully assembled K of Eq. 1 (what the sequential solver and the
+//    fully assembled K of Eq. 1 (what the one-process solves and the
 //    row-based RDD partitioning use);
 //  * assemble over an element *subset* in a caller-supplied local
 //    numbering — the "local distributed" subdomain matrix K̂_loc^(s) of

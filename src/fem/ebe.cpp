@@ -62,12 +62,4 @@ void EbeOperator::apply(std::span<const real_t> x,
   store_.apply_add(0, store_.num_elems(), x, y);
 }
 
-core::LinearOp EbeOperator::as_linear_op() const {
-  return core::LinearOp(
-      store_.rows(),
-      [this](std::span<const real_t> x, std::span<real_t> y) {
-        apply(x, y);
-      });
-}
-
 }  // namespace pfem::fem

@@ -16,7 +16,6 @@
 // safe to run concurrently from multiple threads.
 #pragma once
 
-#include "core/operator.hpp"
 #include "fem/assembly.hpp"
 #include "fem/dofmap.hpp"
 #include "fem/mesh.hpp"
@@ -55,9 +54,6 @@ class EbeOperator {
   /// y <- K x (free-dof vectors).  Allocation-free: the element sweep
   /// works on stack scratch bounded by sparse::kMaxEbeElemDofs.
   void apply(std::span<const real_t> x, std::span<real_t> y) const;
-
-  /// Wrap as an abstract operator for the Krylov solvers.
-  [[nodiscard]] core::LinearOp as_linear_op() const;
 
   /// The underlying element store (shared with the rank-kernel format).
   [[nodiscard]] const sparse::EbeStore& store() const noexcept {

@@ -1,11 +1,10 @@
 // Coordinate-format (triplet) accumulator.
 //
 // Callers that have triplets rather than element blocks — MatrixMarket
-// input, the generators, ILU(k) fill, RCM permutation and the RDD row
-// blocks — append them here; `build()` merges duplicates and emits a CSR
-// matrix.  Finite element assembly does not come through here: it goes
-// element store -> CSR (sparse::EbeStore::to_csr), with the same
-// duplicate rule.
+// input, the generators, RCM permutation and the RDD row blocks —
+// append them here; `build()` merges duplicates and emits a CSR matrix.
+// Finite element assembly does not come through here: it goes element
+// store -> CSR (sparse::EbeStore::to_csr), with the same duplicate rule.
 #pragma once
 
 #include <vector>

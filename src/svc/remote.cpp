@@ -1,9 +1,12 @@
 #include "svc/remote.hpp"
 
 #include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <functional>
 
 #include "net/sockets.hpp"
@@ -31,21 +34,49 @@ void store_u64_le(unsigned char* p, std::uint64_t v) {
   return v;
 }
 
-/// Read one complete frame.  Returns true with st==Ok on success;
-/// false with st==Ok on a clean close before the header; false with
-/// st!=Ok on anything malformed (bad header, mid-frame EOF, socket
-/// error) — callers count the latter and close the connection.
+using Deadline = std::chrono::time_point<Clock, std::chrono::duration<double>>;
+
+/// net::read_full, with every wait for bytes bounded by `deadline` when
+/// one is given: false on EOF or once the deadline has passed.
+[[nodiscard]] bool read_bytes(int fd, unsigned char* p, std::size_t n,
+                              const Deadline* deadline) {
+  if (deadline == nullptr) return net::read_full(fd, p, n);
+  for (std::size_t got = 0; got < n;) {
+    const double left_ms =
+        std::chrono::duration<double, std::milli>(*deadline - Clock::now())
+            .count();
+    pollfd readable{fd, POLLIN, 0};
+    if (!(left_ms > 0.0) ||
+        ::poll(&readable, 1,
+               static_cast<int>(std::min(std::ceil(left_ms), 1e9))) != 1)
+      return false;
+    const ssize_t r = ::read(fd, p + got, n - got);
+    if (r > 0)
+      got += static_cast<std::size_t>(r);
+    else if (r == 0 || errno != EINTR)
+      return false;
+  }
+  return true;
+}
+
+/// Read one complete frame, by `deadline` when one is given.  Returns
+/// true with st==Ok on success; false with st==Ok on a clean close
+/// before the header; false with st!=Ok on anything malformed (bad
+/// header, mid-frame EOF, socket error, deadline passed mid-frame) —
+/// callers count the latter and close the connection.
 [[nodiscard]] bool read_frame(int fd, proto::ProtoHeader& h,
                               std::vector<unsigned char>& body,
-                              proto::DecodeStatus& st) {
+                              proto::DecodeStatus& st,
+                              const Deadline* deadline = nullptr) {
   st = proto::DecodeStatus::Ok;
   unsigned char hdr[proto::kProtoHeaderBytes];
   try {
-    if (!net::read_full(fd, hdr, sizeof hdr)) return false;
+    if (!read_bytes(fd, hdr, sizeof hdr, deadline)) return false;
     st = proto::decode_header({hdr, sizeof hdr}, h);
     if (st != proto::DecodeStatus::Ok) return false;
     body.resize(h.body_len);
-    if (h.body_len != 0 && !net::read_full(fd, body.data(), body.size())) {
+    if (h.body_len != 0 &&
+        !read_bytes(fd, body.data(), body.size(), deadline)) {
       st = proto::DecodeStatus::Truncated;
       return false;
     }
@@ -58,15 +89,16 @@ void store_u64_le(unsigned char* p, std::uint64_t v) {
 
 /// Connect to `addr` and run the Hello/HelloAck handshake as `name`,
 /// filling `ack`; returns the connected fd.  connect() succeeds on a
-/// peer's listen backlog before the peer ever accepts, so the wait for
-/// the HelloAck is bounded by what is left of `timeout_seconds`; later
-/// reads block, because a solve may run long.  Any failure throws
-/// pfem::Error "<what> with <addr> failed".
+/// peer's listen backlog before the peer ever accepts, so the whole
+/// HelloAck read is bounded by what is left of `timeout_seconds` (a
+/// peer that stalls mid-frame fails it too); later reads block,
+/// because a solve may run long.  Any failure throws pfem::Error
+/// "<what> with <addr> failed".
 [[nodiscard]] int handshake(const std::string& addr, const std::string& name,
                             double timeout_seconds, const std::string& what,
                             proto::HelloAckMsg& ack) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
+  const Deadline deadline =
+      Clock::now() + std::chrono::duration<double>(timeout_seconds);
   const int fd = net::connect_to(addr, timeout_seconds);
   bool ok = false;
   try {
@@ -75,13 +107,8 @@ void store_u64_le(unsigned char* p, std::uint64_t v) {
     proto::ProtoHeader h;
     std::vector<unsigned char> body;
     proto::DecodeStatus st;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    pollfd readable{fd, POLLIN, 0};
     ok = net::write_full(fd, out.data(), out.size()) &&
-         ::poll(&readable, 1, static_cast<int>(std::max<std::int64_t>(
-                                  left.count(), 1))) == 1 &&
-         read_frame(fd, h, body, st) &&
+         read_frame(fd, h, body, st, &deadline) &&
          static_cast<proto::MsgType>(h.type) == proto::MsgType::HelloAck &&
          proto::decode_hello_ack(body, ack) == proto::DecodeStatus::Ok;
   } catch (const std::exception&) {
@@ -124,6 +151,26 @@ void emit_raw_frame(net::ByteBuffer& out, std::uint16_t type,
 
 void clip_detail(std::string& s) {
   if (s.size() > kMaxDetailBytes) s.resize(kMaxDetailBytes);
+}
+
+/// The router's own answer to a request whose shard connection ended: a
+/// typed comm failure for a solve, a failed ack for a session frame.
+void encode_lost(net::ByteBuffer& out, bool is_solve,
+                 std::uint64_t client_req_id) {
+  out.clear();
+  if (is_solve) {
+    proto::SolveResponseMsg resp;
+    resp.req_id = client_req_id;
+    resp.status = proto::SolveStatus::Failed;
+    resp.comm = true;
+    resp.detail = "router: shard connection lost";
+    proto::encode_solve_response(out, resp);
+  } else {
+    proto::SessionAckMsg ack;
+    ack.req_id = client_req_id;
+    ack.detail = "router: shard connection lost";
+    proto::encode_session_ack(out, ack);
+  }
 }
 
 /// Close an ended connection's fd and mark it -1 (ended, ready to
@@ -504,6 +551,7 @@ struct Router::Shard {
   int nranks = 0;
   std::mutex write_m;
   std::size_t inflight = 0;  ///< guarded by Router::m_
+  bool down = false;         ///< connection ended; guarded by Router::m_
   std::thread reader;
 };
 
@@ -545,16 +593,18 @@ Router::~Router() { stop(); }
 std::size_t Router::pick_shard(const std::string& operator_key,
                                bool& spilled) {
   // Caller holds m_.  Affinity first: repeat keys land on the shard
-  // whose OperatorCache already holds the built operator.
+  // whose OperatorCache already holds the built operator.  Down shards
+  // are skipped.
   spilled = false;
   const std::size_t affine =
       std::hash<std::string>{}(operator_key) % shards_.size();
-  if (shards_[affine]->inflight < cfg_.max_inflight_per_shard)
+  if (!shards_[affine]->down &&
+      shards_[affine]->inflight < cfg_.max_inflight_per_shard)
     return affine;
   std::size_t best = kNoShard;
   std::size_t best_load = cfg_.max_inflight_per_shard;
   for (std::size_t i = 0; i < shards_.size(); ++i)
-    if (shards_[i]->inflight < best_load) {
+    if (!shards_[i]->down && shards_[i]->inflight < best_load) {
       best_load = shards_[i]->inflight;
       best = i;
     }
@@ -626,10 +676,12 @@ void Router::client_reader(const std::shared_ptr<ClientConn>& c) {
     // Session traffic is PINNED: the session's warm state lives in the
     // affine shard's SessionTable, so open/close and session solves go
     // there unconditionally — never spilled, never shed at the router
-    // (the shard's own admission control is the backstop).
+    // (the shard's own admission control is the backstop).  When that
+    // shard is down they fail typed at once.
     const bool pinned = is_session_frame || session_id != 0;
     std::size_t shard = kNoShard;
     std::uint64_t rid = 0;
+    bool lost = false;
     {
       std::lock_guard<std::mutex> lk(m_);
       bool spilled = false;
@@ -638,9 +690,14 @@ void Router::client_reader(const std::shared_ptr<ClientConn>& c) {
       else
         shard = pick_shard(key, spilled);
       if (shard != kNoShard) {
-        rid = next_id_++;
-        if (is_solve) ++shards_[shard]->inflight;
-        pending_.emplace(rid, Pending{c, client_id, shard, is_solve});
+        lost = shards_[shard]->down;  // only a pinned pick can be down
+        if (lost) {
+          ++stats_.lost;
+        } else {
+          rid = next_id_++;
+          if (is_solve) ++shards_[shard]->inflight;
+          pending_.emplace(rid, Pending{c, client_id, shard, is_solve});
+        }
         if (is_solve) {
           ++stats_.forwarded;
           if (spilled)
@@ -663,36 +720,35 @@ void Router::client_reader(const std::shared_ptr<ClientConn>& c) {
       resp.status = proto::SolveStatus::Rejected;
       resp.reject_reason =
           static_cast<std::uint32_t>(RejectReason::QueueFull);
-      resp.detail = "router backpressure: all shards saturated";
+      resp.detail = "router backpressure: no live shard has room";
       out.clear();
       proto::encode_solve_response(out, resp);
+      if (!write_buf(c->fd, c->write_m, out)) break;
+      continue;
+    }
+    if (lost) {
+      encode_lost(out, is_solve, client_id);
       if (!write_buf(c->fd, c->write_m, out)) break;
       continue;
     }
     store_u64_le(body.data(), rid);  // in-place req_id rewrite
     emit_raw_frame(out, h.type, body);
     if (!write_buf(shards_[shard]->fd, shards_[shard]->write_m, out)) {
-      // Shard connection died: undo and answer with a typed failure.
+      // Shard connection died: mark it down and, unless its reader has
+      // already answered this request, answer with a typed failure.
       {
         std::lock_guard<std::mutex> lk(m_);
-        if (is_solve) --shards_[shard]->inflight;
-        pending_.erase(rid);
+        shards_[shard]->down = true;
+        lost = pending_.erase(rid) == 1;
+        if (lost) {
+          if (is_solve) --shards_[shard]->inflight;
+          ++stats_.lost;
+        }
       }
-      out.clear();
-      if (is_solve) {
-        proto::SolveResponseMsg resp;
-        resp.req_id = client_id;
-        resp.status = proto::SolveStatus::Failed;
-        resp.comm = true;
-        resp.detail = "router: shard connection lost";
-        proto::encode_solve_response(out, resp);
-      } else {
-        proto::SessionAckMsg ack;
-        ack.req_id = client_id;
-        ack.detail = "router: shard connection lost";
-        proto::encode_session_ack(out, ack);
+      if (lost) {
+        encode_lost(out, is_solve, client_id);
+        if (!write_buf(c->fd, c->write_m, out)) break;
       }
-      if (!write_buf(c->fd, c->write_m, out)) break;
     }
   }
   // Wake a shard reader blocked writing to this client, then end it.
@@ -730,6 +786,25 @@ void Router::shard_reader(std::size_t shard_idx) {
     if (!found) continue;  // client vanished and entry was reaped
     store_u64_le(body.data(), p.client_req_id);
     emit_raw_frame(out, h.type, body);
+    (void)write_buf(p.conn->fd, p.conn->write_m, out);  // false once ended
+  }
+  // The connection ended (EOF, error, or a frame no shard sends): mark
+  // the shard down and answer what is still pending on it, so no client
+  // waits on a shard that is gone.
+  std::vector<Pending> orphans;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    sh.down = true;
+    sh.inflight = 0;
+    std::erase_if(pending_, [&](auto& kv) {
+      if (kv.second.shard != shard_idx) return false;
+      orphans.push_back(std::move(kv.second));
+      return true;
+    });
+    stats_.lost += orphans.size();
+  }
+  for (const Pending& p : orphans) {
+    encode_lost(out, p.counted, p.client_req_id);
     (void)write_buf(p.conn->fd, p.conn->write_m, out);  // false once ended
   }
 }

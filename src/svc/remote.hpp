@@ -21,7 +21,7 @@
 //            mod nshards — so repeat keys land on the shard that has
 //            the operator built and warm.  A saturated affine shard
 //            (>= max_inflight_per_shard in flight) spills to the
-//            least-loaded shard; when every shard is saturated the
+//            least-loaded shard; when no live shard has room the
 //            router sheds load itself with a typed Rejected{QueueFull}
 //            response, mirroring the service's own admission control.
 //            Session traffic (SessionOpen/SessionClose, and any
@@ -29,7 +29,10 @@
 //            affine shard and never spills or sheds at the router: the
 //            session's warm state lives in exactly one shard's
 //            SessionTable, so sending its requests anywhere else would
-//            silently run them cold.
+//            silently run them cold.  When a shard's connection ends,
+//            the router marks it down and answers everything pending on
+//            it with a typed failure; affine traffic then spills to the
+//            live shards, and pinned traffic fails typed at once.
 #pragma once
 
 #include <atomic>
@@ -174,6 +177,12 @@ class Router {
     /// is the backstop) so warm per-session state is never stranded on
     /// the wrong shard.
     std::uint64_t session_pinned = 0;
+    /// Routed requests and session frames the router answered itself
+    /// (Failed{comm} or a failed ack) because their shard's connection
+    /// had ended: in flight when it ended, or routed to it afterwards.
+    /// With nothing in flight, forwarded + session_frames = responses +
+    /// lost.
+    std::uint64_t lost = 0;
   };
 
   /// Connects to every shard (handshaking as a client) and starts
@@ -199,8 +208,9 @@ class Router {
   void accept_loop();
   void client_reader(const std::shared_ptr<ClientConn>& c);
   void shard_reader(std::size_t shard_idx);
-  /// Affinity-first shard choice under m_; returns npos when all are
-  /// saturated.  Sets `spilled` when the affine shard was passed over.
+  /// Affinity-first choice among the live shards under m_; returns npos
+  /// when none has room.  Sets `spilled` when the affine shard was
+  /// passed over.
   [[nodiscard]] std::size_t pick_shard(const std::string& operator_key,
                                        bool& spilled);
 

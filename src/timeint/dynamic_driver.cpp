@@ -1,63 +1,48 @@
 #include "timeint/dynamic_driver.hpp"
 
 #include "common/error.hpp"
-#include "core/diag_scaling.hpp"
 #include "fem/assembly.hpp"
-#include "la/vector_ops.hpp"
 
 namespace pfem::timeint {
 
-namespace {
-
-/// Initial acceleration: M a0 = f - K u0 (u0 = 0 here), solved with
-/// Jacobi-FGMRES — M is well conditioned, this converges in a few steps.
 Vector initial_acceleration(const sparse::CsrMatrix& m,
                             std::span<const real_t> f) {
-  Vector a(f.size(), 0.0);
-  core::JacobiPrecond jacobi(m);
+  core::RddOptions none;
+  none.poly.kind = core::PolyKind::None;
   core::SolveOptions opts;
   opts.tol = 1e-10;
-  const core::SolveReport res = core::fgmres(m, f, a, jacobi, opts);
+  core::DistSolve res = core::solve_rdd(
+      partition::build_rdd_partition(m, IndexVector(f.size(), 0), 1), f,
+      none, opts);
   PFEM_CHECK_MSG(res.converged, "initial-acceleration solve failed");
-  return a;
+  return std::move(res.x);
 }
-
-}  // namespace
 
 DynamicRunResult run_dynamic_sequential(const sparse::CsrMatrix& k,
                                         const sparse::CsrMatrix& m,
                                         std::span<const real_t> f,
                                         const DynamicRunOptions& opts,
-                                        const PrecondFactory& make_precond) {
+                                        const core::RddOptions& precond) {
   PFEM_CHECK(opts.steps >= 1);
   const std::size_t n = f.size();
   const Newmark nm(k, m, opts.newmark);
-
-  // Scale the (step-invariant) effective matrix once; per step only the
-  // rhs changes.
-  Vector zero(n, 0.0);
-  core::ScaledSystem scaled = core::scale_system(nm.k_eff(), zero);
-  std::unique_ptr<core::Preconditioner> precond = make_precond(scaled.a);
-  PFEM_CHECK(precond != nullptr);
+  // The effective matrix is step-invariant: one one-part partition for
+  // the run; per step only the rhs changes.
+  const partition::RddPartition part =
+      partition::build_rdd_partition(nm.k_eff(), IndexVector(n, 0), 1);
 
   DynamicRunResult result;
   Vector u(n, 0.0), v(n, 0.0);
   Vector a = initial_acceleration(m, f);
-
-  Vector x(n), b(n);
   for (index_t step = 0; step < opts.steps; ++step) {
     const Vector rhs = nm.effective_rhs(u, v, a, f);
-    for (std::size_t i = 0; i < n; ++i) b[i] = scaled.d[i] * rhs[i];
-    la::fill(x, 0.0);
-    const core::SolveReport sr =
-        core::fgmres(scaled.a, b, x, *precond, opts.solve);
+    const core::DistSolve sr =
+        core::solve_rdd(part, rhs, precond, opts.solve);
     result.all_converged = result.all_converged && sr.converged;
     result.iterations_per_step.push_back(sr.iterations);
     result.total_iterations += sr.iterations;
     if (step == 0) result.first_step_history = sr.history;
-
-    const Vector u_new = scaled.unscale(x);
-    nm.advance(u_new, u, v, a);
+    nm.advance(sr.x, u, v, a);
   }
   result.u_final = std::move(u);
   return result;

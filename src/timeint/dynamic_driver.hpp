@@ -4,12 +4,7 @@
 // studies).
 #pragma once
 
-#include <functional>
-#include <memory>
-
-#include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
-#include "core/precond.hpp"
+#include "core/rdd_solver.hpp"
 #include "fem/problems.hpp"
 #include "partition/edd.hpp"
 #include "timeint/newmark.hpp"
@@ -30,17 +25,21 @@ struct DynamicRunResult {
   bool all_converged = true;
 };
 
-/// Builds the preconditioner for the *scaled* effective matrix once per
-/// run (the effective matrix is constant over steps).
-using PrecondFactory = std::function<std::unique_ptr<core::Preconditioner>(
-    const sparse::CsrMatrix& a_scaled)>;
+/// Initial acceleration from M a₀ = f − K u₀ with u₀ = 0: solve_rdd on a
+/// one-part partition of M, unpreconditioned after the norm-1 scaling,
+/// to 1e-10 (M is well conditioned: a few tens of iterations).  Throws
+/// pfem::Error when that solve does not converge.
+[[nodiscard]] Vector initial_acceleration(const sparse::CsrMatrix& m,
+                                          std::span<const real_t> f);
 
-/// Sequential dynamic run: constant load f, homogeneous initial
-/// conditions, initial acceleration from M a₀ = f − K u₀.
+/// One-process dynamic run: constant load f, homogeneous initial
+/// conditions, a₀ from initial_acceleration.  Every step is solve_rdd
+/// with `precond` on one one-part partition of the step-invariant
+/// effective matrix K + a0·M, built once per run.
 [[nodiscard]] DynamicRunResult run_dynamic_sequential(
     const sparse::CsrMatrix& k, const sparse::CsrMatrix& m,
     std::span<const real_t> f, const DynamicRunOptions& opts,
-    const PrecondFactory& make_precond);
+    const core::RddOptions& precond);
 
 struct EddDynamicResult : DynamicRunResult {
   /// Element-wise per-rank counters summed over all steps' solves.

@@ -6,8 +6,8 @@
 
 #include "core/cg.hpp"
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/elements.hpp"
 #include "fem/problems.hpp"
@@ -124,13 +124,7 @@ TEST(Cantilever3d, EddSolveMatchesSequential) {
   spec.nz = 2;
   const fem::CantileverProblem prob = fem::make_cantilever_3d(spec);
 
-  Vector x_ref(prob.load.size(), 0.0);
-  core::Ilu0Precond ilu(prob.stiffness);
-  core::SolveOptions ref_opts;
-  ref_opts.tol = 1e-12;
-  ref_opts.max_iters = 50000;
-  ASSERT_TRUE(core::fgmres(prob.stiffness, prob.load, x_ref, ilu, ref_opts)
-                  .converged);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   for (int p : {2, 4}) {
     const partition::EddPartition part = exp::make_edd(prob, p);

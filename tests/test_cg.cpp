@@ -7,7 +7,7 @@
 #include <string>
 
 #include "core/cg.hpp"
-#include "core/fgmres.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fault/fault.hpp"
 #include "fem/problems.hpp"
@@ -25,13 +25,7 @@ TEST_P(EddCgTest, MatchesSequentialSolution) {
   spec.ny = 5;
   const fem::CantileverProblem prob = fem::make_cantilever(spec);
 
-  Vector x_ref(prob.load.size(), 0.0);
-  Ilu0Precond ilu(prob.stiffness);
-  SolveOptions ref_opts;
-  ref_opts.tol = 1e-12;
-  ref_opts.max_iters = 50000;
-  ASSERT_TRUE(
-      fgmres(prob.stiffness, prob.load, x_ref, ilu, ref_opts).converged);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::EddPartition part = exp::make_edd(prob, nparts);
   PolySpec poly;

@@ -6,9 +6,7 @@
 
 #include "core/chebyshev.hpp"
 #include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
 #include "core/gls_poly.hpp"
-#include "core/precond.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
@@ -100,30 +98,35 @@ TEST(Chebyshev, ComparableToGlsOnSameInterval) {
 
 TEST(Chebyshev, PrecondSpeedsUpFgmresWithMatchedInterval) {
   // Chebyshev equioscillates over its *whole* interval, so unlike GLS it
-  // needs an interval matched to the spectrum (a Lanczos estimate) —
-  // with one it must beat the unpreconditioned solver.
+  // needs an interval matched to the spectrum (a Lanczos estimate of the
+  // norm-1 scaled operator the solver iterates on) — with one it must
+  // beat the unpreconditioned solver.  One process: solve_rdd at P = 1.
   const sparse::CsrMatrix a = sparse::laplace2d(12, 12);
-  Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
+  const partition::RddPartition part =
+      partition::build_rdd_partition(a, IndexVector(b.size(), 0), 1);
   SolveOptions opts;
   opts.tol = 1e-8;
   opts.max_iters = 20000;
 
-  Vector x0(b.size(), 0.0);
-  IdentityPrecond none;
-  const SolveReport plain = fgmres(a, b, x0, none, opts);
+  RddOptions plain;
+  plain.poly.kind = PolyKind::None;
+  const DistSolve r_plain = solve_rdd(part, b, plain, opts);
 
-  const sparse::Interval iv = sparse::estimate_spectrum(a, 30);
-  Vector x1(b.size(), 0.0);
-  ChebyshevPrecond cheb(LinearOp::from_csr(a),
-                        ChebyshevPolynomial({iv.lo, iv.hi}, 10));
-  const SolveReport with_cheb = fgmres(a, b, x1, cheb, opts);
+  const sparse::Interval iv =
+      sparse::estimate_spectrum(scale_system(a, b).a, 30);
+  RddOptions cheb;
+  cheb.poly.kind = PolyKind::Chebyshev;
+  cheb.poly.degree = 10;
+  cheb.poly.theta = {{iv.lo, iv.hi}};
+  const DistSolve r_cheb = solve_rdd(part, b, cheb, opts);
 
-  ASSERT_TRUE(plain.converged && with_cheb.converged);
-  EXPECT_LT(with_cheb.iterations, plain.iterations / 2);
-  EXPECT_EQ(cheb.name(), "Cheb(10)");
-  EXPECT_EQ(cheb.matvecs_per_apply(), 10);
-  for (std::size_t i = 0; i < x0.size(); ++i)
-    EXPECT_NEAR(x1[i], x0[i], 1e-5 * (1.0 + std::abs(x0[i])));
+  ASSERT_TRUE(r_plain.converged && r_cheb.converged);
+  EXPECT_LT(r_cheb.iterations, r_plain.iterations / 2);
+  EXPECT_EQ(cheb.poly.name(), "Cheb(10)");
+  for (std::size_t i = 0; i < b.size(); ++i)
+    EXPECT_NEAR(r_cheb.x[i], r_plain.x[i],
+                1e-5 * (1.0 + std::abs(r_plain.x[i])));
 }
 
 class ChebyshevDistTest : public ::testing::TestWithParam<int> {};

@@ -7,8 +7,10 @@
 #include <tuple>
 
 #include "core/cg.hpp"
+#include "core/edd_batch.hpp"
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
+#include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
@@ -23,17 +25,6 @@ fem::CantileverProblem test_problem() {
   return fem::make_cantilever(spec);
 }
 
-Vector reference_solution(const fem::CantileverProblem& prob) {
-  Vector x(prob.load.size(), 0.0);
-  Ilu0Precond ilu(prob.stiffness);
-  SolveOptions opts;
-  opts.tol = 1e-12;
-  opts.max_iters = 50000;
-  const SolveReport res = fgmres(prob.stiffness, prob.load, x, ilu, opts);
-  EXPECT_TRUE(res.converged);
-  return x;
-}
-
 using EddCase = std::tuple<int, EddVariant, PolyKind>;
 
 class EddSolverTest : public ::testing::TestWithParam<EddCase> {};
@@ -41,7 +32,7 @@ class EddSolverTest : public ::testing::TestWithParam<EddCase> {};
 TEST_P(EddSolverTest, MatchesSequentialSolution) {
   const auto [nparts, variant, kind] = GetParam();
   const fem::CantileverProblem prob = test_problem();
-  const Vector x_ref = reference_solution(prob);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::EddPartition part = exp::make_edd(prob, nparts);
   PolySpec poly;
@@ -71,7 +62,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PolyKind::None, PolyKind::Neumann,
                                          PolyKind::Gls)),
     [](const ::testing::TestParamInfo<EddCase>& info) {
-      std::string name = "P" + std::to_string(std::get<0>(info.param));
+      std::string name = "P";
+      name += std::to_string(std::get<0>(info.param));
       name += std::get<1>(info.param) == EddVariant::Basic ? "_Basic"
                                                            : "_Enhanced";
       const PolyKind kind = std::get<2>(info.param);
@@ -365,7 +357,7 @@ TEST(EddSolverReport, LuckyBreakdownStillReportsConvergence) {
 
 TEST(EddDeflation, DeflatedSolveMatchesReference) {
   const fem::CantileverProblem prob = test_problem();
-  const Vector x_ref = reference_solution(prob);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
   const partition::EddPartition part = exp::make_edd(prob, 4);
   PolySpec poly;
   poly.degree = 7;
@@ -451,6 +443,59 @@ TEST(EddSolver, SetupCountersAreSubsetOfTotals) {
               res.rank_counters[r].neighbor_exchanges);
     // Setup performs exactly one exchange (the row-norm sum, Alg. 3).
     EXPECT_EQ(res.setup_counters[r].neighbor_exchanges, 1u);
+  }
+}
+
+// ---- Scale covariance ------------------------------------------------
+
+TEST(ScaleCovariance, LargeLoadsKeepIterationsAndScaleXExactly) {
+  // Scaling by a power of two is exact, and so is the FGMRES iteration
+  // on it: 2^k·f must take k = 0's iterations and return exactly 2^k·x.
+  // The lucky-breakdown test once compared ‖w‖, which does not scale
+  // with f, against β₀, which does, and stopped large loads early.
+  fem::CantileverSpec spec;
+  spec.nx = 16;
+  spec.ny = 6;
+  const fem::CantileverProblem prob = fem::make_cantilever(spec);
+  const partition::EddPartition edd = exp::make_edd(prob, 4);
+  const partition::RddPartition rdd = exp::make_rdd(prob, 4);
+  const PolySpec poly;  // GLS(7)
+  par::Team team(edd.nparts());
+  const EddOperatorState op = build_edd_operator(team, edd, poly);
+  struct Run {
+    Vector x;
+    index_t iterations;
+    bool converged;
+  };
+  const auto runs = [&](const Vector& f) {
+    std::vector<Run> out;
+    for (const EddVariant v : {EddVariant::Basic, EddVariant::Enhanced}) {
+      DistSolve r = solve_edd(edd, f, poly, {}, v);
+      out.push_back({std::move(r.x), r.iterations, r.converged});
+    }
+    BatchSolveResult b = solve_edd_batch(team, edd, op, std::vector<Vector>{f});
+    out.push_back({std::move(b.x[0]), b.items[0].iterations,
+                   b.items[0].converged});
+    DistSolve r = solve_rdd(rdd, f);
+    out.push_back({std::move(r.x), r.iterations, r.converged});
+    return out;
+  };
+  const std::vector<Run> base = runs(prob.load);
+  for (const int k : {44, 46, 200}) {
+    Vector f = prob.load;
+    for (real_t& v : f) v = std::ldexp(v, k);
+    const std::vector<Run> scaled = runs(f);
+    for (std::size_t p = 0; p < base.size(); ++p) {
+      const std::string where =
+          "k " + std::to_string(k) + ", path " + std::to_string(p);
+      EXPECT_TRUE(scaled[p].converged) << where;
+      EXPECT_EQ(scaled[p].iterations, base[p].iterations) << where;
+      ASSERT_EQ(scaled[p].x.size(), base[p].x.size()) << where;
+      std::size_t inexact = 0;
+      for (std::size_t i = 0; i < base[p].x.size(); ++i)
+        if (scaled[p].x[i] != std::ldexp(base[p].x[i], k)) ++inexact;
+      EXPECT_EQ(inexact, 0u) << where;
+    }
   }
 }
 

@@ -12,9 +12,7 @@
 #include "core/cg.hpp"
 #include "core/diag_scaling.hpp"
 #include "core/edd_batch.hpp"
-#include "core/fgmres.hpp"
 #include "core/orthopoly.hpp"
-#include "core/precond.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "exp/table.hpp"
@@ -117,39 +115,49 @@ TEST(OrthopolyEdge, AccessorsRangeChecked) {
 
 // ---- solvers ----
 
+core::RddOptions unpreconditioned() {
+  core::RddOptions rdd;
+  rdd.poly.kind = core::PolyKind::None;
+  return rdd;
+}
+
+/// The one-process FGMRES: solve_rdd at P = 1.
+core::DistSolve fgmres_p1(const sparse::CsrMatrix& a,
+                          std::span<const real_t> b,
+                          const core::SolveOptions& opts = {},
+                          const core::RddOptions& rdd = unpreconditioned()) {
+  return core::solve_rdd(
+      partition::build_rdd_partition(a, IndexVector(a.rows(), 0), 1), b, rdd,
+      opts);
+}
+
 TEST(FgmresEdge, MaxItersCapReportsNotConverged) {
   const sparse::CsrMatrix a = sparse::laplace2d(12, 12);
-  Vector b(144, 1.0), x(144, 0.0);
-  core::IdentityPrecond none;
+  const Vector b(144, 1.0);
   core::SolveOptions opts;
   opts.max_iters = 3;
   opts.tol = 1e-12;
-  const core::SolveReport res = core::fgmres(a, b, x, none, opts);
+  const core::DistSolve res = fgmres_p1(a, b, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 3);
   EXPECT_EQ(res.history.size(), 3u);
 }
 
 TEST(SolverEdge, ZeroRhsConvergesInZeroIterations) {
-  // ‖f‖ = 0 makes the relative residual 0/0; every Krylov driver must
-  // short-circuit to x = 0, converged, without touching NaNs — even from
-  // a nonzero initial guess.
+  // ‖f‖ = 0 makes the relative residual 0/0; the Krylov driver must
+  // short-circuit to x = 0, converged, without touching NaNs.
   const sparse::CsrMatrix a = sparse::laplace2d(8, 8);
   const Vector b(64, 0.0);
-  core::IdentityPrecond none;
   core::SolveOptions opts;
   opts.tol = 1e-10;
 
-  const auto check = [](const core::SolveReport& res, const Vector& x) {
-    EXPECT_TRUE(res.converged);
-    EXPECT_EQ(res.iterations, 0);
-    EXPECT_EQ(res.final_relres, 0.0);
-    EXPECT_FALSE(std::isnan(res.final_relres));
-    for (real_t v : x) EXPECT_EQ(v, 0.0);
-  };
-
-  Vector x(64, 3.0);  // nonzero guess must be overwritten with the solution
-  check(core::fgmres(a, b, x, none, opts), x);
+  const core::DistSolve res = fgmres_p1(a, b, opts);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 0);
+  EXPECT_EQ(res.final_relres, 0.0);
+  EXPECT_FALSE(std::isnan(res.final_relres));
+  ASSERT_EQ(res.x.size(), b.size());
+  for (real_t v : res.x) EXPECT_EQ(v, 0.0);
 }
 
 // ---- Typed failure on a degenerate operator: a zero row of the
@@ -259,7 +267,6 @@ TEST(SolveInputEdge, NonFiniteRhsIsRefusedByEverySolver) {
   const fem::CantileverProblem prob = small_cantilever();
   const partition::EddPartition edd = exp::make_edd(prob, 4);
   const partition::RddPartition rdd = exp::make_rdd(prob, 4);
-  core::IdentityPrecond none;
   par::Team team(edd.nparts());
   const core::EddOperatorState op =
       core::build_edd_operator(team, edd, core::PolySpec{});
@@ -287,8 +294,6 @@ TEST(SolveInputEdge, NonFiniteRhsIsRefusedByEverySolver) {
     refused([&] {
       (void)core::solve_edd_batch(team, edd, op, std::vector<Vector>{f});
     });
-    Vector x(f.size(), 0.0);
-    refused([&] { (void)core::fgmres(prob.stiffness, f, x, none); });
   }
 }
 
@@ -361,31 +366,33 @@ TEST(PcgBreakdownEdge, EddOverflowEndsInTypedBreakdown) {
 
 TEST(FgmresEdge, InvalidOptionsRejected) {
   const sparse::CsrMatrix a = sparse::tridiag(4, 2.0, -1.0);
-  Vector b(4, 1.0), x(4, 0.0);
-  core::IdentityPrecond none;
+  const Vector b(4, 1.0);
   core::SolveOptions opts;
   opts.restart = 0;
-  EXPECT_THROW((void)core::fgmres(a, b, x, none, opts), Error);
+  EXPECT_THROW((void)fgmres_p1(a, b, opts), Error);
   opts.restart = 25;
   opts.tol = 0.0;
-  EXPECT_THROW((void)core::fgmres(a, b, x, none, opts), Error);
+  EXPECT_THROW((void)fgmres_p1(a, b, opts), Error);
 }
 
 TEST(FgmresEdge, SizeMismatchRejected) {
   const sparse::CsrMatrix a = sparse::tridiag(4, 2.0, -1.0);
-  Vector b(5, 1.0), x(4, 0.0);
-  core::IdentityPrecond none;
-  EXPECT_THROW((void)core::fgmres(a, b, x, none), Error);
+  const Vector b(5, 1.0);
+  EXPECT_THROW((void)fgmres_p1(a, b), Error);
 }
 
 TEST(PrecondEdge, JacobiRejectsZeroDiagonal) {
+  // Block-Jacobi ILU(0) refuses a zero leading pivot with a typed error
+  // instead of dividing by it.
   sparse::CooBuilder coo(2, 2);
-  coo.add(0, 0, 1.0);
+  coo.add(0, 0, 0.0);
   coo.add(0, 1, 1.0);
   coo.add(1, 0, 1.0);
-  coo.add(1, 1, 0.0);
+  coo.add(1, 1, 1.0);
   const sparse::CsrMatrix a = coo.build();
-  EXPECT_THROW(core::JacobiPrecond p(a), Error);
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  EXPECT_THROW((void)fgmres_p1(a, Vector(2, 1.0), {}, ilu), Error);
 }
 
 // ---- dense ----

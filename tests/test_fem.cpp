@@ -541,20 +541,6 @@ TEST(Ebe, StoresMoreThanCsrButNeedsNoAssembly) {
             3ull * static_cast<std::uint64_t>(prob.stiffness.nnz()));
 }
 
-TEST(Ebe, LinearOpAdapterWorks) {
-  CantileverSpec spec;
-  spec.nx = 5;
-  spec.ny = 2;
-  const CantileverProblem prob = make_cantilever(spec);
-  const EbeOperator ebe(prob.mesh, prob.dofs, prob.material,
-                        Operator::Stiffness);
-  const core::LinearOp op = ebe.as_linear_op();
-  EXPECT_EQ(op.size(), prob.dofs.num_free());
-  Vector x(prob.load.size(), 1.0), y(prob.load.size());
-  op.apply(x, y);
-  EXPECT_GT(la::nrm_inf(y), 0.0);
-}
-
 TEST(Cantilever, TriElementVariant) {
   CantileverSpec spec;
   spec.nx = 6;

@@ -1,27 +1,48 @@
-// Sequential flexible GMRES tests (Algorithm 1): correctness against
-// direct solves, restart behaviour, preconditioner effectiveness ordering.
+// One-process FGMRES tests (Algorithm 1): solve_rdd on a one-part
+// partition — norm-1 scaling, then the one FGMRES driver — checked for
+// correctness against dense LU solves, restart behaviour and the
+// preconditioners' effectiveness ordering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
-#include "core/precond.hpp"
+#include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
+#include "exp/experiments.hpp"
 #include "fem/problems.hpp"
-#include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 #include "sparse/generators.hpp"
 
 namespace pfem::core {
 namespace {
 
-Vector dense_solve(const sparse::CsrMatrix& a, const Vector& b) {
-  la::DenseMatrix ad(a.rows(), a.cols());
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j) ad(i, j) = a.at(i, j);
-  Vector x = b;
-  la::lu_solve(ad, x);
-  return x;
+/// solve_rdd at P = 1: the one-process solve.
+DistSolve solve_p1(const sparse::CsrMatrix& a, std::span<const real_t> b,
+                   const RddOptions& rdd, const SolveOptions& opts = {}) {
+  return solve_rdd(partition::build_rdd_partition(
+                       a, IndexVector(b.size(), 0), 1),
+                   b, rdd, opts);
+}
+
+RddOptions poly(PolyKind kind, int degree = 7) {
+  RddOptions rdd;
+  rdd.poly.kind = kind;
+  rdd.poly.degree = degree;
+  return rdd;
+}
+
+RddOptions ilu0() {
+  RddOptions rdd;
+  rdd.precond = RddOptions::Precond::BlockJacobiIlu;
+  return rdd;
+}
+
+real_t true_relres(const sparse::CsrMatrix& a, const Vector& x,
+                   const Vector& b) {
+  Vector r(b.size());
+  a.spmv(x, r);
+  la::axpy(-1.0, b, r);
+  return la::nrm2(r) / la::nrm2(b);
 }
 
 TEST(Fgmres, SolvesSmallSpdToTolerance) {
@@ -30,20 +51,18 @@ TEST(Fgmres, SolvesSmallSpdToTolerance) {
   for (std::size_t i = 0; i < 20; ++i) b[i] = std::sin(double(i));
   const Vector x_ref = dense_solve(a, b);
 
-  Vector x(20, 0.0);
-  IdentityPrecond none;
   SolveOptions opts;
   opts.tol = 1e-10;
-  const SolveReport res = fgmres(a, b, x, none, opts);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None), opts);
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.final_relres, 1e-10);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
+  for (std::size_t i = 0; i < 20; ++i) EXPECT_NEAR(res.x[i], x_ref[i], 1e-8);
 }
 
 TEST(Fgmres, AgreesWithDenseLuOnUnsymmetricSystem) {
-  // The only sequential FGMRES check on an unsymmetric operator: an
-  // upwind convection-diffusion matrix (strong convection), Jacobi
-  // preconditioned, against a dense LU solve.
+  // An unsymmetric operator on one process: an upwind
+  // convection-diffusion matrix (strong convection), norm-1 scaled and
+  // otherwise unpreconditioned, against a dense LU solve.
   const sparse::CsrMatrix a =
       sparse::convection_diffusion_2d(12, 12, 8.0, 8.0);
   ASSERT_GT(a.symmetry_defect(), 1.0);
@@ -52,59 +71,41 @@ TEST(Fgmres, AgreesWithDenseLuOnUnsymmetricSystem) {
   SolveOptions opts;
   opts.tol = 1e-9;
   opts.max_iters = 10000;
-  Vector x(144, 0.0);
-  JacobiPrecond jacobi(a);
-  const SolveReport res = fgmres(a, b, x, jacobi, opts);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None), opts);
   ASSERT_TRUE(res.converged);
   EXPECT_LE(res.final_relres, opts.tol);
   const real_t scale = la::nrm_inf(x_ref) + 1e-30;
   for (std::size_t i = 0; i < 144; ++i)
-    EXPECT_NEAR(x[i], x_ref[i], 1e-6 * scale) << "dof " << i;
+    EXPECT_NEAR(res.x[i], x_ref[i], 1e-6 * scale) << "dof " << i;
 }
 
 TEST(Fgmres, ZeroRhsConvergesImmediately) {
   const sparse::CsrMatrix a = sparse::tridiag(10, 2.0, -1.0);
-  Vector b(10, 0.0), x(10, 0.0);
-  IdentityPrecond none;
-  const SolveReport res = fgmres(a, b, x, none);
+  const Vector b(10, 0.0);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None));
   EXPECT_TRUE(res.converged);
+  EXPECT_TRUE(res.trivial_rhs);
   EXPECT_EQ(res.iterations, 0);
-}
-
-TEST(Fgmres, ExactInitialGuessNoIterations) {
-  const sparse::CsrMatrix a = sparse::tridiag(10, 2.0, -1.0);
-  Vector x_true(10, 1.0);
-  Vector b(10);
-  a.spmv(x_true, b);
-  Vector x = x_true;
-  IdentityPrecond none;
-  const SolveReport res = fgmres(a, b, x, none);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.iterations, 0);
+  for (real_t v : res.x) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Fgmres, RestartStillConverges) {
   const sparse::CsrMatrix a = sparse::laplace2d(10, 10);
-  Vector b(100, 1.0), x(100, 0.0);
-  IdentityPrecond none;
+  const Vector b(100, 1.0);
   SolveOptions opts;
   opts.restart = 5;  // force many restarts
   opts.tol = 1e-8;
   opts.max_iters = 5000;
-  const SolveReport res = fgmres(a, b, x, none, opts);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None), opts);
   EXPECT_TRUE(res.converged);
   EXPECT_GT(res.restarts, 1);
-  Vector r(100);
-  a.spmv(x, r);
-  la::axpy(-1.0, b, r);
-  EXPECT_LE(la::nrm2(r) / la::nrm2(b), 1e-7);
+  EXPECT_LE(true_relres(a, res.x, b), 1e-7);
 }
 
 TEST(Fgmres, HistoryLengthMatchesIterations) {
   const sparse::CsrMatrix a = sparse::laplace2d(8, 8);
-  Vector b(64, 1.0), x(64, 0.0);
-  JacobiPrecond jacobi(a);
-  const SolveReport res = fgmres(a, b, x, jacobi);
+  const Vector b(64, 1.0);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None));
   EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.iterations));
   // Residual history non-increasing within a cycle (GMRES optimality).
   for (std::size_t i = 1; i < res.history.size(); ++i)
@@ -113,17 +114,13 @@ TEST(Fgmres, HistoryLengthMatchesIterations) {
 
 TEST(Fgmres, Ilu0BeatsUnpreconditioned) {
   const sparse::CsrMatrix a = sparse::laplace2d(15, 15);
-  Vector b(225, 1.0);
+  const Vector b(225, 1.0);
   SolveOptions opts;
   opts.tol = 1e-8;
   opts.max_iters = 3000;
 
-  Vector x1(225, 0.0);
-  IdentityPrecond none;
-  const SolveReport r_none = fgmres(a, b, x1, none, opts);
-  Vector x2(225, 0.0);
-  Ilu0Precond ilu(a);
-  const SolveReport r_ilu = fgmres(a, b, x2, ilu, opts);
+  const DistSolve r_none = solve_p1(a, b, poly(PolyKind::None), opts);
+  const DistSolve r_ilu = solve_p1(a, b, ilu0(), opts);
   ASSERT_TRUE(r_none.converged);
   ASSERT_TRUE(r_ilu.converged);
   EXPECT_LT(r_ilu.iterations, r_none.iterations);
@@ -134,23 +131,16 @@ TEST(Fgmres, PolynomialPrecondBeatsUnpreconditionedOnScaledSystem) {
   spec.nx = 10;
   spec.ny = 4;
   const fem::CantileverProblem prob = fem::make_cantilever(spec);
-  const ScaledSystem s = scale_system(prob.stiffness, prob.load);
+  const partition::RddPartition part = exp::make_rdd(prob, 1);
   SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 5000;
 
-  Vector x0(s.b.size(), 0.0);
-  IdentityPrecond none;
-  const SolveReport r_none = fgmres(s.a, s.b, x0, none, opts);
-
-  Vector x1(s.b.size(), 0.0);
-  GlsPrecond gls(LinearOp::from_csr(s.a),
-                 GlsPolynomial(default_theta_after_scaling(), 7));
-  const SolveReport r_gls = fgmres(s.a, s.b, x1, gls, opts);
-
-  Vector x2(s.b.size(), 0.0);
-  NeumannPrecond neumann(LinearOp::from_csr(s.a), NeumannPolynomial(20, 1.0));
-  const SolveReport r_neu = fgmres(s.a, s.b, x2, neumann, opts);
+  const DistSolve r_none =
+      solve_rdd(part, prob.load, poly(PolyKind::None), opts);
+  const DistSolve r_gls = solve_rdd(part, prob.load, poly(PolyKind::Gls), opts);
+  const DistSolve r_neu =
+      solve_rdd(part, prob.load, poly(PolyKind::Neumann, 20), opts);
 
   ASSERT_TRUE(r_none.converged);
   ASSERT_TRUE(r_gls.converged);
@@ -158,42 +148,26 @@ TEST(Fgmres, PolynomialPrecondBeatsUnpreconditionedOnScaledSystem) {
   EXPECT_LT(r_gls.iterations, r_none.iterations);
   EXPECT_LT(r_neu.iterations, r_none.iterations);
 
-  // All three give the same solution.
-  for (std::size_t i = 0; i < x0.size(); ++i) {
-    EXPECT_NEAR(x1[i], x0[i], 1e-4 * (1.0 + std::abs(x0[i])));
-    EXPECT_NEAR(x2[i], x0[i], 1e-4 * (1.0 + std::abs(x0[i])));
-  }
-}
-
-TEST(Fgmres, PrecondNamesAndMatvecCounts) {
-  const sparse::CsrMatrix a = sparse::tridiag(5, 1.0, -0.2);
-  EXPECT_EQ(IdentityPrecond{}.name(), "none");
-  EXPECT_EQ(JacobiPrecond(a).name(), "Jacobi");
-  EXPECT_EQ(Ilu0Precond(a).name(), "ILU(0)");
-  GlsPrecond gls(LinearOp::from_csr(a), GlsPolynomial({{0.1, 1.0}}, 7));
-  EXPECT_EQ(gls.name(), "GLS(7)");
-  EXPECT_EQ(gls.matvecs_per_apply(), 7);
-  NeumannPrecond neu(LinearOp::from_csr(a), NeumannPolynomial(20));
-  EXPECT_EQ(neu.name(), "Neumann(20)");
-  EXPECT_EQ(neu.matvecs_per_apply(), 20);
+  // All three give the dense LU solution.
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
+  const real_t scale = la::nrm_inf(x_ref);
+  for (const DistSolve* r : {&r_none, &r_gls, &r_neu})
+    for (std::size_t i = 0; i < x_ref.size(); ++i)
+      EXPECT_NEAR(r->x[i], x_ref[i], 1e-4 * scale) << "dof " << i;
 }
 
 class FgmresRestartSweep : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(FgmresRestartSweep, ConvergesForAnyRestartLength) {
   const sparse::CsrMatrix a = sparse::laplace2d(9, 9);
-  Vector b(81, 1.0), x(81, 0.0);
-  JacobiPrecond jacobi(a);
+  const Vector b(81, 1.0);
   SolveOptions opts;
   opts.restart = GetParam();
   opts.tol = 1e-8;
   opts.max_iters = 5000;
-  const SolveReport res = fgmres(a, b, x, jacobi, opts);
+  const DistSolve res = solve_p1(a, b, poly(PolyKind::None), opts);
   EXPECT_TRUE(res.converged) << "restart " << GetParam();
-  Vector r(81);
-  a.spmv(x, r);
-  la::axpy(-1.0, b, r);
-  EXPECT_LE(la::nrm2(r) / la::nrm2(b), 1e-7);
+  EXPECT_LE(true_relres(a, res.x, b), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Restarts, FgmresRestartSweep,

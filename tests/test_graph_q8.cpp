@@ -6,7 +6,7 @@
 #include <set>
 
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/elements.hpp"
 #include "fem/problems.hpp"
@@ -153,13 +153,7 @@ TEST(Quad8, CantileverSolvesAndBeatsQ4Accuracy) {
   const auto q8 = fem::make_cantilever(q8spec);
 
   auto tip_u = [](const fem::CantileverProblem& prob, index_t nx) {
-    Vector x(prob.load.size(), 0.0);
-    core::Ilu0Precond ilu(prob.stiffness);
-    core::SolveOptions opts;
-    opts.tol = 1e-10;
-    opts.max_iters = 50000;
-    EXPECT_TRUE(
-        core::fgmres(prob.stiffness, prob.load, x, ilu, opts).converged);
+    const Vector x = dense_solve(prob.stiffness, prob.load);
     const auto tip = prob.mesh.nodes_at_x(static_cast<real_t>(nx));
     real_t u = 0.0;
     for (index_t n : tip) u += x[static_cast<std::size_t>(
@@ -196,13 +190,7 @@ TEST(Quad8, EddSolveAcrossPartitions) {
   spec.elem_type = fem::ElemType::Quad8;
   const fem::CantileverProblem prob = fem::make_cantilever(spec);
 
-  Vector x_ref(prob.load.size(), 0.0);
-  core::Ilu0Precond ilu(prob.stiffness);
-  core::SolveOptions ref_opts;
-  ref_opts.tol = 1e-12;
-  ref_opts.max_iters = 50000;
-  ASSERT_TRUE(core::fgmres(prob.stiffness, prob.load, x_ref, ilu, ref_opts)
-                  .converged);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::EddPartition part = exp::make_edd(prob, 4);
   core::PolySpec poly;

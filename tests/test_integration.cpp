@@ -6,9 +6,7 @@
 #include <limits>
 #include <sstream>
 
-#include "core/diag_scaling.hpp"
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
@@ -21,35 +19,25 @@ namespace pfem {
 namespace {
 
 TEST(Integration, Mesh1StaticAllPreconditionersAgree) {
-  // The paper's Mesh1 (7x1, 28 equations) solved with every
-  // preconditioner must yield the same displacement field.
+  // The paper's Mesh1 (7x1, 28 equations) solved on one process with
+  // every preconditioner must yield the same displacement field.
   const fem::CantileverProblem prob = fem::make_table2_cantilever(1);
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
+  const partition::RddPartition part = exp::make_rdd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-10;
   opts.max_iters = 5000;
 
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  core::RddOptions gls;  // GLS(7)
+  core::RddOptions neumann;
+  neumann.poly.kind = core::PolyKind::Neumann;
+  neumann.poly.degree = 20;
   std::vector<Vector> solutions;
-  {
-    Vector x(s.b.size(), 0.0);
-    core::Ilu0Precond p(s.a);
-    ASSERT_TRUE(core::fgmres(s.a, s.b, x, p, opts).converged);
-    solutions.push_back(s.unscale(x));
-  }
-  {
-    Vector x(s.b.size(), 0.0);
-    core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
-    ASSERT_TRUE(core::fgmres(s.a, s.b, x, p, opts).converged);
-    solutions.push_back(s.unscale(x));
-  }
-  {
-    Vector x(s.b.size(), 0.0);
-    core::NeumannPrecond p(core::LinearOp::from_csr(s.a),
-                           core::NeumannPolynomial(20, 1.0));
-    ASSERT_TRUE(core::fgmres(s.a, s.b, x, p, opts).converged);
-    solutions.push_back(s.unscale(x));
+  for (const core::RddOptions& rdd : {ilu, gls, neumann}) {
+    const core::DistSolve res = core::solve_rdd(part, prob.load, rdd, opts);
+    ASSERT_TRUE(res.converged);
+    solutions.push_back(res.x);
   }
   const real_t scale = la::nrm_inf(solutions[0]);
   for (std::size_t k = 1; k < solutions.size(); ++k)
@@ -61,19 +49,15 @@ TEST(Integration, Gls7CompetitiveWithIlu0OnMesh1) {
   // §6.2 "Polynomial Preconditioner vs. ILU(0)": GLS(7) converges in a
   // comparable (or smaller) number of iterations than ILU(0) on Mesh1.
   const fem::CantileverProblem prob = fem::make_table2_cantilever(1);
-  const core::ScaledSystem s = core::scale_system(prob.stiffness, prob.load);
+  const partition::RddPartition part = exp::make_rdd(prob, 1);
   core::SolveOptions opts;
   opts.tol = 1e-6;
   opts.max_iters = 5000;
 
-  Vector x1(s.b.size(), 0.0);
-  core::Ilu0Precond ilu(s.a);
-  const auto r_ilu = core::fgmres(s.a, s.b, x1, ilu, opts);
-  Vector x2(s.b.size(), 0.0);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           7));
-  const auto r_gls = core::fgmres(s.a, s.b, x2, gls, opts);
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  const auto r_ilu = core::solve_rdd(part, prob.load, ilu, opts);
+  const auto r_gls = core::solve_rdd(part, prob.load, {}, opts);  // GLS(7)
   ASSERT_TRUE(r_ilu.converged && r_gls.converged);
   // "completely comparable": allow a 2x band rather than strict order.
   EXPECT_LE(r_gls.iterations, 2 * r_ilu.iterations);
@@ -110,18 +94,16 @@ TEST(Integration, PoissonOnTriMeshSolves) {
                                             fem::Operator::Poisson);
   Vector f(static_cast<std::size_t>(dofs.num_free()), 0.01);
 
-  const core::ScaledSystem s = core::scale_system(k, f);
-  Vector x(s.b.size(), 0.0);
-  core::GlsPrecond p(core::LinearOp::from_csr(s.a),
-                     core::GlsPolynomial(core::default_theta_after_scaling(),
-                                         5));
+  core::RddOptions gls;
+  gls.poly.degree = 5;
   core::SolveOptions opts;
   opts.tol = 1e-8;
-  const auto res = core::fgmres(s.a, s.b, x, p, opts);
+  const auto res = core::solve_rdd(
+      partition::build_rdd_partition(k, IndexVector(f.size(), 0), 1), f, gls,
+      opts);
   EXPECT_TRUE(res.converged);
   // Solution of -Δu = c with zero BCs is positive inside.
-  const Vector u = s.unscale(x);
-  for (real_t v : u) EXPECT_GT(v, 0.0);
+  for (real_t v : res.x) EXPECT_GT(v, 0.0);
 }
 
 TEST(Integration, ModeledSpeedupIncreasesWithDegree) {

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -1033,6 +1034,60 @@ TEST(NetRemote, HandshakeWithAPeerThatNeverAcceptsFailsTyped) {
   }));
 }
 
+TEST(NetRemote, HandshakeWithAPeerThatStallsMidHelloAckFailsTyped) {
+  // A peer that accepts, writes all but the last byte of a valid
+  // HelloAck and stalls must fail the handshake typed within the
+  // connect timeout: the whole HelloAck read is bounded, not only the
+  // wait for its first byte.
+  const auto fails_typed_in_time =
+      [](const char* stem,
+         const std::function<void(const std::string&)>& construct) {
+        const std::string addr = unique_sock(stem);
+        const int lfd = net::listen_on(addr);
+        std::atomic<int> conn{-1};
+        std::thread peer([&] {
+          const int fd = net::accept_conn(lfd);
+          if (fd < 0) return;
+          net::ByteBuffer ack;
+          proto::encode_hello_ack(ack, {"stall", 2});
+          (void)net::write_full(fd, ack.data(), ack.size() - 1);
+          conn.store(fd);
+        });
+        const auto t0 = std::chrono::steady_clock::now();
+        auto typed = std::async(std::launch::async, [&] {
+          try {
+            construct(addr);
+          } catch (const Error&) {
+            return true;
+          }
+          return false;
+        });
+        const bool returned = typed.wait_for(std::chrono::seconds(3)) ==
+                              std::future_status::ready;
+        // Unblock whatever still waits: the peer's accept, and a
+        // handshake read still blocked on the missing byte.
+        net::shutdown_fd(lfd);
+        peer.join();
+        if (conn.load() >= 0) net::close_fd(conn.load());
+        const bool ok = typed.get() && returned &&
+                        std::chrono::steady_clock::now() - t0 <
+                            std::chrono::seconds(2);
+        net::close_fd(lfd);
+        ::unlink(addr.c_str() + 5);
+        return ok;
+      };
+  EXPECT_TRUE(fails_typed_in_time("stall_c", [](const std::string& addr) {
+    svc::Client client(addr, "t", 0.3);
+  }));
+  EXPECT_TRUE(fails_typed_in_time("stall_s", [](const std::string& addr) {
+    svc::RouterConfig rc;
+    rc.listen_addr = unique_sock("stall_r");
+    rc.shard_addrs = {addr};
+    rc.connect_timeout_seconds = 0.3;
+    svc::Router router(rc);
+  }));
+}
+
 TEST(NetSockets, AcceptWaitsOutAFullFdTable) {
   const std::string addr = unique_sock("emfile");
   const int lfd = net::listen_on(addr);
@@ -1202,6 +1257,156 @@ TEST(NetRemote, RouterRoutesByOperatorAffinityAndShedsWhenSaturated) {
               (a.req_id == 2 && b.req_id == 1));
   net::close_fd(fd);
   router.stop();
+}
+
+TEST(NetRemote, RouterFailsTheRequestsOfAStoppedShardTyped) {
+  // A shard whose connection ends with a request in flight: the router
+  // answers that request with a typed comm failure, marks the shard
+  // down, and a later request for the same key spills to the live
+  // shard.
+  RemoteRig shard0("down_s0");
+  RemoteRig shard1("down_s1");
+  svc::RouterConfig rc;
+  rc.listen_addr = unique_sock("down_r");
+  rc.shard_addrs = {shard0.addr, shard1.addr};
+  svc::Router router(rc);
+  svc::Client client(rc.listen_addr, "t");
+
+  // Freeze both services so the request stays in flight on its shard.
+  shard0.service->set_paused(true);
+  shard1.service->set_paused(true);
+  proto::SolveRequestMsg req = basic_request(shard0);
+  proto::SolveResponseMsg resp;
+  auto first =
+      std::async(std::launch::async, [&] { return client.solve(req, resp); });
+  RemoteRig* dead = &shard0;
+  RemoteRig* live = &shard1;
+  for (int i = 0; i < 1000; ++i) {
+    if (shard1.server->stats().requests == 1) std::swap(dead, live);
+    if (dead->server->stats().requests == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(dead->server->stats().requests, 1u);
+
+  // Server::stop waits for the frozen request, so it runs aside; its
+  // first act ends the router's connection.
+  auto stopper = std::async(std::launch::async, [dead] {
+    dead->server->stop();
+  });
+  const bool answered = first.wait_for(std::chrono::seconds(1)) ==
+                        std::future_status::ready;
+  if (!answered) router.stop();  // end the client's read: no hang
+  EXPECT_TRUE(answered) << "no answer within 1 s of the shard's end";
+  EXPECT_TRUE(first.get());
+  EXPECT_EQ(resp.status, proto::SolveStatus::Failed);
+  EXPECT_TRUE(resp.comm);
+  dead->service->set_paused(false);
+  stopper.get();
+  live->service->set_paused(false);
+
+  if (answered) {
+    proto::SolveRequestMsg again = basic_request(shard0);
+    proto::SolveResponseMsg resp2;
+    ASSERT_TRUE(client.solve(again, resp2));
+    EXPECT_EQ(resp2.status, proto::SolveStatus::Completed);
+    EXPECT_EQ(live->server->stats().requests, 1u);
+    const svc::Router::Stats st = router.stats();
+    EXPECT_EQ(st.forwarded, 2u);
+    EXPECT_EQ(st.spilled, 1u);
+    EXPECT_EQ(st.lost, 1u);
+    EXPECT_EQ(st.responses, 1u);
+  }
+  router.stop();
+}
+
+TEST(NetRemote, RouterFailsTheRequestsOfAKilledShardProcessTyped) {
+#ifdef PFEM_NO_FORK_TESTS
+  GTEST_SKIP() << "fork-based multi-process test skipped under sanitizers";
+#else
+  // Two shard PROCESSES behind a router.  The key's affine shard holds
+  // its request (service paused) and is SIGKILLed: the request must get
+  // a typed comm failure within 1 s, and a later request for the key
+  // completes on the surviving shard.
+  const std::string key = [] {  // the first key affine to shard 0
+    for (const char* k : {"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"})
+      if (std::hash<std::string>{}(k) % 2 == 0) return std::string(k);
+    return std::string();
+  }();
+  ASSERT_FALSE(key.empty());
+  std::vector<std::string> addrs;
+  std::vector<pid_t> pids;
+  std::vector<int> ctl_w;
+  for (int i = 0; i < 2; ++i) {
+    addrs.push_back(unique_sock(("kill_s" + std::to_string(i)).c_str()));
+    int ready[2], ctl[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    ASSERT_EQ(::pipe(ctl), 0);
+    pids.push_back(net::fork_run([&, i]() -> int {
+      ::close(ready[0]);
+      ::close(ctl[1]);
+      const SolveScene cs = make_scene(2);
+      svc::ServiceConfig cfg;
+      cfg.nranks = 2;
+      svc::Service service(cfg);
+      service.register_operator(key, cs.part, cs.poly);
+      service.set_paused(i == 0);
+      svc::Server server(service, addrs[static_cast<std::size_t>(i)],
+                         "kill" + std::to_string(i));
+      unsigned char b = 1;
+      if (!pipe_write(ready[1], &b, 1)) return 3;
+      (void)pipe_read(ctl[0], &b, 1);  // parent closes its end when done
+      server.stop();
+      service.shutdown(/*drain=*/true);
+      return 0;
+    }));
+    ::close(ready[1]);
+    ::close(ctl[0]);
+    unsigned char b = 0;
+    ASSERT_TRUE(pipe_read(ready[0], &b, 1)) << "shard failed to come up";
+    ::close(ready[0]);
+    ctl_w.push_back(ctl[1]);
+  }
+
+  {
+    svc::RouterConfig rc;
+    rc.listen_addr = unique_sock("kill_r");
+    rc.shard_addrs = addrs;
+    svc::Router router(rc);
+    svc::Client client(rc.listen_addr, "t");
+    const SolveScene s = make_scene(2);
+    proto::SolveRequestMsg req;
+    req.operator_key = key;
+    req.rhs = {s.prob.load};
+    proto::SolveResponseMsg resp;
+    auto first = std::async(std::launch::async,
+                            [&] { return client.solve(req, resp); });
+    for (int i = 0; i < 1000 && router.stats().forwarded == 0; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(pids[0], SIGKILL);
+    const bool answered = first.wait_for(std::chrono::seconds(1)) ==
+                          std::future_status::ready;
+    if (!answered) router.stop();  // end the client's read: no hang
+    EXPECT_TRUE(answered) << "no answer within 1 s of the shard's death";
+    EXPECT_TRUE(first.get());
+    EXPECT_EQ(resp.status, proto::SolveStatus::Failed);
+    EXPECT_TRUE(resp.comm);
+    if (answered) {
+      proto::SolveResponseMsg resp2;
+      ASSERT_TRUE(client.solve(req, resp2));
+      EXPECT_EQ(resp2.status, proto::SolveStatus::Completed);
+      const svc::Router::Stats st = router.stats();
+      EXPECT_EQ(st.forwarded, 2u);
+      EXPECT_EQ(st.spilled, 1u);
+      EXPECT_EQ(st.responses + st.lost, st.forwarded);
+    }
+    router.stop();
+  }
+
+  for (const int fd : ctl_w) ::close(fd);
+  EXPECT_EQ(net::wait_exit(pids[0]), -1);  // killed
+  EXPECT_EQ(net::wait_exit(pids[1]), 0);
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -8,19 +8,18 @@
 
 #include "common/rng.hpp"
 #include "core/cg.hpp"
-#include "core/diag_scaling.hpp"
 #include "core/edd_batch.hpp"
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
-#include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 #include "partition/edd.hpp"
 #include "fem/structured.hpp"
 #include "partition/geom.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/ilu0.hpp"
 
 namespace pfem {
 namespace {
@@ -179,23 +178,19 @@ TEST_P(FuzzSeed, RandomSpdSystemsThroughSequentialSolvers) {
   Vector b(static_cast<std::size_t>(n));
   for (real_t& v : b) v = rng.normal();
 
-  la::DenseMatrix kd(n, n);
-  for (index_t i = 0; i < n; ++i)
-    for (index_t j = 0; j < n; ++j) kd(i, j) = k.at(i, j);
-  Vector x_ref = b;
-  la::lu_solve(kd, x_ref);
+  const Vector x_ref = dense_solve(k, b);
 
-  const core::ScaledSystem s = core::scale_system(k, b);
+  // One process: solve_rdd on a one-part partition, GLS(5).
+  core::RddOptions gls;
+  gls.poly.degree = 5;
   core::SolveOptions opts;
   opts.tol = 1e-11;
   opts.max_iters = 20000;
-
-  Vector x1(b.size(), 0.0);
-  core::GlsPrecond gls(core::LinearOp::from_csr(s.a),
-                       core::GlsPolynomial(core::default_theta_after_scaling(),
-                                           5));
-  ASSERT_TRUE(core::fgmres(s.a, s.b, x1, gls, opts).converged);
-  const Vector u1 = s.unscale(x1);
+  const core::DistSolve res = core::solve_rdd(
+      partition::build_rdd_partition(k, IndexVector(b.size(), 0), 1), b, gls,
+      opts);
+  ASSERT_TRUE(res.converged);
+  const Vector& u1 = res.x;
 
   const real_t scale = la::nrm_inf(x_ref) + 1e-30;
   for (std::size_t i = 0; i < b.size(); ++i)

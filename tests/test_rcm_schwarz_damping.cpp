@@ -5,8 +5,8 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
@@ -53,15 +53,26 @@ TEST(Rcm, PermutedSolveMatchesOriginal) {
   const IndexVector order = sparse::rcm_ordering(a);
   const sparse::CsrMatrix p = sparse::permute_symmetric(a, order);
 
-  Vector x(40, 0.0), xp(40, 0.0), bp(40);
+  Vector bp(40);
   for (index_t k = 0; k < 40; ++k)
     bp[static_cast<std::size_t>(k)] =
         b[static_cast<std::size_t>(order[static_cast<std::size_t>(k)])];
-  core::Ilu0Precond ia(a), ip(p);
+  // One-process ILU(0)-FGMRES on each ordering: solve_rdd at P = 1.
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
   core::SolveOptions opts;
   opts.tol = 1e-11;
-  ASSERT_TRUE(core::fgmres(a, b, x, ia, opts).converged);
-  ASSERT_TRUE(core::fgmres(p, bp, xp, ip, opts).converged);
+  const IndexVector one_part(40, 0);
+  const core::DistSolve rx =
+      core::solve_rdd(partition::build_rdd_partition(a, one_part, 1), b, ilu,
+                      opts);
+  const core::DistSolve rxp =
+      core::solve_rdd(partition::build_rdd_partition(p, one_part, 1), bp,
+                      ilu, opts);
+  ASSERT_TRUE(rx.converged);
+  ASSERT_TRUE(rxp.converged);
+  const Vector& x = rx.x;
+  const Vector& xp = rxp.x;
   for (index_t k = 0; k < 40; ++k)
     EXPECT_NEAR(xp[static_cast<std::size_t>(k)],
                 x[static_cast<std::size_t>(order[static_cast<std::size_t>(k)])],
@@ -101,13 +112,7 @@ TEST_P(SchwarzTest, MatchesSequentialSolution) {
   spec.ny = 5;
   const fem::CantileverProblem prob = fem::make_cantilever(spec);
 
-  Vector x_ref(prob.load.size(), 0.0);
-  core::Ilu0Precond ilu(prob.stiffness);
-  core::SolveOptions ref_opts;
-  ref_opts.tol = 1e-12;
-  ref_opts.max_iters = 50000;
-  ASSERT_TRUE(core::fgmres(prob.stiffness, prob.load, x_ref, ilu, ref_opts)
-                  .converged);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::RddPartition part = exp::make_rdd(prob, nparts);
   core::RddOptions rdd;

@@ -10,11 +10,10 @@
 #include <tuple>
 #include <vector>
 
-#include "core/fgmres.hpp"
 #include "core/rdd_solver.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
-#include "la/dense.hpp"
 #include "la/vector_ops.hpp"
 #include "sparse/generators.hpp"
 
@@ -28,17 +27,6 @@ fem::CantileverProblem test_problem() {
   return fem::make_cantilever(spec);
 }
 
-Vector reference_solution(const fem::CantileverProblem& prob) {
-  Vector x(prob.load.size(), 0.0);
-  Ilu0Precond ilu(prob.stiffness);
-  SolveOptions opts;
-  opts.tol = 1e-12;
-  opts.max_iters = 50000;
-  const SolveReport res = fgmres(prob.stiffness, prob.load, x, ilu, opts);
-  EXPECT_TRUE(res.converged);
-  return x;
-}
-
 using RddCase = std::tuple<int, PolyKind>;
 
 class RddSolverTest : public ::testing::TestWithParam<RddCase> {};
@@ -46,7 +34,7 @@ class RddSolverTest : public ::testing::TestWithParam<RddCase> {};
 TEST_P(RddSolverTest, MatchesSequentialSolution) {
   const auto [nparts, kind] = GetParam();
   const fem::CantileverProblem prob = test_problem();
-  const Vector x_ref = reference_solution(prob);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::RddPartition part = exp::make_rdd(prob, nparts);
   RddOptions rdd;
@@ -78,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RddSolver, BlockJacobiIluConverges) {
   const fem::CantileverProblem prob = test_problem();
-  const Vector x_ref = reference_solution(prob);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
   const partition::RddPartition part = exp::make_rdd(prob, 4);
   RddOptions rdd;
   rdd.precond = RddOptions::Precond::BlockJacobiIlu;
@@ -306,15 +294,6 @@ TEST(RddSolver, TracedExchangesMatchCountersOnEveryRank) {
 }
 
 // ---- Unsymmetric systems ---------------------------------------------
-
-Vector dense_solve(const sparse::CsrMatrix& a, const Vector& b) {
-  la::DenseMatrix ad(a.rows(), a.cols());
-  for (index_t i = 0; i < a.rows(); ++i)
-    for (index_t j = 0; j < a.cols(); ++j) ad(i, j) = a.at(i, j);
-  Vector x = b;
-  la::lu_solve(ad, x);
-  return x;
-}
 
 TEST(ConvectionDiffusion, IsUnsymmetricMMatrix) {
   const sparse::CsrMatrix a = sparse::convection_diffusion_2d(8, 8, 4.0, 2.0);

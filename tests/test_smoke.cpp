@@ -1,9 +1,9 @@
 // End-to-end smoke test: build a small cantilever, solve it with the
-// EDD solver on 4 ranks, compare against a direct sequential solve.
+// EDD solver on 4 ranks, compare against a dense LU solve.
 #include <gtest/gtest.h>
 
 #include "core/edd_solver.hpp"
-#include "core/fgmres.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 
@@ -16,15 +16,7 @@ TEST(Smoke, EddSolveMatchesSequential) {
   spec.ny = 4;
   const fem::CantileverProblem prob = fem::make_cantilever(spec);
 
-  // Sequential reference via FGMRES + ILU(0) to tight tolerance.
-  Vector x_ref(prob.load.size(), 0.0);
-  core::Ilu0Precond ilu(prob.stiffness);
-  core::SolveOptions seq_opts;
-  seq_opts.tol = 1e-12;
-  seq_opts.max_iters = 20000;
-  const core::SolveReport ref =
-      core::fgmres(prob.stiffness, prob.load, x_ref, ilu, seq_opts);
-  ASSERT_TRUE(ref.converged);
+  const Vector x_ref = dense_solve(prob.stiffness, prob.load);
 
   const partition::EddPartition part = exp::make_edd(prob, 4);
   core::PolySpec poly;

@@ -5,9 +5,7 @@
 
 #include <cmath>
 
-#include "core/diag_scaling.hpp"
-#include "core/fgmres.hpp"
-#include "core/precond.hpp"
+#include "dense_solve.hpp"
 #include "exp/experiments.hpp"
 #include "fem/problems.hpp"
 #include "la/vector_ops.hpp"
@@ -111,6 +109,17 @@ fem::CantileverProblem dyn_problem() {
   return fem::make_cantilever(spec);
 }
 
+TEST(DynamicDriver, InitialAccelerationSolvesTheMassSystem) {
+  const fem::CantileverProblem prob = dyn_problem();
+  const sparse::CsrMatrix m = prob.assemble_mass();
+  const Vector a0 = initial_acceleration(m, prob.load);
+  const Vector ref = dense_solve(m, prob.load);
+  const real_t scale = la::nrm_inf(ref);
+  ASSERT_EQ(a0.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_NEAR(a0[i], ref[i], 1e-8 * scale) << "dof " << i;
+}
+
 TEST(DynamicDriver, SequentialRunsAndConverges) {
   const fem::CantileverProblem prob = dyn_problem();
   const sparse::CsrMatrix m = prob.assemble_mass();
@@ -118,12 +127,7 @@ TEST(DynamicDriver, SequentialRunsAndConverges) {
   opts.steps = 4;
   opts.solve.tol = 1e-8;
   const DynamicRunResult res = run_dynamic_sequential(
-      prob.stiffness, m, prob.load, opts,
-      [](const sparse::CsrMatrix& a) {
-        return std::make_unique<core::GlsPrecond>(
-            core::LinearOp::from_csr(a),
-            core::GlsPolynomial(core::default_theta_after_scaling(), 7));
-      });
+      prob.stiffness, m, prob.load, opts, core::RddOptions{});  // GLS(7)
   EXPECT_TRUE(res.all_converged);
   ASSERT_EQ(res.iterations_per_step.size(), 4u);
   for (index_t it : res.iterations_per_step) EXPECT_GT(it, 0);
@@ -138,11 +142,10 @@ TEST(DynamicDriver, EddMatchesSequentialTrajectory) {
   opts.steps = 3;
   opts.solve.tol = 1e-10;
 
-  const DynamicRunResult seq = run_dynamic_sequential(
-      prob.stiffness, m, prob.load, opts,
-      [](const sparse::CsrMatrix& a) {
-        return std::make_unique<core::Ilu0Precond>(a);
-      });
+  core::RddOptions ilu;
+  ilu.precond = core::RddOptions::Precond::BlockJacobiIlu;
+  const DynamicRunResult seq =
+      run_dynamic_sequential(prob.stiffness, m, prob.load, opts, ilu);
   ASSERT_TRUE(seq.all_converged);
 
   const partition::EddPartition part = exp::make_edd(prob, 3);
@@ -167,26 +170,20 @@ TEST(DynamicDriver, EffectiveSystemBetterConditionedThanStatic) {
   const fem::CantileverProblem prob = dyn_problem();
   const sparse::CsrMatrix m = prob.assemble_mass();
 
+  // One-process GLS(7) solves: solve_rdd on one-part partitions.
   core::SolveOptions sopts;
   sopts.tol = 1e-6;
-  const core::ScaledSystem stat =
-      core::scale_system(prob.stiffness, prob.load);
-  Vector x1(stat.b.size(), 0.0);
-  core::GlsPrecond p1(core::LinearOp::from_csr(stat.a),
-                      core::GlsPolynomial(core::default_theta_after_scaling(),
-                                          7));
-  const core::SolveReport r_static =
-      core::fgmres(stat.a, stat.b, x1, p1, sopts);
+  const IndexVector one_part(prob.load.size(), 0);
+  const core::DistSolve r_static = core::solve_rdd(
+      partition::build_rdd_partition(prob.stiffness, one_part, 1), prob.load,
+      {}, sopts);
 
   NewmarkOptions nopts;
   nopts.dt = 0.01;
   const Newmark nm(prob.stiffness, m, nopts);
-  const core::ScaledSystem dyn = core::scale_system(nm.k_eff(), prob.load);
-  Vector x2(dyn.b.size(), 0.0);
-  core::GlsPrecond p2(core::LinearOp::from_csr(dyn.a),
-                      core::GlsPolynomial(core::default_theta_after_scaling(),
-                                          7));
-  const core::SolveReport r_dyn = core::fgmres(dyn.a, dyn.b, x2, p2, sopts);
+  const core::DistSolve r_dyn = core::solve_rdd(
+      partition::build_rdd_partition(nm.k_eff(), one_part, 1), prob.load, {},
+      sopts);
 
   ASSERT_TRUE(r_static.converged && r_dyn.converged);
   EXPECT_LE(r_dyn.iterations, r_static.iterations);
