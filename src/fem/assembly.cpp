@@ -8,124 +8,48 @@ namespace pfem::fem {
 
 namespace {
 
-QuadCoords quad_coords(const Mesh& mesh, index_t e) {
-  const auto nodes = mesh.elem_nodes(e);
-  QuadCoords xy{};
-  for (int i = 0; i < 4; ++i) {
-    xy[2 * i] = mesh.x(nodes[i]);
-    xy[2 * i + 1] = mesh.y(nodes[i]);
-  }
-  return xy;
-}
-
-TriCoords tri_coords(const Mesh& mesh, index_t e) {
-  const auto nodes = mesh.elem_nodes(e);
-  TriCoords xy{};
-  for (int i = 0; i < 3; ++i) {
-    xy[2 * i] = mesh.x(nodes[i]);
-    xy[2 * i + 1] = mesh.y(nodes[i]);
-  }
-  return xy;
-}
-
-Quad8Coords quad8_coords(const Mesh& mesh, index_t e) {
-  const auto nodes = mesh.elem_nodes(e);
-  Quad8Coords xy{};
-  for (int i = 0; i < 8; ++i) {
-    xy[2 * i] = mesh.x(nodes[i]);
-    xy[2 * i + 1] = mesh.y(nodes[i]);
-  }
-  return xy;
-}
-
-HexCoords hex_coords(const Mesh& mesh, index_t e) {
-  const auto nodes = mesh.elem_nodes(e);
-  HexCoords xyz{};
-  for (int i = 0; i < 8; ++i) {
-    xyz[3 * i] = mesh.x(nodes[i]);
-    xyz[3 * i + 1] = mesh.y(nodes[i]);
-    xyz[3 * i + 2] = mesh.z(nodes[i]);
-  }
-  return xyz;
-}
-
-/// Per-element heterogeneity hooks of Material: the Quad4 Poisson path
-/// honours the diffusion-tensor table; Stiffness/Poisson matrices are
-/// scaled by elem_scale[e].  Mass stays untouched — density is a
-/// separate physical field, and scaling it would change the spectrum of
-/// the wrong operator.
-la::DenseMatrix apply_elem_scale(la::DenseMatrix ke, const Material& mat,
-                                 Operator op, index_t e) {
-  if (op == Operator::Mass || mat.elem_scale == nullptr) return ke;
-  const auto& scale = *mat.elem_scale;
-  PFEM_CHECK_MSG(static_cast<std::size_t>(e) < scale.size(),
-                 "Material::elem_scale shorter than the element count");
-  const real_t s = scale[static_cast<std::size_t>(e)];
-  for (index_t r = 0; r < ke.rows(); ++r)
-    for (index_t c = 0; c < ke.cols(); ++c) ke(r, c) *= s;
-  return ke;
-}
-
-la::DenseMatrix quad4_poisson_elem(const Mesh& mesh, const Material& mat,
-                                   index_t e) {
-  if (mat.diffusion == nullptr) return quad4_poisson(quad_coords(mesh, e));
+/// Element e's diffusion tensor from Material::diffusion, or the
+/// identity (the plain Laplacian) when no table is set.
+DiffusionTensor diffusion_tensor(const Material& mat, index_t e) {
+  if (mat.diffusion == nullptr) return kIdentityDiffusion;
   const auto& d = *mat.diffusion;
   PFEM_CHECK_MSG(d.size() >= 4 * static_cast<std::size_t>(e) + 4,
                  "Material::diffusion shorter than 4 * element count");
   const std::size_t b = 4 * static_cast<std::size_t>(e);
-  return quad4_diffusion(quad_coords(mesh, e),
-                         DiffusionTensor{d[b], d[b + 1], d[b + 2], d[b + 3]});
+  return {d[b], d[b + 1], d[b + 2], d[b + 3]};
 }
 
 }  // namespace
 
-la::DenseMatrix element_matrix(const Mesh& mesh, const Material& mat,
-                               Operator op, index_t e) {
-  switch (mesh.type()) {
-    case ElemType::Quad4:
-      switch (op) {
-        case Operator::Stiffness:
-          return apply_elem_scale(quad4_stiffness(quad_coords(mesh, e), mat),
-                                  mat, op, e);
-        case Operator::Mass: return quad4_mass(quad_coords(mesh, e), mat);
-        case Operator::Poisson:
-          return apply_elem_scale(quad4_poisson_elem(mesh, mat, e), mat, op,
-                                  e);
-      }
+void element_matrix(const Mesh& mesh, const Material& mat, Operator op,
+                    index_t e, std::span<real_t> out) {
+  const ElemCoords x = element_coords(mesh, e);
+  switch (op) {
+    case Operator::Stiffness:
+      stiffness_matrix(mesh.type(), x, mat, out);
       break;
-    case ElemType::Tri3:
-      switch (op) {
-        case Operator::Stiffness:
-          return apply_elem_scale(tri3_stiffness(tri_coords(mesh, e), mat),
-                                  mat, op, e);
-        case Operator::Mass: return tri3_mass(tri_coords(mesh, e), mat);
-        case Operator::Poisson:
-          return apply_elem_scale(tri3_poisson(tri_coords(mesh, e)), mat, op,
-                                  e);
-      }
-      break;
-    case ElemType::Quad8:
-      switch (op) {
-        case Operator::Stiffness:
-          return apply_elem_scale(quad8_stiffness(quad8_coords(mesh, e), mat),
-                                  mat, op, e);
-        case Operator::Mass: return quad8_mass(quad8_coords(mesh, e), mat);
-        case Operator::Poisson:
-          PFEM_CHECK_MSG(false, "scalar Poisson not provided for Q8");
-      }
-      break;
-    case ElemType::Hex8:
-      switch (op) {
-        case Operator::Stiffness:
-          return apply_elem_scale(hex8_stiffness(hex_coords(mesh, e), mat),
-                                  mat, op, e);
-        case Operator::Mass: return hex8_mass(hex_coords(mesh, e), mat);
-        case Operator::Poisson:
-          PFEM_CHECK_MSG(false, "scalar Poisson not provided for Hex8");
-      }
+    // Mass ignores elem_scale: density is a separate physical field, and
+    // scaling it would change the spectrum of the wrong operator.
+    case Operator::Mass: return mass_matrix(mesh.type(), x, mat, out);
+    case Operator::Poisson:
+      diffusion_matrix(mesh.type(), x, diffusion_tensor(mat, e), out);
       break;
   }
-  PFEM_CHECK_MSG(false, "unreachable operator kind");
+  if (mat.elem_scale == nullptr) return;
+  const auto& scale = *mat.elem_scale;
+  PFEM_CHECK_MSG(static_cast<std::size_t>(e) < scale.size(),
+                 "Material::elem_scale shorter than the element count");
+  const real_t s = scale[static_cast<std::size_t>(e)];
+  for (real_t& v : out) v *= s;
+}
+
+la::DenseMatrix element_matrix(const Mesh& mesh, const Material& mat,
+                               Operator op, index_t e) {
+  const index_t n =
+      nodes_per_elem(mesh.type()) * (op == Operator::Poisson ? 1 : mesh.dim());
+  la::DenseMatrix ke(n, n);
+  element_matrix(mesh, mat, op, e, ke.data());
+  return ke;
 }
 
 IndexVector element_dofs(const Mesh& mesh, const DofMap& dofs, index_t e) {

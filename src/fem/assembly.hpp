@@ -20,6 +20,7 @@
 #include "fem/dofmap.hpp"
 #include "fem/material.hpp"
 #include "fem/mesh.hpp"
+#include "la/dense.hpp"
 #include "sparse/csr.hpp"
 
 namespace pfem::fem {
@@ -45,7 +46,14 @@ enum class Operator { Stiffness, Mass, Poisson };
 [[nodiscard]] IndexVector element_dofs(const Mesh& mesh, const DofMap& dofs,
                                        index_t e);
 
-/// Compute the element matrix of `op` for element e.
+/// Write the element matrix of `op` for element e into `out` (edofs^2
+/// entries, row-major): the element kernel for the mesh's type, scaled
+/// by Material::elem_scale[e] except for Mass, with Quad4 Poisson
+/// integrating Material::diffusion's tensor for e when that is set.
+void element_matrix(const Mesh& mesh, const Material& mat, Operator op,
+                    index_t e, std::span<real_t> out);
+
+/// The same element matrix as a dense matrix.
 [[nodiscard]] la::DenseMatrix element_matrix(const Mesh& mesh,
                                              const Material& mat, Operator op,
                                              index_t e);

@@ -20,21 +20,20 @@ sparse::EbeStore build_ebe_store(const Mesh& mesh, const DofMap& dofs,
   PFEM_CHECK(global_to_local.size() ==
              static_cast<std::size_t>(dofs.num_free()));
   const index_t edofs = nodes_per_elem(mesh.type()) * dpn;
+  const std::size_t block = static_cast<std::size_t>(edofs) * edofs;
   IndexVector dof_ids;
-  std::vector<real_t> values;
   dof_ids.reserve(elems.size() * static_cast<std::size_t>(edofs));
-  values.reserve(elems.size() * static_cast<std::size_t>(edofs) * edofs);
-  for (const index_t e : elems) {
-    const la::DenseMatrix ke = element_matrix(mesh, mat, op, e);
-    PFEM_CHECK(ke.rows() == edofs);
+  std::vector<real_t> values(elems.size() * block);
+  for (std::size_t i = 0; i < elems.size(); ++i) {
+    const index_t e = elems[i];
+    element_matrix(mesh, mat, op, e,
+                   std::span(values).subspan(i * block, block));
     for (const index_t node : mesh.elem_nodes(e))
       for (index_t c = 0; c < dpn; ++c) {
         const index_t g = dofs.dof(node, c);
         dof_ids.push_back(g >= 0 ? global_to_local[static_cast<std::size_t>(g)]
                                  : index_t{-1});
       }
-    const auto data = ke.data();
-    values.insert(values.end(), data.begin(), data.end());
   }
   return sparse::EbeStore(n_local, edofs, std::move(dof_ids),
                           std::move(values));

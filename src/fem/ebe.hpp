@@ -24,7 +24,8 @@
 namespace pfem::fem {
 
 /// Build the element store of `op` over the element subset `elems`, in
-/// that order: each element's dense matrix, evaluated once, with its
+/// that order: each element's dense matrix, evaluated once straight
+/// into the store's value array (no allocation per element), with its
 /// dof ids mapped through `global_to_local` (size num_free; fixed dofs
 /// and dofs mapped to -1 become the constrained marker -1) into
 /// [0, n_local).  This is the library's only loop over element_matrix:

@@ -1,95 +1,70 @@
-// Element integrals: stiffness and consistent mass matrices.
+// Element integrals: stiffness, consistent mass and scalar diffusion
+// matrices, and centroid strains.
 //
 // Q4 (4-node bilinear quadrilateral, 2x2 Gauss) and T3 (constant-strain
-// triangle, closed form) for 2-D plane-stress elasticity — the elements
-// the paper evaluates with ("four-node quadrilateral finite elements",
-// §6.1) plus the T3 used in its planar-graph argument (§5).  A scalar
-// Poisson Q4/T3 stiffness is provided for substrate tests with known
-// analytic behaviour.
+// triangle) for 2-D plane-stress elasticity — the elements the paper
+// evaluates with ("four-node quadrilateral finite elements", §6.1) plus
+// the T3 used in its planar-graph argument (§5) — the Q8 serendipity
+// quadrilateral (3x3 Gauss) §5 singles out as making the matrix graph
+// non-planar, and the trilinear Hex8 (2x2x2 Gauss) for 3-D elasticity.
+// A scalar diffusion Q4/T3 stiffness serves the heterogeneous family and
+// substrate tests with known analytic behaviour.
+//
+// Every integral is one isoparametric loop over a shape policy, on
+// fixed-size stack storage, written straight into caller storage
+// (edofs x edofs, row-major): the element store's value array, or a
+// test's matrix.  Nothing is allocated per element.
 #pragma once
 
 #include <array>
 #include <span>
 
 #include "fem/material.hpp"
-#include "la/dense.hpp"
+#include "fem/mesh.hpp"
 
 namespace pfem::fem {
 
-/// Packed element node coordinates: (x0,y0,...,x3,y3) for Q4, 3 pairs T3,
-/// 8 pairs Q8 (4 CCW corners then midsides of edges 01, 12, 23, 30).
-using QuadCoords = std::array<real_t, 8>;
-using TriCoords = std::array<real_t, 6>;
-using Quad8Coords = std::array<real_t, 16>;
-/// Hex8: (x,y,z) triples, bottom face CCW (viewed from +z) then top face.
-using HexCoords = std::array<real_t, 24>;
+/// Packed node coordinates of one element, node-major: (x, y) pairs for
+/// the 2-D types, (x, y, z) triples for Hex8; entries past the element's
+/// nodes are unused.  Node order: Q4 and T3 counter-clockwise; Q8 the 4
+/// CCW corners then the midsides of edges 01, 12, 23, 30; Hex8 the
+/// bottom face CCW (viewed from +z) then the top face above it.
+using ElemCoords = std::array<real_t, 24>;
 
-/// 8x8 plane-stress stiffness Ke = t * sum_g B^T D B |J| w_g.
-[[nodiscard]] la::DenseMatrix quad4_stiffness(const QuadCoords& xy,
-                                              const Material& mat);
+/// Element e's node coordinates, gathered from the mesh.
+[[nodiscard]] ElemCoords element_coords(const Mesh& mesh, index_t e);
 
-/// 8x8 consistent mass Me = rho * t * sum_g N^T N |J| w_g
-/// (dof order u0,v0,u1,v1,...).
-[[nodiscard]] la::DenseMatrix quad4_mass(const QuadCoords& xy,
-                                         const Material& mat);
+/// Elasticity stiffness Ke = s * sum_g B^T D B |J| w_g with s the
+/// thickness and D plane stress for the 2-D types, s = 1 and the 3-D D
+/// for Hex8; dof order u0,v0(,w0),u1,...  ke holds edofs^2 entries,
+/// edofs = nodes x dim.  Throws on a degenerate or inverted element.
+void stiffness_matrix(ElemType type, const ElemCoords& x,
+                      const Material& mat, std::span<real_t> ke);
 
-/// 6x6 CST stiffness (exact).
-[[nodiscard]] la::DenseMatrix tri3_stiffness(const TriCoords& xy,
-                                             const Material& mat);
-
-/// 6x6 consistent mass (exact closed form).
-[[nodiscard]] la::DenseMatrix tri3_mass(const TriCoords& xy,
-                                        const Material& mat);
-
-/// 16x16 plane-stress stiffness of the 8-node serendipity quadrilateral
-/// (3x3 Gauss) — the higher-order element §5 singles out as making the
-/// matrix graph non-planar.
-[[nodiscard]] la::DenseMatrix quad8_stiffness(const Quad8Coords& xy,
-                                              const Material& mat);
-
-/// 16x16 consistent mass of the Q8 element (3x3 Gauss).
-[[nodiscard]] la::DenseMatrix quad8_mass(const Quad8Coords& xy,
-                                         const Material& mat);
-
-/// 24x24 3-D elasticity stiffness of the trilinear hexahedron
-/// (2x2x2 Gauss); dof order u0,v0,w0,u1,...
-[[nodiscard]] la::DenseMatrix hex8_stiffness(const HexCoords& xyz,
-                                             const Material& mat);
-
-/// 24x24 consistent mass of the Hex8 element.
-[[nodiscard]] la::DenseMatrix hex8_mass(const HexCoords& xyz,
-                                        const Material& mat);
-
-/// 4x4 scalar Laplace stiffness ke = sum_g grad(N)^T grad(N) |J| w_g.
-[[nodiscard]] la::DenseMatrix quad4_poisson(const QuadCoords& xy);
+/// Consistent mass Me = rho * s * sum_g N^T N |J| w_g in each
+/// displacement component (s as above); T3 uses its exact closed form.
+void mass_matrix(ElemType type, const ElemCoords& x, const Material& mat,
+                 std::span<real_t> me);
 
 /// Symmetric positive-definite 2x2 diffusion tensor, row-major
-/// (dxx, dxy, dyx, dyy); the anisotropic generalization of the scalar
-/// Laplace coefficient.
+/// (dxx, dxy, dyx, dyy).
 using DiffusionTensor = std::array<real_t, 4>;
+inline constexpr DiffusionTensor kIdentityDiffusion{1.0, 0.0, 0.0, 1.0};
 
-/// 4x4 scalar diffusion stiffness ke = sum_g grad(N)^T D grad(N) |J| w_g
-/// with a per-element constant tensor D.  quad4_poisson is the D = I
-/// special case.
-[[nodiscard]] la::DenseMatrix quad4_diffusion(const QuadCoords& xy,
-                                              const DiffusionTensor& d);
+/// Scalar diffusion stiffness ke = sum_g grad(N)^T D grad(N) |J| w_g
+/// (nodes^2 entries).  Q4 integrates D; T3 is the exact closed-form
+/// Laplacian and does not read d; Q8 and Hex8 throw.
+void diffusion_matrix(ElemType type, const ElemCoords& x,
+                      const DiffusionTensor& d, std::span<real_t> ke);
 
-/// 3x3 scalar Laplace stiffness (exact).
-[[nodiscard]] la::DenseMatrix tri3_poisson(const TriCoords& xy);
+/// Centroid strain eps = B(centroid) ue from the element displacement
+/// vector (node-major, component-minor dof order): Voigt
+/// (exx, eyy, gxy) for the 2-D types, (exx, eyy, ezz, gxy, gyz, gzx)
+/// for Hex8.
+void centroid_strain(ElemType type, const ElemCoords& x,
+                     std::span<const real_t> ue, std::span<real_t> eps);
 
-/// Signed area of the triangle (positive for CCW node order).
-[[nodiscard]] real_t tri3_area(const TriCoords& xy);
-
-/// Centroid strains from element displacement vectors (node-major,
-/// component-minor dof order).  2-D elements return Voigt
-/// (εxx, εyy, γxy); Hex8 returns (εxx, εyy, εzz, γxy, γyz, γzx).
-[[nodiscard]] Vector quad4_centroid_strain(const QuadCoords& xy,
-                                           std::span<const real_t> ue);
-[[nodiscard]] Vector tri3_centroid_strain(const TriCoords& xy,
-                                          std::span<const real_t> ue);
-[[nodiscard]] Vector quad8_centroid_strain(const Quad8Coords& xy,
-                                           std::span<const real_t> ue);
-[[nodiscard]] Vector hex8_centroid_strain(const HexCoords& xyz,
-                                          std::span<const real_t> ue);
+/// Signed area of a triangle (positive for CCW node order).
+[[nodiscard]] real_t tri3_area(const ElemCoords& x);
 
 }  // namespace pfem::fem

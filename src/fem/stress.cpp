@@ -1,5 +1,6 @@
 #include "fem/stress.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -21,6 +22,16 @@ Vector gather_element_u(const Mesh& mesh, const DofMap& dofs, index_t e,
   return ue;
 }
 
+/// sigma = D eps, each component summed from 0.0 in column order.
+template <int N>
+std::array<real_t, N> stress_of(const ConstitutiveMatrix<N>& d,
+                                const std::array<real_t, 6>& eps) {
+  std::array<real_t, N> sig{};
+  for (int i = 0; i < N; ++i)
+    for (int j = 0; j < N; ++j) sig[i] += d(i, j) * eps[j];
+  return sig;
+}
+
 real_t von_mises_plane_stress(real_t sxx, real_t syy, real_t sxy) {
   return std::sqrt(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy);
 }
@@ -38,20 +49,12 @@ ElementStress element_stress(const Mesh& mesh, const DofMap& dofs,
                              std::span<const real_t> u) {
   PFEM_CHECK(u.size() == static_cast<std::size_t>(dofs.num_free()));
   const Vector ue = gather_element_u(mesh, dofs, e, u);
-  const auto nodes = mesh.elem_nodes(e);
+  std::array<real_t, 6> eps{};
+  centroid_strain(mesh.type(), element_coords(mesh, e), ue,
+                  std::span(eps).first(mesh.dim() == 3 ? 6 : 3));
   ElementStress out;
-
-  if (mesh.type() == ElemType::Hex8) {
-    HexCoords xyz{};
-    for (int i = 0; i < 8; ++i) {
-      xyz[3 * i] = mesh.x(nodes[i]);
-      xyz[3 * i + 1] = mesh.y(nodes[i]);
-      xyz[3 * i + 2] = mesh.z(nodes[i]);
-    }
-    const Vector eps = hex8_centroid_strain(xyz, ue);
-    const la::DenseMatrix d = mat.elastic_3d_d();
-    Vector sig(6);
-    d.matvec(eps, sig);
+  if (mesh.dim() == 3) {
+    const std::array<real_t, 6> sig = stress_of(mat.elastic_3d_d(), eps);
     out.sxx = sig[0];
     out.syy = sig[1];
     out.szz = sig[2];
@@ -59,49 +62,13 @@ ElementStress element_stress(const Mesh& mesh, const DofMap& dofs,
     out.syz = sig[4];
     out.szx = sig[5];
     out.von_mises = von_mises_3d(out);
-    return out;
+  } else {
+    const std::array<real_t, 3> sig = stress_of(mat.plane_stress_d(), eps);
+    out.sxx = sig[0];
+    out.syy = sig[1];
+    out.sxy = sig[2];
+    out.von_mises = von_mises_plane_stress(out.sxx, out.syy, out.sxy);
   }
-
-  Vector eps;
-  switch (mesh.type()) {
-    case ElemType::Quad4: {
-      QuadCoords xy{};
-      for (int i = 0; i < 4; ++i) {
-        xy[2 * i] = mesh.x(nodes[i]);
-        xy[2 * i + 1] = mesh.y(nodes[i]);
-      }
-      eps = quad4_centroid_strain(xy, ue);
-      break;
-    }
-    case ElemType::Tri3: {
-      TriCoords xy{};
-      for (int i = 0; i < 3; ++i) {
-        xy[2 * i] = mesh.x(nodes[i]);
-        xy[2 * i + 1] = mesh.y(nodes[i]);
-      }
-      eps = tri3_centroid_strain(xy, ue);
-      break;
-    }
-    case ElemType::Quad8: {
-      Quad8Coords xy{};
-      for (int i = 0; i < 8; ++i) {
-        xy[2 * i] = mesh.x(nodes[i]);
-        xy[2 * i + 1] = mesh.y(nodes[i]);
-      }
-      eps = quad8_centroid_strain(xy, ue);
-      break;
-    }
-    default:
-      PFEM_CHECK_MSG(false, "unsupported element type for stress recovery");
-  }
-
-  const la::DenseMatrix d = mat.plane_stress_d();
-  Vector sig(3);
-  d.matvec(eps, sig);
-  out.sxx = sig[0];
-  out.syy = sig[1];
-  out.sxy = sig[2];
-  out.von_mises = von_mises_plane_stress(out.sxx, out.syy, out.sxy);
   return out;
 }
 

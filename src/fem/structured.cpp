@@ -81,7 +81,7 @@ Mesh structured_quad8(index_t nx, index_t ny, real_t lx, real_t ly) {
   for (index_t j = 0; j < ny; ++j) {
     for (index_t i = 0; i < nx; ++i) {
       // Corners CCW, then midsides of edges 01 (bottom), 12 (right),
-      // 23 (top), 30 (left) — matching Quad8Coords ordering.
+      // 23 (top), 30 (left) — the Q8 node order of fem/elements.hpp.
       conn.push_back(corner(i, j));
       conn.push_back(corner(i + 1, j));
       conn.push_back(corner(i + 1, j + 1));

@@ -8,11 +8,9 @@
 
 namespace pfem::obs {
 
-namespace {
-
-/// JSON string escaping; span names are literals but counter names may
-/// one day carry user text, so stay correct.
-void json_escaped(std::ostream& os, std::string_view s) {
+// Span names are literals, but counter and process names may one day
+// carry user text, so stay correct.
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -44,6 +42,8 @@ void json_escaped(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
+namespace {
+
 /// Microseconds with nanosecond resolution — Chrome's ts/dur unit.
 void us_from_ns(std::ostream& os, std::uint64_t ns) {
   char buf[32];
@@ -63,7 +63,7 @@ void lane_events(std::ostream& os, const Tracer& lane, int pid, bool& first,
     if (!first) os << ",\n";
     first = false;
     os << "  {\"name\": ";
-    json_escaped(os, r.name);
+    write_json_string(os, r.name);
     os << ", \"cat\": \"" << cat_name(r.cat) << "\", \"ph\": \""
        << (r.kind == Record::Kind::Span ? 'X' : 'C') << "\", \"ts\": ";
     us_from_ns(os, r.t0_ns);
@@ -74,7 +74,7 @@ void lane_events(std::ostream& os, const Tracer& lane, int pid, bool& first,
     os << ", \"pid\": " << pid << ", \"tid\": "
        << (tid_from_id ? r.id : 0u) << ", \"args\": {";
     if (r.kind == Record::Kind::Counter) {
-      json_escaped(os, r.name);
+      write_json_string(os, r.name);
       os << ": " << r.value;
       if (r.id != 0) os << ", \"id\": " << r.id;
     } else {
@@ -121,7 +121,7 @@ void lane_metrics(std::ostream& os, const Tracer& lane,
     if (!first) os << ",\n                ";
     first = false;
     os << "{\"name\": ";
-    json_escaped(os, s.name);
+    write_json_string(os, s.name);
     os << ", \"cat\": \"" << cat_name(s.cat) << "\", \"count\": " << s.count
        << ", \"total_ns\": " << s.total_ns << ", \"self_ns\": " << s.self_ns
        << "}";
@@ -132,7 +132,7 @@ void lane_metrics(std::ostream& os, const Tracer& lane,
     if (!first) os << ",\n                   ";
     first = false;
     os << "{\"name\": ";
-    json_escaped(os, s.name);
+    write_json_string(os, s.name);
     os << ", \"count\": " << s.count << ", \"last\": " << s.last
        << ", \"min\": " << s.min << ", \"max\": " << s.max << "}";
   }

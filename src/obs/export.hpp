@@ -9,6 +9,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -29,6 +30,10 @@ struct SpanStat {
 /// each span's duration minus its direct children's durations, using
 /// the recorded nesting depths.
 [[nodiscard]] std::vector<SpanStat> span_stats(std::span<const Record> records);
+
+/// Write `s` as a quoted JSON string: quotes, backslashes and control
+/// characters escaped.  Both JSON writers (these and trace_io's) use it.
+void write_json_string(std::ostream& os, std::string_view s);
 
 /// Serialize the merged timeline as Chrome trace_event JSON.
 void chrome_trace_json(std::ostream& os, const Trace& trace);

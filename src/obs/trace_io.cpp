@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
+
 namespace pfem::obs::io {
 
 namespace {
@@ -231,38 +233,6 @@ class Parser {
   int depth_ = 0;
 };
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 constexpr double kEpsUs = 1e-6;  ///< sub-nanosecond slack for comparisons
 
 /// A lane is one Chrome (pid, tid) track.  Rank lanes all use tid 0;
@@ -457,21 +427,21 @@ void write_chrome_trace(std::ostream& os, const TraceFile& t) {
     if (!first) os << ",\n";
     first = false;
     os << "  {\"name\": ";
-    write_escaped(os, e.name);
+    write_json_string(os, e.name);
     os << ", \"ph\": \"" << e.ph << "\"";
     if (!e.cat.empty()) {
       os << ", \"cat\": ";
-      write_escaped(os, e.cat);
+      write_json_string(os, e.cat);
     }
     if (e.ph != 'M') os << ", \"ts\": " << e.ts_us;
     if (e.ph == 'X') os << ", \"dur\": " << e.dur_us;
     os << ", \"pid\": " << e.pid << ", \"tid\": " << e.tid << ", \"args\": {";
     if (e.ph == 'C') {
-      write_escaped(os, e.name);
+      write_json_string(os, e.name);
       os << ": " << e.value;
     } else if (e.ph == 'M') {
       os << "\"name\": ";
-      write_escaped(os, e.process_name);
+      write_json_string(os, e.process_name);
     }
     os << "}}";
   }

@@ -91,9 +91,9 @@ using Deadline = std::chrono::time_point<Clock, std::chrono::duration<double>>;
 /// filling `ack`; returns the connected fd.  connect() succeeds on a
 /// peer's listen backlog before the peer ever accepts, so the whole
 /// HelloAck read is bounded by what is left of `timeout_seconds` (a
-/// peer that stalls mid-frame fails it too); later reads block,
-/// because a solve may run long.  Any failure throws pfem::Error
-/// "<what> with <addr> failed".
+/// peer that stalls mid-frame fails it too); later reads are the
+/// caller's to bound, because a solve may run long.  Any failure throws
+/// pfem::Error "<what> with <addr> failed".
 [[nodiscard]] int handshake(const std::string& addr, const std::string& name,
                             double timeout_seconds, const std::string& what,
                             proto::HelloAckMsg& ack) {
@@ -464,7 +464,8 @@ Server::Stats Server::stats() const {
 // ---- Client ---------------------------------------------------------------
 
 Client::Client(const std::string& addr, const std::string& client_name,
-               double connect_timeout_seconds) {
+               double connect_timeout_seconds)
+    : connect_timeout_seconds_(connect_timeout_seconds) {
   proto::HelloAckMsg ack;
   fd_ = handshake(addr, client_name, connect_timeout_seconds,
                   "svc::Client: handshake", ack);
@@ -476,71 +477,72 @@ Client::~Client() {
   if (fd_ >= 0) net::close_fd(fd_);
 }
 
+template <class Msg>
+bool Client::round_trip(
+    const net::ByteBuffer& request, proto::MsgType want,
+    proto::DecodeStatus (*decode)(std::span<const unsigned char>, Msg&),
+    Msg& response, std::uint64_t req_id, double timeout_seconds) {
+  if (fd_ < 0) return false;
+  const Deadline deadline =
+      Clock::now() + std::chrono::duration<double>(timeout_seconds);
+  bool ok = false;
+  try {
+    proto::ProtoHeader h;
+    std::vector<unsigned char> body;
+    proto::DecodeStatus st;
+    // One outstanding request per client: FIFO means the next response
+    // is ours; a mismatched id marks the connection unusable.
+    ok = net::write_full(fd_, request.data(), request.size()) &&
+         read_frame(fd_, h, body, st,
+                    timeout_seconds > 0.0 ? &deadline : nullptr) &&
+         static_cast<proto::MsgType>(h.type) == want &&
+         decode(body, response) == proto::DecodeStatus::Ok &&
+         response.req_id == req_id;
+  } catch (const std::exception&) {
+    ok = false;
+  }
+  if (!ok) {
+    net::close_fd(fd_);
+    fd_ = -1;
+  }
+  return ok;
+}
+
 bool Client::solve(proto::SolveRequestMsg& req,
                    proto::SolveResponseMsg& resp) {
-  if (fd_ < 0) return false;
   if (req.req_id == 0) req.req_id = next_id_++;
   net::ByteBuffer out;
   proto::encode_solve_request(out, req);
-  try {
-    if (!net::write_full(fd_, out.data(), out.size())) return false;
-    proto::ProtoHeader h;
-    std::vector<unsigned char> body;
-    proto::DecodeStatus st;
-    if (!read_frame(fd_, h, body, st)) return false;
-    if (static_cast<proto::MsgType>(h.type) != proto::MsgType::SolveResponse)
-      return false;
-    if (proto::decode_solve_response(body, resp) != proto::DecodeStatus::Ok)
-      return false;
-  } catch (const std::exception&) {
-    return false;
-  }
-  // One outstanding request per client: FIFO means the next response
-  // is ours; a mismatched id marks the connection unusable.
-  return resp.req_id == req.req_id;
+  const double timeout =
+      req.deadline_ns == 0
+          ? 0.0
+          : 1e-9 * static_cast<double>(req.deadline_ns) +
+                connect_timeout_seconds_;
+  return round_trip(out, proto::MsgType::SolveResponse,
+                    proto::decode_solve_response, resp, req.req_id, timeout);
 }
 
 std::uint64_t Client::open_session(const std::string& operator_key) {
-  if (fd_ < 0) return 0;
-  proto::SessionOpenMsg req{next_id_++, operator_key};
+  const proto::SessionOpenMsg req{next_id_++, operator_key};
   net::ByteBuffer out;
   proto::encode_session_open(out, req);
   proto::SessionAckMsg ack;
-  try {
-    if (!net::write_full(fd_, out.data(), out.size())) return 0;
-    proto::ProtoHeader h;
-    std::vector<unsigned char> body;
-    proto::DecodeStatus st;
-    if (!read_frame(fd_, h, body, st) ||
-        static_cast<proto::MsgType>(h.type) != proto::MsgType::SessionAck ||
-        proto::decode_session_ack(body, ack) != proto::DecodeStatus::Ok)
-      return 0;
-  } catch (const std::exception&) {
-    return 0;
-  }
-  return ack.req_id == req.req_id ? ack.session_id : 0;
+  return round_trip(out, proto::MsgType::SessionAck,
+                    proto::decode_session_ack, ack, req.req_id, 0.0)
+             ? ack.session_id
+             : 0;
 }
 
 bool Client::close_session(const std::string& operator_key,
                            std::uint64_t session_id) {
-  if (fd_ < 0 || session_id == 0) return false;
-  proto::SessionCloseMsg req{next_id_++, operator_key, session_id};
+  if (session_id == 0) return false;
+  const proto::SessionCloseMsg req{next_id_++, operator_key, session_id};
   net::ByteBuffer out;
   proto::encode_session_close(out, req);
   proto::SessionAckMsg ack;
-  try {
-    if (!net::write_full(fd_, out.data(), out.size())) return false;
-    proto::ProtoHeader h;
-    std::vector<unsigned char> body;
-    proto::DecodeStatus st;
-    if (!read_frame(fd_, h, body, st) ||
-        static_cast<proto::MsgType>(h.type) != proto::MsgType::SessionAck ||
-        proto::decode_session_ack(body, ack) != proto::DecodeStatus::Ok)
-      return false;
-  } catch (const std::exception&) {
-    return false;
-  }
-  return ack.req_id == req.req_id && ack.session_id == session_id;
+  return round_trip(out, proto::MsgType::SessionAck,
+                    proto::decode_session_ack, ack, req.req_id, 0.0) &&
+         ack.session_id == session_id;
 }
 
 // ---- Router ---------------------------------------------------------------

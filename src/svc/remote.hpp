@@ -41,6 +41,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -127,8 +128,13 @@ class Client {
   [[nodiscard]] int server_nranks() const noexcept { return nranks_; }
 
   /// Blocking request/response.  Assigns a fresh req_id when req.req_id
-  /// is 0.  Returns false when the connection dropped or the peer sent
-  /// a malformed frame — the connection is unusable afterwards.
+  /// is 0.  With req.deadline_ns set, the wait for the response ends
+  /// that long after the send plus the connect timeout, the grace for
+  /// the shard's typed DeadlineExceeded or Cancelled answer; without
+  /// one it blocks, because a solve may run long.  Returns false when
+  /// the connection dropped, the peer sent a malformed frame or the wait
+  /// ran out — the connection is closed then, and every later call
+  /// returns false at once.
   [[nodiscard]] bool solve(net::proto::SolveRequestMsg& req,
                            net::proto::SolveResponseMsg& resp);
 
@@ -143,7 +149,19 @@ class Client {
                      std::uint64_t session_id);
 
  private:
+  /// Write `request`, then read the one response frame: it must be of
+  /// type `want` and decode into `response` answering `req_id`.  The read
+  /// is bounded by timeout_seconds when that is positive.  Any failure
+  /// closes the connection.
+  template <class Msg>
+  [[nodiscard]] bool round_trip(
+      const net::ByteBuffer& request, net::proto::MsgType want,
+      net::proto::DecodeStatus (*decode)(std::span<const unsigned char>,
+                                         Msg&),
+      Msg& response, std::uint64_t req_id, double timeout_seconds);
+
   int fd_ = -1;
+  double connect_timeout_seconds_ = 0.0;
   std::string server_name_;
   int nranks_ = 0;
   std::uint64_t next_id_ = 1;

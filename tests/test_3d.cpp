@@ -8,6 +8,7 @@
 #include "core/edd_solver.hpp"
 #include "core/rdd_solver.hpp"
 #include "dense_solve.hpp"
+#include "element_dense.hpp"
 #include "exp/experiments.hpp"
 #include "fem/elements.hpp"
 #include "fem/problems.hpp"
@@ -17,19 +18,19 @@
 namespace pfem {
 namespace {
 
-const fem::HexCoords kUnitCube{0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0,
-                               0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1};
+const fem::ElemCoords kUnitCube{0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0,
+                                0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1};
 
 TEST(Hex8, StiffnessSymmetric) {
   fem::Material mat;
-  const la::DenseMatrix ke = fem::hex8_stiffness(kUnitCube, mat);
+  const la::DenseMatrix ke = fem::dense_stiffness(fem::ElemType::Hex8, kUnitCube, mat);
   EXPECT_LT(ke.max_abs_diff(ke.transposed()), 1e-9);
 }
 
 TEST(Hex8, RigidBodyNullspaceSixModes) {
   // 3 translations + 3 infinitesimal rotations produce zero force.
   fem::Material mat;
-  const la::DenseMatrix ke = fem::hex8_stiffness(kUnitCube, mat);
+  const la::DenseMatrix ke = fem::dense_stiffness(fem::ElemType::Hex8, kUnitCube, mat);
   std::vector<Vector> modes(6, Vector(24, 0.0));
   for (int i = 0; i < 8; ++i) {
     const real_t x = kUnitCube[3 * i], y = kUnitCube[3 * i + 1],
@@ -55,10 +56,10 @@ TEST(Hex8, PatchTestUniaxialStretch) {
   // u = a*x on a distorted hexahedron reproduces the constant-strain
   // energy 1/2 D00 a^2 V exactly (trilinear patch test).
   fem::Material mat;
-  fem::HexCoords xyz = kUnitCube;
+  fem::ElemCoords xyz = kUnitCube;
   xyz[3 * 6] = 1.2;  // perturb one top corner
   xyz[3 * 6 + 1] = 1.1;
-  const la::DenseMatrix ke = fem::hex8_stiffness(xyz, mat);
+  const la::DenseMatrix ke = fem::dense_stiffness(fem::ElemType::Hex8, xyz, mat);
   const double a = 0.01;
   Vector u(24, 0.0), f(24);
   for (int i = 0; i < 8; ++i) u[3 * i] = a * xyz[3 * i];
@@ -79,7 +80,7 @@ TEST(Hex8, PatchTestUniaxialStretch) {
 TEST(Hex8, MassTotalEqualsDensityTimesVolume) {
   fem::Material mat;
   mat.density = 3.0;
-  const la::DenseMatrix me = fem::hex8_mass(kUnitCube, mat);
+  const la::DenseMatrix me = fem::dense_mass(fem::ElemType::Hex8, kUnitCube, mat);
   double total = 0.0;
   for (int i = 0; i < 8; ++i)
     for (int j = 0; j < 8; ++j) total += me(3 * i, 3 * j);
@@ -87,9 +88,9 @@ TEST(Hex8, MassTotalEqualsDensityTimesVolume) {
 }
 
 TEST(Hex8, InvertedElementThrows) {
-  fem::HexCoords bad = kUnitCube;
+  fem::ElemCoords bad = kUnitCube;
   for (int i = 0; i < 8; ++i) bad[3 * i + 2] = -bad[3 * i + 2];  // mirror z
-  EXPECT_THROW((void)fem::hex8_stiffness(bad, fem::Material{}), Error);
+  EXPECT_THROW((void)fem::dense_stiffness(fem::ElemType::Hex8, bad, fem::Material{}), Error);
 }
 
 TEST(StructuredHex, CountsAndCoords) {
@@ -178,7 +179,10 @@ TEST(Cantilever3d, TipStretchesUnderPull) {
 
 TEST(Material, Elastic3dMatrixProperties) {
   fem::Material mat;
-  const la::DenseMatrix d = mat.elastic_3d_d();
+  const fem::ConstitutiveMatrix<6> c = mat.elastic_3d_d();
+  la::DenseMatrix d(6, 6);
+  for (int i = 0; i < 6; ++i)
+    for (int j = 0; j < 6; ++j) d(i, j) = c(i, j);
   EXPECT_LT(d.max_abs_diff(d.transposed()), 1e-12);
   const la::EigRange r = la::symmetric_eig_range(d);
   EXPECT_GT(r.min, 0.0);  // positive definite for nu < 0.5

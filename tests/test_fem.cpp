@@ -15,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "element_dense.hpp"
 #include "fem/assembly.hpp"
 #include "fem/ebe.hpp"
 #include "fem/elements.hpp"
@@ -27,8 +28,8 @@
 namespace pfem::fem {
 namespace {
 
-const QuadCoords kUnitSquare{0, 0, 1, 0, 1, 1, 0, 1};
-const TriCoords kUnitTri{0, 0, 1, 0, 0, 1};
+const ElemCoords kUnitSquare{0, 0, 1, 0, 1, 1, 0, 1};
+const ElemCoords kUnitTri{0, 0, 1, 0, 0, 1};
 
 TEST(StructuredMesh, QuadCountsAndCoords) {
   const Mesh m = structured_quad(3, 2, 6.0, 2.0);
@@ -48,15 +49,9 @@ TEST(StructuredMesh, TriSplitsEachCell) {
   const Mesh m = structured_tri(3, 2, 3.0, 2.0);
   EXPECT_EQ(m.num_elems(), 12);
   EXPECT_EQ(nodes_per_elem(m.type()), 3);
-  for (index_t e = 0; e < m.num_elems(); ++e) {
-    TriCoords xy{};
-    const auto nodes = m.elem_nodes(e);
-    for (int i = 0; i < 3; ++i) {
-      xy[2 * i] = m.x(nodes[i]);
-      xy[2 * i + 1] = m.y(nodes[i]);
-    }
-    EXPECT_GT(tri3_area(xy), 0.0) << "element " << e << " not CCW";
-  }
+  for (index_t e = 0; e < m.num_elems(); ++e)
+    EXPECT_GT(tri3_area(element_coords(m, e)), 0.0)
+        << "element " << e << " not CCW";
 }
 
 TEST(StructuredMesh, EdgeSelectors) {
@@ -71,7 +66,7 @@ TEST(StructuredMesh, EdgeSelectors) {
 
 TEST(Elements, Quad4StiffnessSymmetric) {
   Material mat;
-  const la::DenseMatrix ke = quad4_stiffness(kUnitSquare, mat);
+  const la::DenseMatrix ke = dense_stiffness(ElemType::Quad4, kUnitSquare, mat);
   EXPECT_LT(ke.max_abs_diff(ke.transposed()), 1e-10);
 }
 
@@ -79,7 +74,7 @@ TEST(Elements, Quad4StiffnessRigidBodyNullspace) {
   // Translations in x and y and an infinitesimal rotation produce zero
   // force: Ke * u_rigid = 0.
   Material mat;
-  const la::DenseMatrix ke = quad4_stiffness(kUnitSquare, mat);
+  const la::DenseMatrix ke = dense_stiffness(ElemType::Quad4, kUnitSquare, mat);
   Vector tx(8, 0.0), ty(8, 0.0), rot(8, 0.0), f(8);
   for (int i = 0; i < 4; ++i) {
     tx[2 * i] = 1.0;
@@ -96,7 +91,7 @@ TEST(Elements, Quad4StiffnessRigidBodyNullspace) {
 
 TEST(Elements, Quad4StiffnessPositiveSemiDefinite) {
   Material mat;
-  const la::DenseMatrix ke = quad4_stiffness(kUnitSquare, mat);
+  const la::DenseMatrix ke = dense_stiffness(ElemType::Quad4, kUnitSquare, mat);
   const la::EigRange r = la::symmetric_eig_range(ke);
   EXPECT_GT(r.max, 0.0);
   EXPECT_GT(r.min, -1e-8 * r.max);  // PSD up to roundoff
@@ -106,7 +101,7 @@ TEST(Elements, Quad4MassTotalEqualsElementMass) {
   Material mat;
   mat.density = 2.5;
   mat.thickness = 0.5;
-  const la::DenseMatrix me = quad4_mass(kUnitSquare, mat);
+  const la::DenseMatrix me = dense_mass(ElemType::Quad4, kUnitSquare, mat);
   // Sum over the u-dofs block = rho * t * area.
   double total = 0.0;
   for (int i = 0; i < 4; ++i)
@@ -120,7 +115,7 @@ TEST(Elements, Quad4MassTotalEqualsElementMass) {
 TEST(Elements, Tri3StiffnessPropertiesAndArea) {
   Material mat;
   EXPECT_DOUBLE_EQ(tri3_area(kUnitTri), 0.5);
-  const la::DenseMatrix ke = tri3_stiffness(kUnitTri, mat);
+  const la::DenseMatrix ke = dense_stiffness(ElemType::Tri3, kUnitTri, mat);
   EXPECT_LT(ke.max_abs_diff(ke.transposed()), 1e-10);
   Vector tx(6, 0.0), f(6);
   for (int i = 0; i < 3; ++i) tx[2 * i] = 1.0;
@@ -131,7 +126,7 @@ TEST(Elements, Tri3StiffnessPropertiesAndArea) {
 TEST(Elements, Tri3MassTotal) {
   Material mat;
   mat.density = 3.0;
-  const la::DenseMatrix me = tri3_mass(kUnitTri, mat);
+  const la::DenseMatrix me = dense_mass(ElemType::Tri3, kUnitTri, mat);
   double total = 0.0;
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j) total += me(2 * i, 2 * j);
@@ -140,21 +135,21 @@ TEST(Elements, Tri3MassTotal) {
 
 TEST(Elements, DegenerateElementThrows) {
   // Clockwise node order inverts the Jacobian everywhere.
-  const QuadCoords inverted{0, 0, 0, 1, 1, 1, 1, 0};
-  EXPECT_THROW((void)quad4_stiffness(inverted, Material{}), Error);
-  const TriCoords collinear{0, 0, 1, 0, 2, 0};
-  EXPECT_THROW((void)tri3_stiffness(collinear, Material{}), Error);
+  const ElemCoords inverted{0, 0, 0, 1, 1, 1, 1, 0};
+  EXPECT_THROW((void)dense_stiffness(ElemType::Quad4, inverted, Material{}), Error);
+  const ElemCoords collinear{0, 0, 1, 0, 2, 0};
+  EXPECT_THROW((void)dense_stiffness(ElemType::Tri3, collinear, Material{}), Error);
 }
 
 TEST(Elements, PoissonRowSumsZero) {
   // Laplace stiffness annihilates constants.
-  const la::DenseMatrix kq = quad4_poisson(kUnitSquare);
+  const la::DenseMatrix kq = dense_diffusion(ElemType::Quad4, kUnitSquare);
   for (index_t i = 0; i < 4; ++i) {
     double s = 0.0;
     for (index_t j = 0; j < 4; ++j) s += kq(i, j);
     EXPECT_NEAR(s, 0.0, 1e-12);
   }
-  const la::DenseMatrix kt = tri3_poisson(kUnitTri);
+  const la::DenseMatrix kt = dense_diffusion(ElemType::Tri3, kUnitTri);
   for (index_t i = 0; i < 3; ++i) {
     double s = 0.0;
     for (index_t j = 0; j < 3; ++j) s += kt(i, j);
@@ -167,8 +162,8 @@ TEST(Elements, PatchTestConstantStrain) {
   // produce the constant-strain energy 1/2 eps^T D eps * area exactly
   // (bilinear elements pass the patch test).
   Material mat;
-  const QuadCoords xy{0, 0, 1.2, 0.1, 1.1, 0.9, -0.1, 1.0};
-  const la::DenseMatrix ke = quad4_stiffness(xy, mat);
+  const ElemCoords xy{0, 0, 1.2, 0.1, 1.1, 0.9, -0.1, 1.0};
+  const la::DenseMatrix ke = dense_stiffness(ElemType::Quad4, xy, mat);
   const double a = 0.01;
   Vector u(8, 0.0), f(8);
   for (int i = 0; i < 4; ++i) u[2 * i] = a * xy[2 * i];

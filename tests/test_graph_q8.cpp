@@ -7,6 +7,7 @@
 
 #include "core/edd_solver.hpp"
 #include "dense_solve.hpp"
+#include "element_dense.hpp"
 #include "exp/experiments.hpp"
 #include "fem/elements.hpp"
 #include "fem/problems.hpp"
@@ -79,12 +80,12 @@ TEST(GreedyPartition, DrivesEddSolveCorrectly) {
 
 // ---- Q8 element ----
 
-const fem::Quad8Coords kUnitQ8{0,   0,   1, 0,   1,   1, 0, 1,
-                               0.5, 0,   1, 0.5, 0.5, 1, 0, 0.5};
+const fem::ElemCoords kUnitQ8{0,   0,   1, 0,   1,   1, 0, 1,
+                              0.5, 0,   1, 0.5, 0.5, 1, 0, 0.5};
 
 TEST(Quad8, StiffnessSymmetricWithRigidBodyNullspace) {
   fem::Material mat;
-  const la::DenseMatrix ke = fem::quad8_stiffness(kUnitQ8, mat);
+  const la::DenseMatrix ke = fem::dense_stiffness(fem::ElemType::Quad8, kUnitQ8, mat);
   EXPECT_LT(ke.max_abs_diff(ke.transposed()), 1e-9);
   Vector tx(16, 0.0), ty(16, 0.0), rot(16, 0.0), f(16);
   for (int i = 0; i < 8; ++i) {
@@ -103,7 +104,7 @@ TEST(Quad8, MassTotalEqualsElementMass) {
   fem::Material mat;
   mat.density = 4.0;
   mat.thickness = 0.25;
-  const la::DenseMatrix me = fem::quad8_mass(kUnitQ8, mat);
+  const la::DenseMatrix me = fem::dense_mass(fem::ElemType::Quad8, kUnitQ8, mat);
   double total = 0.0;
   for (int i = 0; i < 8; ++i)
     for (int j = 0; j < 8; ++j) total += me(2 * i, 2 * j);
@@ -116,7 +117,7 @@ TEST(Quad8, LinearFieldReproducedExactly) {
   // force beyond the constant-strain reaction pattern; equivalently the
   // energy of u = a*x matches the exact constant-strain energy.
   fem::Material mat;
-  const la::DenseMatrix ke = fem::quad8_stiffness(kUnitQ8, mat);
+  const la::DenseMatrix ke = fem::dense_stiffness(fem::ElemType::Quad8, kUnitQ8, mat);
   const double a = 0.02;
   Vector u(16, 0.0), f(16);
   for (int i = 0; i < 8; ++i) u[2 * i] = a * kUnitQ8[2 * i];

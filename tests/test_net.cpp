@@ -1088,6 +1088,62 @@ TEST(NetRemote, HandshakeWithAPeerThatStallsMidHelloAckFailsTyped) {
   }));
 }
 
+TEST(NetRemote, SolveWithADeadlineGivesUpOnAPeerThatNeverAnswers) {
+  // A peer that completes the handshake, reads the request and never
+  // answers: a solve with a 200 ms deadline gives up by the deadline
+  // plus the 0.3 s connect timeout and closes the connection, so the
+  // next call fails at once.
+  const std::string addr = unique_sock("mute");
+  const int lfd = net::listen_on(addr);
+  std::atomic<int> conn{-1};
+  std::thread peer([&] {
+    const int fd = net::accept_conn(lfd);
+    if (fd < 0) return;
+    conn.store(fd);
+    const auto read_frame = [fd] {
+      unsigned char hdr[proto::kProtoHeaderBytes];
+      proto::ProtoHeader h;
+      if (!net::read_full(fd, hdr, sizeof hdr) ||
+          proto::decode_header(hdr, h) != proto::DecodeStatus::Ok)
+        return false;
+      std::vector<unsigned char> body(static_cast<std::size_t>(h.body_len));
+      return net::read_full(fd, body.data(), body.size());
+    };
+    if (!read_frame()) return;  // Hello
+    net::ByteBuffer ack;
+    proto::encode_hello_ack(ack, {"mute", 2});
+    if (!net::write_full(fd, ack.data(), ack.size())) return;
+    (void)read_frame();  // the request, never answered
+  });
+  {
+    svc::Client client(addr, "t", 0.3);
+    proto::SolveRequestMsg req;
+    req.operator_key = "op0";
+    req.rhs = {Vector(8, 1.0)};
+    req.deadline_ns = 200'000'000;
+    proto::SolveResponseMsg resp;
+    auto first = std::async(std::launch::async,
+                            [&] { return client.solve(req, resp); });
+    const bool returned = first.wait_for(std::chrono::seconds(2)) ==
+                          std::future_status::ready;
+    // End the client's read if it is still waiting: no hang.
+    if (!returned) net::shutdown_fd(conn.load());
+    EXPECT_TRUE(returned) << "no return within 2 s of a 200 ms deadline";
+    EXPECT_FALSE(first.get());
+
+    const auto t0 = std::chrono::steady_clock::now();
+    req.req_id = 0;
+    EXPECT_FALSE(client.solve(req, resp));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(100));
+  }
+  net::shutdown_fd(lfd);
+  peer.join();
+  if (conn.load() >= 0) net::close_fd(conn.load());
+  net::close_fd(lfd);
+  ::unlink(addr.c_str() + 5);
+}
+
 TEST(NetSockets, AcceptWaitsOutAFullFdTable) {
   const std::string addr = unique_sock("emfile");
   const int lfd = net::listen_on(addr);
